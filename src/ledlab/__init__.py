@@ -36,6 +36,7 @@ from .kinematics import (
 )
 from .bare_particle import (
     DensityProfile,
+    GyrationCurve,
     GyroMassCurve,
     gyrational_mass,
     maclaurin_check,

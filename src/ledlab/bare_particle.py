@@ -4,21 +4,41 @@ A spherical rest-frame density f(|x|) (mass or charge) is reduced to its
 radial measure; every slice integral of the rigid rotation then factors
 into a radial integral against closed-form angular kernels:
 
-    <gamma>_sphere(beta)        = artanh(beta)/beta
-    <gamma sin^2 theta>_sphere  = ((1+beta^2)/(2 beta^3)) artanh(beta) - 1/(2 beta^2)
+    <gamma>_sphere(beta)              = artanh(beta)/beta
+    K(beta) = <gamma sin^2 theta>_sphere
+            = ((1+beta^2)/(2 beta^3)) artanh(beta) - 1/(2 beta^2)
 
 with beta = omega r / c the equatorial speed at radius r.  The gyrational
 mass, bare spin, Minkowski inertia tensor and the spin -> angular-velocity
 inversion are built from these.  For a surface (shell) density the radial
 integral collapses to the closed forms used by the renormalization flow.
+
+Gyration curve.  On a radial rule (r_k, w_k) the bare spin magnitude is
+
+    sigma(omega)    = sum_k w_k r_k^2 omega K(beta_k),
+    d sigma/d omega = sum_k w_k r_k^2 (beta K)'(beta_k),
+    (beta K)'(beta) = 1/(beta^2 (1 - beta^2)) - artanh(beta)/beta^3.
+
+Below beta = 0.3, where the closed forms cancel catastrophically, K and
+(beta K)' are summed from their even series, whose coefficients of
+beta^(2k-2), k >= 1, are 2k/(4k^2 - 1) and 2k/(2k + 1).  All of them are
+positive, so beta K is increasing and convex on [0, 1); for a density
+w_k >= 0 so is sigma on [0, c/R), and K >= K(0) = 2/3 gives
+sigma(omega) >= I omega with I = (2/3) sum_k w_k r_k^2.  Newton's
+iteration for sigma(omega) = s started at min(s/I, omega_cap) therefore
+starts at or above the root, and each tangent step of an increasing
+convex function lands between the root and the previous iterate: the
+iterates decrease monotonically onto the root, with no bracket.
+GyrationCurve does this once per mass profile; every spin map here
+calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .minkowski import Rank2Tensor
 
@@ -191,6 +211,13 @@ class DensityProfile:
 # angular kernels of rigid relativistic rotation
 # ---------------------------------------------------------------------------
 
+SERIES_BELOW = 0.3   # below this beta the kernels are summed from their series
+_K = np.arange(1, 18)
+_EXPONENTS = (_K - 1).astype(float)
+_SPIN_SERIES = 2.0 * _K / (4.0 * _K**2 - 1.0)    # K(beta)
+_SLOPE_SERIES = 2.0 * _K / (2.0 * _K + 1.0)      # (beta K)'(beta)
+
+
 def gamma_kernel(beta):
     """Spherical average of the Lorentz factor: artanh(beta)/beta."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
@@ -200,26 +227,169 @@ def gamma_kernel(beta):
     return out
 
 
+def _even_kernel(beta, closed, coef):
+    """closed(beta), or sum_k coef[k] beta^(2k) where beta < SERIES_BELOW."""
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    small = beta < SERIES_BELOW
+    if not small.any():
+        return closed(beta)
+    if small.all():
+        return np.power.outer(beta * beta, _EXPONENTS) @ coef
+    out = closed(np.where(small, SERIES_BELOW, beta))
+    out[small] = np.power.outer(beta[small] ** 2, _EXPONENTS) @ coef
+    return out
+
+
+def _spin_closed(b):
+    return ((1.0 + b**2) / (2.0 * b**3)) * np.arctanh(b) - 1.0 / (2.0 * b**2)
+
+
+def _slope_closed(b):
+    # (1 - b)(1 + b) keeps 1 - b^2 exact to rounding as b -> 1
+    b2 = b * b
+    return 1.0 / (b2 * (1.0 - b) * (1.0 + b)) - np.arctanh(b) / (b2 * b)
+
+
 def spin_kernel(beta):
-    """Spherical average of gamma sin^2(theta).
+    """Spherical average K(beta) of gamma sin^2(theta).
 
     Closed form ((1+b^2)/(2 b^3)) artanh b - 1/(2 b^2); evaluated by its
-    even power series 2/3 + (4/15) b^2 + ... for small b where the closed
-    form cancels catastrophically.
+    even power series 2/3 + (4/15) b^2 + ... below SERIES_BELOW, where the
+    closed form cancels catastrophically.
     """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    out = np.empty_like(beta)
-    small = beta < 0.3
-    b = beta[small]
-    acc = np.zeros_like(b)
-    b2k = np.ones_like(b)
-    for k in range(1, 18):
-        acc += (2.0 * k) / (4.0 * k * k - 1.0) * b2k
-        b2k = b2k * b * b
-    out[small] = acc
-    b = beta[~small]
-    out[~small] = ((1.0 + b**2) / (2.0 * b**3)) * np.arctanh(b) - 1.0 / (2.0 * b**2)
-    return out
+    return _even_kernel(beta, _spin_closed, _SPIN_SERIES)
+
+
+def spin_kernel_slope(beta):
+    """d(beta K)/d beta = 1/(b^2 (1 - b^2)) - artanh(b)/b^3.
+
+    Below SERIES_BELOW, the even series 2/3 + (4/5) b^2 + ... with
+    coefficients 2k/(2k+1).
+    """
+    return _even_kernel(beta, _slope_closed, _SLOPE_SERIES)
+
+
+# ---------------------------------------------------------------------------
+# the gyration curve of a mass profile
+# ---------------------------------------------------------------------------
+
+NEWTON_MAX = 100
+_EPS = np.finfo(float).eps
+
+
+class GyrationCurve:
+    """sigma = |s_b|, d sigma/d omega and M as functions of |omega|, and
+    the inverse |s_b| -> |omega|, for one mass profile.
+
+    Built once per profile on its radial rule.  `omega_cap` (units of
+    c/R) bounds the inverse: |s| >= sigma(cap) is rejected, or clipped
+    to the cap with saturate=True.  The default cap is the
+    double-precision edge of the light cone.
+    """
+
+    def __init__(self, fm: DensityProfile, c: float = 1.0,
+                 omega_cap: float = 1.0 - 1e-14):
+        r, w = fm.radial_rule()
+        if np.any(w < 0):
+            raise ValueError("a gyration curve needs a nonnegative mass density")
+        self.fm = fm
+        self.c = c
+        self._r_c = r / c
+        self._w = w
+        self._wr2 = w * r**2
+        self._point = fm.total * fm.point_fraction
+        self.inertia = (2.0 / 3.0) * float(np.sum(self._wr2))
+        self.omega_cap = omega_cap * c / fm.R
+
+    @cached_property
+    def sigma_cap(self) -> float:
+        return float(self.sigma(self.omega_cap))
+
+    def _beta(self, omega):
+        return np.multiply.outer(np.abs(omega), self._r_c)
+
+    def spin_moment(self, omega):
+        """Axial moment sum_k w_k r_k^2 K(beta_k) = sigma / |omega|."""
+        beta = self._beta(omega)
+        return spin_kernel(beta.ravel()).reshape(beta.shape) @ self._wr2
+
+    def sigma(self, omega):
+        """|s_b|(|omega|), with the shape of omega."""
+        return np.abs(omega) * self.spin_moment(omega)
+
+    def slope(self, omega):
+        """d sigma/d|omega| = sum_k w_k r_k^2 (beta K)'(beta_k)."""
+        beta = self._beta(omega)
+        return spin_kernel_slope(beta.ravel()).reshape(beta.shape) @ self._wr2
+
+    def mass(self, omega):
+        """Gyrational mass sum_k w_k artanh(beta_k)/beta_k plus the point part."""
+        beta = self._beta(omega)
+        return gamma_kernel(beta.ravel()).reshape(beta.shape) @ self._w + self._point
+
+    def omega(self, smag, saturate: bool = False) -> np.ndarray:
+        """|omega| with sigma(|omega|) = smag, elementwise (1-d result).
+
+        Newton from min(s / inertia, cap) decreases monotonically onto the
+        root (module docstring).  A residual above 1e-9 |s| plus the
+        rounding floor eps |omega| sigma' falls back to bisection.
+        """
+        s = np.atleast_1d(np.asarray(smag, dtype=float))
+        over = s >= self.sigma_cap
+        if over.any():
+            if not saturate:
+                raise ValueError(
+                    f"|s| = {s.max():g} reaches the gyrational bound "
+                    f"{self.sigma_cap:g} at omega R / c = {self.omega_cap * self.fm.R / self.c:g}")
+            s = np.minimum(s, self.sigma_cap)
+        w = np.minimum(s / self.inertia, self.omega_cap)
+        for _ in range(NEWTON_MAX):
+            f = self.sigma(w) - s
+            df = self.slope(w)
+            step = f / df
+            w = w - step
+            if (np.abs(step) <= 1e-13 * w).all():
+                break
+        # the last residual bounds the returned one: iterates only descend
+        bad = ~(np.abs(f) <= 1e-9 * s + 16.0 * _EPS * w * df)
+        if bad.any():
+            if not np.isfinite(s[bad]).all():
+                raise FloatingPointError("spin magnitude is not finite")
+            w[bad] = self._bisect(s[bad])
+        if saturate:
+            w[over] = self.omega_cap
+        return w
+
+    def _bisect(self, s):
+        lo = np.zeros_like(s)
+        hi = np.full_like(s, self.omega_cap)
+        for _ in range(1100):   # enough halvings for any double root
+            mid = 0.5 * (lo + hi)
+            high = self.sigma(mid) > s
+            hi = np.where(high, mid, hi)
+            lo = np.where(high, lo, mid)
+            if np.all(hi - lo <= 2.0 * _EPS * hi):
+                break
+        return 0.5 * (lo + hi)
+
+
+class GyroMassCurve(GyrationCurve):
+    """A gyration curve with its mass and spin sampled on [0, edge c/R]."""
+
+    def __init__(self, fm: DensityProfile, c: float = 1.0, n: int = 400,
+                 edge: float = 0.999):
+        super().__init__(fm, c)
+        self.omega_grid = np.linspace(0.0, edge * c / fm.R, n)
+        self.mass_grid = self.mass(self.omega_grid)
+        self.spin_grid = self.sigma(self.omega_grid)
+        self.spin_max = self.spin_grid[-1]
+
+    def omega_of_spin_mag(self, smag):
+        """Inverse clipped to the sampled range, in the shape of smag."""
+        return self.omega(np.clip(smag, 0.0, self.spin_max)).reshape(np.shape(smag))
+
+    def omega_of_spin_exact(self, smag: float) -> float:
+        return float(self.omega(smag)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +410,7 @@ def gyrational_mass(fm: DensityProfile, omega: float, c: float = 1.0) -> float:
     """
     omega = abs(float(omega))
     _check_subluminal(fm, omega, c)
-    if omega == 0.0:
-        return fm.total
-    return fm.radial_integral(lambda r: gamma_kernel(omega * r / c))
+    return float(GyrationCurve(fm, c).mass(omega))
 
 
 def maclaurin_check(fm: DensityProfile, c: float = 1.0, eps: float = 1e-3):
@@ -266,9 +434,12 @@ def spin_magnitude(fm: DensityProfile, omega: float, c: float = 1.0) -> float:
     """|s_b|(|omega|): int r^2 <gamma sin^2> f 4 pi r^2 dr * omega."""
     omega = abs(float(omega))
     _check_subluminal(fm, omega, c)
-    if omega == 0.0:
-        return 0.0
-    return omega * fm.radial_integral(lambda r: r**2 * spin_kernel(omega * r / c))
+    return float(GyrationCurve(fm, c).sigma(omega))
+
+
+def spin_magnitude_many(fm: DensityProfile, omegas, c: float = 1.0) -> np.ndarray:
+    """|s_b| over an array of angular speeds."""
+    return GyrationCurve(fm, c).sigma(np.atleast_1d(np.asarray(omegas, dtype=float)))
 
 
 def bare_spin(fm: DensityProfile, omega3, c: float = 1.0) -> np.ndarray:
@@ -284,93 +455,23 @@ def bare_spin(fm: DensityProfile, omega3, c: float = 1.0) -> np.ndarray:
     return spin_magnitude(fm, mag, c) * omega3 / mag
 
 
-def spin_supremum(fm: DensityProfile, c: float = 1.0, margin: float = 1e-12) -> float:
-    """Largest representable |s_b| as omega R -> c.
-
-    Infinite for a shell (the surface gyrational energy diverges); finite
-    for continuous profiles, estimated at the admissibility edge.
-    """
-    if fm.kind == "shell" or (fm.kind == "custom" and fm.table[1][-1] > 0):
-        return np.inf
-    return spin_magnitude(fm, (1.0 - margin) * c / fm.R, c)
-
-
-def omega_from_spin(fm: DensityProfile, s3, c: float = 1.0,
-                    rtol: float = 1e-13) -> np.ndarray:
+def omega_from_spin(fm: DensityProfile, s3, c: float = 1.0) -> np.ndarray:
     """Unique omega parallel to s with bare_spin(fm, omega) = s.
 
-    The map |omega| -> |s_b| is strictly increasing on [0, c/R), so a
-    bracketing root-find inverts it.  For a surface profile any finite s
-    is reachable; for a volume profile |s| beyond the finite supremum at
-    omega R -> c is rejected.
+    For a surface profile any finite s up to the double-precision edge
+    omega R -> c is reachable; for a volume profile |s| beyond the finite
+    supremum is rejected.
     """
     s3 = np.asarray(s3, dtype=float)
     smag = float(np.linalg.norm(s3))
     if smag == 0.0:
         return np.zeros(3)
-    cap = 1.0 - 1e-14
-    lo, hi = 0.0, 0.5 * c / fm.R
-    while spin_magnitude(fm, hi, c) < smag:
-        nxt = 0.5 * (hi * fm.R / c + 1.0)  # approach the edge geometrically
-        hi_new = min(nxt, cap) * c / fm.R
-        if hi_new <= hi:
-            raise ValueError(
-                f"|s| = {smag:g} exceeds the profile's gyrational supremum "
-                f"{spin_magnitude(fm, hi, c):g} (omega R -> c)")
-        lo, hi = hi, hi_new
-    wmag = brentq(lambda w: spin_magnitude(fm, w, c) - smag, lo, hi,
-                  rtol=max(rtol, 4 * np.finfo(float).eps), xtol=1e-300)
-    return wmag * s3 / smag
+    return GyrationCurve(fm, c).omega(smag)[0] * s3 / smag
 
 
-def spin_magnitude_many(fm: DensityProfile, omegas, c: float = 1.0,
-                        order: int = 64) -> np.ndarray:
-    """Vectorized |s_b| over an array of angular speeds (outer-product rule)."""
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    r, w = fm.radial_rule(order)
-    beta = np.abs(omegas)[:, None] * r[None, :] / c
-    kern = spin_kernel(beta.ravel()).reshape(beta.shape)
-    return np.abs(omegas) * (kern * (w * r**2)[None, :]).sum(axis=1)
-
-
-def invert_spin_many(fm: DensityProfile, smags, c: float = 1.0,
-                     curve: "GyroMassCurve" = None, iters: int = 60,
-                     rtol: float = 1e-12) -> np.ndarray:
-    """Vectorized inverse of |omega| -> |s_b| by safeguarded bisection.
-
-    Used by the evolution and iteration loops where many inversions per
-    step are needed; agrees with :func:`omega_from_spin` to the stated
-    tolerance.
-    """
-    smags = np.atleast_1d(np.asarray(smags, dtype=float))
-    out = np.zeros_like(smags)
-    pos = smags > 0
-    if not np.any(pos):
-        return out
-    s = smags[pos]
-    lo = np.zeros_like(s)
-    hi = np.full_like(s, 0.5 * c / fm.R)
-    # expand brackets toward the admissibility edge where needed
-    for _ in range(200):
-        short = spin_magnitude_many(fm, hi, c) < s
-        if not np.any(short):
-            break
-        beta = hi[short] * fm.R / c
-        nxt = 0.5 * (beta + 1.0)
-        if np.any(nxt >= 1.0 - 1e-15):
-            raise ValueError("spin exceeds the profile's gyrational supremum")
-        lo[short] = hi[short]
-        hi[short] = nxt * c / fm.R
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        val = spin_magnitude_many(fm, mid, c)
-        high = val > s
-        hi[high] = mid[high]
-        lo[~high] = mid[~high]
-        if np.max((hi - lo) / np.maximum(hi, 1e-300)) < rtol:
-            break
-    out[pos] = 0.5 * (lo + hi)
-    return out
+def invert_spin_many(fm: DensityProfile, smags, c: float = 1.0) -> np.ndarray:
+    """|omega| for an array of spin magnitudes (see omega_from_spin)."""
+    return GyrationCurve(fm, c).omega(smags)
 
 
 def minkowski_inertia(fm: DensityProfile, omega3, c: float = 1.0) -> Rank2Tensor:
@@ -386,7 +487,7 @@ def minkowski_inertia(fm: DensityProfile, omega3, c: float = 1.0) -> Rank2Tensor
     _check_subluminal(fm, mag, c)
 
     r2gam = fm.radial_integral(lambda r: r**2 * gamma_kernel(mag * r / c))
-    i_par = fm.radial_integral(lambda r: r**2 * spin_kernel(mag * r / c))
+    i_par = float(GyrationCurve(fm, c).spin_moment(mag))
     i_perp = r2gam - 0.5 * i_par
 
     if mag > 0:
@@ -398,48 +499,3 @@ def minkowski_inertia(fm: DensityProfile, omega3, c: float = 1.0) -> Rank2Tensor
     m[0, 0] = -r2gam   # r^2 g^{00}; the operator entry is +r2gam
     m[1:, 1:] = space
     return Rank2Tensor(m, symmetry="symmetric")
-
-
-# ---------------------------------------------------------------------------
-# cached gyration curves
-# ---------------------------------------------------------------------------
-
-class GyroMassCurve:
-    """Sampled map omega -> gyrational mass and spin with a fast inverse.
-
-    Built once per profile and then read-only.  The gyrational mass is
-    validated to be strictly positive, increasing and strictly convex on
-    the sampled range; the inverse |s| -> omega is monotone interpolation
-    refined against the exact spin magnitude.
-    """
-
-    def __init__(self, fm: DensityProfile, c: float = 1.0, n: int = 400,
-                 edge: float = 0.999):
-        from scipy.interpolate import PchipInterpolator
-
-        self.fm = fm
-        self.c = c
-        w = np.linspace(0.0, edge * c / fm.R, n)
-        m = np.array([gyrational_mass(fm, wi, c) for wi in w])
-        s = np.array([spin_magnitude(fm, wi, c) for wi in w])
-        if np.any(m <= 0) or np.any(np.diff(m) < 0):
-            raise ValueError("gyrational mass must be positive and increasing")
-        if np.any(np.diff(m, 2) < -1e-12 * m[-1]):
-            raise ValueError("gyrational mass must be convex")
-        self.omega_grid = w
-        self.mass_grid = m
-        self.spin_grid = s
-        self._mass = PchipInterpolator(w, m)
-        self._omega_of_spin = PchipInterpolator(s, w)
-        self.spin_max = s[-1]
-
-    def mass(self, omega):
-        return self._mass(np.abs(omega))
-
-    def omega_of_spin_mag(self, smag):
-        """Vectorized approximate inverse (interpolation grade)."""
-        return self._omega_of_spin(np.clip(smag, 0.0, self.spin_max))
-
-    def omega_of_spin_exact(self, smag: float) -> float:
-        return float(np.linalg.norm(
-            omega_from_spin(self.fm, [0.0, 0.0, smag], self.c)))

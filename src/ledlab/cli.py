@@ -166,9 +166,9 @@ def cmd_gyro_sim(args) -> int:
         res = solver.picard_iterate(state, n_max=args.picard_iters,
                                     horizon=args.horizon * args.radius / args.c)
         path = os.path.join(out, "picard_gaps.csv")
-        _write_csv(path, ["iteration", "gap_w", "gap_sb"],
-                   [[i, gw, gs] for i, (gw, gs)
-                    in enumerate(zip(res.gaps_w, res.gaps_sb))])
+        _write_csv(path, ["iteration", "gap_w", "gap_pi", "gap_sb"],
+                   [[i, *gaps] for i, gaps
+                    in enumerate(zip(res.gaps_w, res.gaps_pi, res.gaps_sb))])
         written.append(path)
     else:
         traj, fit = solver.run_to_stationary(
@@ -184,7 +184,7 @@ def cmd_gyro_sim(args) -> int:
         _write_json(fpath, {"omega_inf": fit.omega_inf, "rate": fit.rate,
                             "log_residual": fit.log_residual,
                             "window": list(fit.window),
-                            "converged": fit.converged})
+                            "converged": fit.converged, "note": fit.note})
         written.append(fpath)
         audit = solver.energy_audit(traj)
         apath = os.path.join(out, "energy_audit.json")
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        args._explicit = {a for a in argv if a.startswith("--")}
+        args._explicit = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
         args = _apply_config(args, parser)
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors

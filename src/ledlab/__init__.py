@@ -37,7 +37,6 @@ from .kinematics import (
 from .bare_particle import (
     DensityProfile,
     GyrationCurve,
-    GyroMassCurve,
     gyrational_mass,
     maclaurin_check,
     bare_spin,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bare_particle import DensityProfile
-from .fields import ComplexField3, StationaryState
+from .fields import ComplexField3, StationaryState, _grid_integrals
 
 ZERO_TOL = 1e-10
 
@@ -48,34 +48,6 @@ class InitialData:
     v0: np.ndarray = None
     omega0: np.ndarray = None
     label: str = ""
-
-    def validate_gauss(self, n_r: int = 6, n_ang: int = 26, tol: float = 1e-6) -> float:
-        """Spot-check the Gauss constraints by sphere fluxes.
-
-        Returns the worst relative defect of flux(E)/4pi against the
-        enclosed charge, checking div B = 0 the same way.
-        """
-        rng = np.linspace(1.2 * self.fe.R, 4.0 * self.fe.R, n_r)
-        mu, wmu = np.polynomial.legendre.leggauss(n_ang)
-        phi = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        st = np.sqrt(1.0 - mu**2)
-        nx = np.stack([np.outer(st, np.cos(phi)), np.outer(st, np.sin(phi)),
-                       np.tile(mu[:, None], (1, n_ang))], axis=-1).reshape(-1, 3)
-        wgt = (np.outer(0.5 * wmu, np.full(n_ang, 1.0 / n_ang))).reshape(-1)
-        worst = 0.0
-        qtot = self.fe.total
-        for r in rng:
-            pts = r * nx
-            fe_flux = 4.0 * np.pi * r**2 * float(
-                np.einsum("k,ki,ki->", wgt, self.e_fn(pts), nx))
-            fb_flux = 4.0 * np.pi * r**2 * float(
-                np.einsum("k,ki,ki->", wgt, self.b_fn(pts), nx))
-            worst = max(worst,
-                        abs(fe_flux / (4.0 * np.pi) - qtot) / max(abs(qtot), 1e-30),
-                        abs(fb_flux) / max(abs(qtot), 1e-30))
-        if worst > tol:
-            raise ValueError(f"Gauss constraint violated: defect {worst:.3e}")
-        return worst
 
 
 @dataclass(frozen=True)
@@ -302,22 +274,10 @@ def semirel_functionals(fieldgrid: ComplexField3, m_b: float, i_b: float,
     """
     if variant not in ("spin", "infI", "einstein"):
         raise ValueError(f"unknown variant {variant!r}")
-    x, y, z = fieldgrid.axes
-    half = min(x[-1], y[-1], z[-1], -x[0], -y[0], -z[0])
-    if half < support_radius:
-        raise ValueError("grid does not enclose the particle support")
+    w_field, p_field, l_field, q_charge = _grid_integrals(fieldgrid, support_radius, c)
     qdot = np.asarray(qdot, dtype=float)
     s_b = np.asarray(s_b, dtype=float)
     q3 = np.asarray(q3, dtype=float)
-
-    e, b = fieldgrid.E, fieldgrid.B
-    w_field = fieldgrid.volume_integral(np.sum(e**2 + b**2, axis=0)) / (8.0 * np.pi)
-    poy = np.cross(np.moveaxis(e, 0, -1), np.moveaxis(b, 0, -1)) / (4.0 * np.pi * c)
-    p_field = np.array([fieldgrid.volume_integral(poy[..., i]) for i in range(3)])
-    xx, yy, zz = np.meshgrid(x, y, z, indexing="ij")
-    pos = np.stack([xx, yy, zz], axis=-1)
-    ang = np.cross(pos, poy)
-    l_field = np.array([fieldgrid.volume_integral(ang[..., i]) for i in range(3)])
 
     if variant == "einstein":
         v2 = float(qdot @ qdot) / c**2
@@ -332,7 +292,6 @@ def semirel_functionals(fieldgrid: ComplexField3, m_b: float, i_b: float,
         w += 0.5 * float(s_b @ s_b) / i_b
     p = p_field + p_b
     l = l_field + np.cross(q3, p_b) + s_b
-    q_charge = fieldgrid.boundary_flux("real") / (4.0 * np.pi)
     return {"W": w, "W_field": w_field, "P": p, "L": l, "Q": q_charge}
 
 

@@ -373,25 +373,6 @@ class GyrationCurve:
         return 0.5 * (lo + hi)
 
 
-class GyroMassCurve(GyrationCurve):
-    """A gyration curve with its mass and spin sampled on [0, edge c/R]."""
-
-    def __init__(self, fm: DensityProfile, c: float = 1.0, n: int = 400,
-                 edge: float = 0.999):
-        super().__init__(fm, c)
-        self.omega_grid = np.linspace(0.0, edge * c / fm.R, n)
-        self.mass_grid = self.mass(self.omega_grid)
-        self.spin_grid = self.sigma(self.omega_grid)
-        self.spin_max = self.spin_grid[-1]
-
-    def omega_of_spin_mag(self, smag):
-        """Inverse clipped to the sampled range, in the shape of smag."""
-        return self.omega(np.clip(smag, 0.0, self.spin_max)).reshape(np.shape(smag))
-
-    def omega_of_spin_exact(self, smag: float) -> float:
-        return float(self.omega(smag)[0])
-
-
 # ---------------------------------------------------------------------------
 # inertial functionals
 # ---------------------------------------------------------------------------
@@ -437,11 +418,6 @@ def spin_magnitude(fm: DensityProfile, omega: float, c: float = 1.0) -> float:
     return float(GyrationCurve(fm, c).sigma(omega))
 
 
-def spin_magnitude_many(fm: DensityProfile, omegas, c: float = 1.0) -> np.ndarray:
-    """|s_b| over an array of angular speeds."""
-    return GyrationCurve(fm, c).sigma(np.atleast_1d(np.asarray(omegas, dtype=float)))
-
-
 def bare_spin(fm: DensityProfile, omega3, c: float = 1.0) -> np.ndarray:
     """Bare spin three-vector int x cross (w cross x) gamma f d^3x.
 
@@ -467,11 +443,6 @@ def omega_from_spin(fm: DensityProfile, s3, c: float = 1.0) -> np.ndarray:
     if smag == 0.0:
         return np.zeros(3)
     return GyrationCurve(fm, c).omega(smag)[0] * s3 / smag
-
-
-def invert_spin_many(fm: DensityProfile, smags, c: float = 1.0) -> np.ndarray:
-    """|omega| for an array of spin magnitudes (see omega_from_spin)."""
-    return GyrationCurve(fm, c).omega(smags)
 
 
 def minkowski_inertia(fm: DensityProfile, omega3, c: float = 1.0) -> Rank2Tensor:

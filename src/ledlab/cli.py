@@ -5,7 +5,8 @@ A flat key=value config file can seed any run; command-line flags win.
 Outputs are deterministic (17 significant digits, no timestamps), so an
 identical spec produces byte-identical files.
 
-Exit codes: 0 ok, 1 usage error, 2 domain error, 3 numerical failure.
+Exit codes: 0 ok, 1 usage error, 2 domain error, 3 numerical failure or
+internal error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -71,19 +73,20 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _apply_config(args, parser):
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-        for key, val in cfg.items():
-            dest = key.replace("-", "_")
-            if not hasattr(args, dest):
-                raise ValueError(f"unknown config key {key!r}")
-            if f"--{key}" in getattr(args, "_explicit", set()):
-                continue  # flags given on the command line win
-            current = getattr(args, dest)
-            typ = type(current) if current is not None else str
-            setattr(args, dest, typ(val) if typ is not bool else val.lower() in ("1", "true", "on"))
-    return args
+def _apply_config(args, parser, argv):
+    """Parse argv again with the config values as the subcommand's
+    defaults: argparse converts them by each flag's type, and any flag the
+    command line sets, in whatever spelling argparse accepts, wins."""
+    defaults = {}
+    for key, val in load_config(args.config).items():
+        dest = key.replace("-", "_")
+        if not hasattr(args, dest):
+            raise ValueError(f"unknown config key {key!r}")
+        if isinstance(getattr(args, dest), bool):   # store_true flags
+            val = val.lower() in ("1", "true", "on")
+        defaults[dest] = val
+    parser.commands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _profile_from_args(args, total):
@@ -292,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ledlab",
         description="Spinning extended-charge electrodynamics laboratory")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices   # subcommand name -> its parser
 
     def common(sp):
         sp.add_argument("--out-dir", default=None,
@@ -357,8 +361,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        args._explicit = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
-        args = _apply_config(args, parser)
+        if args.config:
+            args = _apply_config(args, parser, argv)
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
@@ -367,6 +371,10 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except (ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

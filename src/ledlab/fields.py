@@ -209,7 +209,7 @@ def magnetic_moment(fe: DensityProfile, omega3, c: float = 1.0) -> np.ndarray:
     return np.asarray(omega3, dtype=float) * fe.moment(2) / (3.0 * c)
 
 
-def field_energy(st: StationaryState, quad_eps: float = 1e-12) -> float:
+def field_energy(st: StationaryState) -> float:
     """(1/8 pi) int (|E|^2 + |B|^2): closed form for a shell, radial
     quadrature plus the exact exterior monopole + dipole tail otherwise."""
     e = -st.fe.total
@@ -230,9 +230,9 @@ def field_energy(st: StationaryState, quad_eps: float = 1e-12) -> float:
         return 0.5 * mean_b2 * r**2
 
     inner_e = quad(lambda r: e_dens(np.array([r]))[0], 0.0, R,
-                   epsabs=quad_eps, epsrel=quad_eps, limit=200)[0]
+                   epsabs=1e-12, epsrel=1e-12, limit=200)[0]
     inner_b = quad(lambda r: b_dens(np.array([r]))[0], 0.0, R,
-                   epsabs=quad_eps, epsrel=quad_eps, limit=200)[0]
+                   epsabs=1e-12, epsrel=1e-12, limit=200)[0]
     # exterior: exact point charge + point dipole
     mu2 = float(st.mu @ st.mu)
     tail = st.fe.total**2 / (2.0 * R) + mu2 / (3.0 * R**3)
@@ -429,30 +429,33 @@ def field_energy_grid(field: ComplexField3) -> float:
     return field.volume_integral(dens)
 
 
+def _grid_integrals(field: ComplexField3, support_radius: float, c: float) -> tuple:
+    """Field energy, momentum and angular momentum over the grid, and the
+    charge by Gauss flux through its boundary: (W, P, L, Q)."""
+    x, y, z = field.axes
+    if min(x[-1], y[-1], z[-1], -x[0], -y[0], -z[0]) < support_radius:
+        raise ValueError("grid does not enclose the particle support")
+    e, b = field.E, field.B
+    poynting = np.cross(np.moveaxis(e, 0, -1), np.moveaxis(b, 0, -1)) / (4.0 * np.pi * c)
+    xx, yy, zz = np.meshgrid(x, y, z, indexing="ij")
+    pos = np.stack([xx, yy, zz], axis=-1)
+    ang = np.cross(pos, poynting)
+    p = np.array([field.volume_integral(poynting[..., i]) for i in range(3)])
+    l = np.array([field.volume_integral(ang[..., i]) for i in range(3)])
+    q = field.boundary_flux("real") / (4.0 * np.pi)
+    return field_energy_grid(field), p, l, q
+
+
 def conserved_functionals(field: ComplexField3, fm: DensityProfile, omega3,
                           c: float = 1.0) -> dict:
     """Total energy, momentum, angular momentum and charge of a rest-frame
     snapshot: field integrals over the grid plus the particle's gyrational
     energy and bare spin.  Charge is measured by Gauss flux through the
     grid boundary."""
-    x, y, z = field.axes
-    half_width = min(x[-1], y[-1], z[-1], -x[0], -y[0], -z[0])
-    if half_width < fm.R:
-        raise ValueError("grid does not enclose the particle support")
+    w_field, p, l_field, q = _grid_integrals(field, fm.R, c)
     omega3 = np.asarray(omega3, dtype=float)
-    wmag = float(np.linalg.norm(omega3))
-
-    e, b = field.E, field.B
-    poynting = np.cross(np.moveaxis(e, 0, -1), np.moveaxis(b, 0, -1)) / (4.0 * np.pi * c)
-    xx, yy, zz = np.meshgrid(x, y, z, indexing="ij")
-    pos = np.stack([xx, yy, zz], axis=-1)
-    ang = np.cross(pos, poynting)
-
-    w = field_energy_grid(field) + gyrational_mass(fm, wmag, c) * c**2
-    p = np.array([field.volume_integral(poynting[..., i]) for i in range(3)])
-    l_field = np.array([field.volume_integral(ang[..., i]) for i in range(3)])
+    w = w_field + gyrational_mass(fm, float(np.linalg.norm(omega3)), c) * c**2
     l = l_field + bare_spin(fm, omega3, c)
-    q = field.boundary_flux("real") / (4.0 * np.pi)
     return {"W": w, "P": p, "L": l, "L_field": l_field, "Q": q}
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bare_particle import DensityProfile, gyrational_mass
+from .bare_particle import DensityProfile
 from .minkowski import METRIC, FourVector, Rank2Tensor, boost_matrix, inner
 from .kinematics import gyration_tensor
 
@@ -56,13 +56,6 @@ class FieldSnapshot:
         e = np.zeros((n, 3)) if self.e_dot_fn is None else np.asarray(self.e_dot_fn(pts), dtype=float)
         b = np.zeros((n, 3)) if self.b_dot_fn is None else np.asarray(self.b_dot_fn(pts), dtype=float)
         return e, b
-
-
-def uniform_snapshot(e0=(0.0, 0.0, 0.0), b0=(0.0, 0.0, 0.0)) -> FieldSnapshot:
-    e0 = np.asarray(e0, dtype=float)
-    b0 = np.asarray(b0, dtype=float)
-    return FieldSnapshot(lambda p: np.tile(e0, (len(p), 1)),
-                         lambda p: np.tile(b0, (len(p), 1)))
 
 
 def stationary_snapshot(st) -> FieldSnapshot:
@@ -163,16 +156,6 @@ def minkowski_torque(snapshot: FieldSnapshot, fe: DensityProfile,
     fperp = np.einsum("ab,bc,kc->ka", proj, METRIC, fu)
     m = np.einsum("k,ka,kb->ab", w, x4, fperp)
     return Rank2Tensor(m - m.T, symmetry="antisymmetric")
-
-
-def torque_vector(snapshot: FieldSnapshot, fe: DensityProfile, omega3,
-                  z3=(0.0, 0.0, 0.0), c: float = 1.0,
-                  orders=(24, 48, 24)) -> np.ndarray:
-    """Rest-frame torque three-vector int x cross (E + (w x x) x B / c) f_e."""
-    t = minkowski_torque(
-        FieldSnapshot(snapshot.e_fn, snapshot.b_fn), fe, _E0, omega3,
-        None, z3, c, orders)
-    return np.array([t.m[2, 3], t.m[3, 1], t.m[1, 2]])
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +293,3 @@ def invertibility_report(m_tilde: Rank2Tensor, m_gyro: float) -> InvertibilityRe
     ratio = float(np.linalg.norm(dev, 2)) / m_gyro
     cond = float(np.linalg.cond(m_tilde.operator))
     return InvertibilityReport(ratio, cond, ratio < 1.0)
-
-
-def matched_self_field_ratio(fe: DensityProfile, fm: DensityProfile, omega3,
-                             c: float = 1.0, orders=(24, 48, 24)):
-    """Convenience: assemble M~ with the particle's own stationary field
-    and report the perturbation ratio (small, of the order of the
-    fine-structure constant, for electron-matched data)."""
-    from .fields import stationary_state
-
-    st = stationary_state(fe, omega3, c)
-    snap = stationary_snapshot(st)
-    m_gyro = gyrational_mass(fm, float(np.linalg.norm(omega3)), c)
-    pi = pseudo_inertia(snap, fe, omega3, m_gyro, c=c, orders=orders)
-    return invertibility_report(pi.m_tilde, m_gyro), pi

@@ -23,7 +23,7 @@ discretization error.
 
 The time integrator is a kick-drift-kick leapfrog with the torque
 applied in half-kicks; the outer boundary carries a local outgoing
-condition for the l=1 exterior (see GyroSolver.bc).  A generalized
+condition for the l=1 exterior (see GyroSolver).  A generalized
 Picard iteration over time histories solves the same semidiscrete
 system by successive integration and is compared against the stepper.
 """
@@ -54,39 +54,6 @@ class ToroidalFieldState:
     w: np.ndarray      # (n, 3)
     pi: np.ndarray     # (n, 3) = d_t w
     t: float = 0.0
-
-    def w_at(self, rq) -> np.ndarray:
-        rq = np.atleast_1d(rq)
-        return np.stack([np.interp(rq, self.r, self.w[:, j]) for j in range(3)], axis=-1)
-
-    def w_prime(self) -> np.ndarray:
-        return np.gradient(self.w, self.r, axis=0)
-
-    def A(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        rq = np.linalg.norm(x, axis=-1)
-        return np.cross(self.w_at(rq), x)
-
-    def B(self, x) -> np.ndarray:
-        """curl A = 2w + r w' - (x^ . w') x."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        rq = np.linalg.norm(x, axis=-1)
-        wp = self.w_prime()
-        wq = self.w_at(rq)
-        wpq = np.stack([np.interp(rq, self.r, wp[:, j]) for j in range(3)], axis=-1)
-        out = 2.0 * wq + rq[:, None] * wpq
-        pos = rq > 0
-        xhat = np.zeros_like(x)
-        xhat[pos] = x[pos] / rq[pos, None]
-        out -= np.einsum("ki,ki->k", xhat, wpq)[:, None] * x
-        return out
-
-    def E_dynamic(self, x, c: float = 1.0) -> np.ndarray:
-        """-(1/c) d_t A = -(1/c) pi x x."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        rq = np.linalg.norm(x, axis=-1)
-        piq = np.stack([np.interp(rq, self.r, self.pi[:, j]) for j in range(3)], axis=-1)
-        return -np.cross(piq, x) / c
 
 
 @dataclass(frozen=True)
@@ -124,6 +91,7 @@ class RelaxationFit:
 # radiated energy against max |W_tot|, |omega| - omega_inf against omega_inf.
 ROUNDOFF_MULTIPLE = 1000.0
 _EPS = np.finfo(float).eps
+OMEGA_CAP = 0.999       # omega R / c bound of the solver's spin inversion
 
 
 @dataclass
@@ -156,23 +124,18 @@ class GyroSolver:
     fe, fm : charge and mass profiles (same support radius expected)
     dr     : grid spacing (default R/20); R must sit on the grid
     r_max  : outer radius (default 10 R)
-    bc     : 'outgoing-l1' (local radiation condition exact for the l=1
-             exterior family g'(t-r/c)/c + g(t-r/c)/r of r^2 w, which in
-             particular annihilates the static dipole tail) or
-             'sommerfeld1' (plain first-order advection of r^2 w; erodes
-             the static tail and is kept for comparison only).
+
+    The outer boundary carries the local radiation condition that is
+    exact for the l=1 exterior family g'(t-r/c)/c + g(t-r/c)/r of r^2 w,
+    which in particular annihilates the static dipole tail.  The spin
+    inversion is capped at omega R / c = OMEGA_CAP.
     """
 
     def __init__(self, fe: DensityProfile, fm: DensityProfile, c: float = 1.0,
-                 dr: float = None, r_max: float = None, bc: str = "outgoing-l1",
-                 omega_cap: float = 0.999):
-        if bc not in ("outgoing-l1", "sommerfeld1"):
-            raise ValueError(f"unknown boundary condition {bc!r}")
+                 dr: float = None, r_max: float = None):
         self.fe = fe
         self.fm = fm
         self.c = c
-        self.bc = bc
-        self.omega_cap = omega_cap
         R = fe.R
         if dr is None:
             dr = R / 20.0
@@ -189,7 +152,7 @@ class GyroSolver:
         self.fe_nodes = self._discretize_profile(fe)
         # coupling weights: W_i with sum W_i g(r_i) ~ int g f_e 4 pi r^2 dr
         self.weights = self.fe_nodes * 4.0 * np.pi * self.r**2 * dr
-        self.curve = GyrationCurve(fm, c, omega_cap)
+        self.curve = GyrationCurve(fm, c, OMEGA_CAP)
         # staggered flux coefficients r_{i+1/2}^4 of the conservative
         # discretization (r^4 w')' / r^4 of the radial operator
         self._r_half4 = (0.5 * (self.r[:-1] + self.r[1:])) ** 4
@@ -232,8 +195,8 @@ class GyroSolver:
         out[..., 0, :] = 10.0 * (w[..., 1, :] - w[..., 0, :]) / dr**2
         return out
 
-    def cfl_dt(self, safety: float = 0.3) -> float:
-        return safety * self.dr / self.c
+    def cfl_dt(self) -> float:
+        return 0.3 * self.dr / self.c
 
     @property
     def cfl_limit(self) -> float:
@@ -329,13 +292,10 @@ class GyroSolver:
         return a
 
     def _boundary_kick(self, w: np.ndarray, pi: np.ndarray, dt: float) -> None:
-        """Advance pi at the outer node by the boundary condition."""
+        """Advance pi at the outer node by the outgoing condition."""
         r, dr, c = self.r, self.dr, self.c
         rn, rm = r[-1], r[-2]
         un, um = rn**2 * w[-1], rm**2 * w[-2]
-        if self.bc == "sommerfeld1":
-            pi[-1] = -(c / rn**2) * (un - um) / dr
-            return
         vn = rn**2 * pi[-1]
         vm = rm**2 * pi[-2]
         a_diag = -c / dr - c / rn
@@ -415,11 +375,12 @@ class GyroSolver:
 
     # -- drivers -------------------------------------------------------------
     def run(self, state: GyroEvolutionState, horizon: float, dt: float = None,
-            record_every: int = 2, r_audit: float = None) -> Trajectory:
+            record_every: int = 2) -> Trajectory:
+        """Step over the horizon, recording every record_every steps; the
+        energy audit sphere sits at min(0.8 r_max, 4 R)."""
         if dt is None:
             dt = self.cfl_dt()
-        if r_audit is None:
-            r_audit = min(0.8 * self.r[-1], 4.0 * self.fe.R)
+        r_audit = min(0.8 * self.r[-1], 4.0 * self.fe.R)
         i_audit = int(round(r_audit / self.dr))
         i_audit = min(max(i_audit, int(round(self.fe.R / self.dr)) + 1), self.n - 2)
         n_steps = int(np.ceil(horizon / dt))
@@ -470,7 +431,7 @@ class GyroSolver:
         return brentq(f, 0.0, cap, xtol=4.0 * _EPS * cap, rtol=4.0 * _EPS)
 
     def run_to_stationary(self, state: GyroEvolutionState, horizon: float,
-                          dt: float = None, smooth_time: float = None) -> tuple:
+                          dt: float = None) -> tuple:
         """Relax toward the stationary state; log-linear fit of the decay.
 
         Returns (trajectory, fit).  The deviation |omega(t)| - omega_inf
@@ -491,8 +452,7 @@ class GyroSolver:
             y_inf = self.predicted_equilibrium(state)
         except ValueError:
             y_inf = float(np.median(y[-max(len(y) // 10, 4):]))
-        if smooth_time is None:
-            smooth_time = 2.0 * self.fe.R / self.c
+        smooth_time = 2.0 * self.fe.R / self.c
         dt_rec = t[1] - t[0] if len(t) > 1 else 1.0
         width = min(max(int(round(smooth_time / dt_rec)), 1), len(y))
         sm = np.sqrt(np.convolve((y - y_inf) ** 2,
@@ -588,13 +548,10 @@ class GyroSolver:
             um = rm**2 * w[:, -2]
             vn = rn**2 * pi[:, -1]
             vm = rm**2 * pi[:, -2]
-            if self.bc == "sommerfeld1":
-                rhs_pi[:, -1] = 0.0
-            else:
-                vdot = (-(self.c / self.dr) * (vn - vm) - (self.c / rn) * vn
-                        - (self.c**2 / rn) * (un - um) / self.dr
-                        - self.c**2 * un / rn**2)
-                rhs_pi[:, -1] = vdot / rn**2
+            vdot = (-(self.c / self.dr) * (vn - vm) - (self.c / rn) * vn
+                    - (self.c**2 / rn) * (un - um) / self.dr
+                    - self.c**2 * un / rn**2)
+            rhs_pi[:, -1] = vdot / rn**2
 
             cross = np.cross(omega[:, None, :], w)
             rhs_sb = (2.0 / (3.0 * self.c)) * np.einsum("i,kij->kj", wr2, cross - pi)

@@ -94,14 +94,12 @@ class AdmissibilityFlags:
       gyration_residual        max |(Omega_E . u)^mu|
       equatorial_speed         |w_E| R / c  (must be < 1)
       rest_acceleration        |a_rest| R / c^2  (must be < 1)
-      frame_acceleration       |q_ddot| gamma^3 R / c^2  (equivalent frame form)
     """
 
     unit_velocity_residual: float
     gyration_residual: float
     equatorial_speed: float
     rest_acceleration: float
-    frame_acceleration: float
     tol: float
 
     @property
@@ -148,18 +146,11 @@ def validate_state(w: WorldlineSample, g: GyrographSample, radius: float,
     a_rest = np.sqrt(max(a2, 0.0)) * c**2
     rest_acc = a_rest * radius / c**2
 
-    # frame form |q_ddot| < c^2 / (R gamma^3): q_ddot = a_rest / gamma^3
-    # for longitudinal acceleration; report the equivalent product.
-    gamma = u.time
-    qddot = a_rest / gamma**3 if gamma > 0 else np.inf
-    frame_acc = qddot * gamma**3 * radius / c**2
-
     return AdmissibilityFlags(
         unit_velocity_residual=unit_res,
         gyration_residual=gy_res,
         equatorial_speed=float(equatorial),
         rest_acceleration=float(rest_acc),
-        frame_acceleration=float(frame_acc),
         tol=tol,
     )
 

@@ -74,10 +74,6 @@ class FourVector:
         c[mu] = 1.0
         return FourVector(c)
 
-    @staticmethod
-    def from_time_space(t: float, x3) -> "FourVector":
-        return FourVector([t, *np.asarray(x3, dtype=float)])
-
     # -- component access ---------------------------------------------
     @property
     def time(self) -> float:
@@ -172,9 +168,6 @@ class Rank2Tensor:
     def __neg__(self) -> "Rank2Tensor":
         return Rank2Tensor(-self.m, symmetry=self.symmetry)
 
-    def transpose(self) -> "Rank2Tensor":
-        return Rank2Tensor(self.m.T, symmetry=self.symmetry)
-
     def check_symmetry(self, tol: float = 0.0) -> bool:
         if self.symmetry == "symmetric":
             return bool(np.all(np.abs(self.m - self.m.T) <= tol))
@@ -248,11 +241,6 @@ def anticommutator(a: Rank2Tensor, b: Rank2Tensor) -> Rank2Tensor:
 def _require_unit_timelike(u: FourVector, tol: float) -> None:
     if abs(inner(u, u) + 1.0) > tol:
         raise ValueError(f"u is not unit timelike: u.u = {inner(u, u)}")
-
-
-def space_projector(u: FourVector) -> Rank2Tensor:
-    """g + u (x) u, projecting onto the space slice orthogonal to u."""
-    return Rank2Tensor(METRIC + np.outer(u.c, u.c), symmetry="symmetric")
 
 
 def split_space_time(s: Rank2Tensor, u: FourVector, tol: float = DEFAULT_TOL):

@@ -72,17 +72,9 @@ class PhysicalConstants:
         return self.hbar / (self.m_e * self.c)
 
     @property
-    def R_classical(self) -> float:
-        return self.e**2 / (self.m_e * self.c**2)
-
-    @property
     def R_endpoint(self) -> float:
         """Flow endpoint 3 mu_e / e = (3/2)(1 + a) R_compton."""
         return 3.0 * self.mu_e / self.e
-
-    def without_anomaly(self) -> "PhysicalConstants":
-        return PhysicalConstants(self.alpha, self.anomaly, False,
-                                 self.hbar, self.m_e, self.c)
 
 
 NATURAL = PhysicalConstants()
@@ -173,8 +165,7 @@ def flow_point(eta: float, k: PhysicalConstants = NATURAL) -> RenormPoint:
                        s_b=s_b, s_f=s_f, s=s, g=g, mu=k.mu_e, eta=eta)
 
 
-def eta_of_mb(m_b: float, k: PhysicalConstants = NATURAL,
-              rtol: float = 1e-15) -> float:
+def eta_of_mb(m_b: float, k: PhysicalConstants = NATURAL) -> float:
     """Invert m_b(eta); smooth and well conditioned for all m_b in (0, m_e)."""
     if not (0.0 < m_b < k.m_e):
         raise ValueError(f"m_b must lie strictly between 0 and m_e = {k.m_e:g}")
@@ -193,7 +184,7 @@ def eta_of_mb(m_b: float, k: PhysicalConstants = NATURAL,
         hi *= 16.0
         if hi > 1e300:
             raise RuntimeError("bracketing failed")
-    return brentq(f, lo, hi, rtol=max(rtol, 4 * np.finfo(float).eps), xtol=1e-300)
+    return brentq(f, lo, hi, rtol=1e-15, xtol=1e-300)
 
 
 def observables(R: float, k: PhysicalConstants = NATURAL) -> RenormPoint:

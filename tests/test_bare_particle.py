@@ -4,17 +4,15 @@ from scipy.integrate import quad
 
 from ledlab.bare_particle import (
     DensityProfile,
-    GyroMassCurve,
+    GyrationCurve,
     bare_spin,
     gamma_kernel,
     gyrational_mass,
-    invert_spin_many,
     maclaurin_check,
     minkowski_inertia,
     omega_from_spin,
     spin_kernel,
     spin_magnitude,
-    spin_magnitude_many,
 )
 from ledlab.minkowski import FourVector
 
@@ -224,7 +222,7 @@ class TestOmegaFromSpin:
 
     def test_monotone_inverse(self):
         smags = np.linspace(0.01, 3.0, 25)
-        ws = invert_spin_many(SHELL, smags)
+        ws = GyrationCurve(SHELL).omega(smags)
         assert np.all(np.diff(ws) > 0)
 
     def test_shell_accepts_large_spin(self):
@@ -243,14 +241,14 @@ class TestOmegaFromSpin:
 
     def test_vectorized_matches_scalar(self):
         smags = np.array([0.05, 0.4, 1.3])
-        ws = invert_spin_many(SHELL, smags)
+        ws = GyrationCurve(SHELL).omega(smags)
         for s, w in zip(smags, ws):
             expect = np.linalg.norm(omega_from_spin(SHELL, [0, 0, s]))
             assert w == pytest.approx(expect, rel=1e-10)
 
-    def test_spin_magnitude_many_consistent(self):
+    def test_vectorized_spin_matches_scalar(self):
         ws = np.array([0.1, 0.4, 0.85])
-        vals = spin_magnitude_many(SHELL, ws)
+        vals = GyrationCurve(SHELL).sigma(ws)
         for w, v in zip(ws, vals):
             assert v == pytest.approx(spin_magnitude(SHELL, w), rel=1e-12)
 
@@ -296,16 +294,20 @@ class TestMinkowskiInertia:
             minkowski_inertia(SHELL, [0, 0, 1.2])
 
 
-class TestGyroMassCurve:
+class TestGyrationCurveSamples:
+    """The curve sampled on 400 points of [0, 0.999 c/R]."""
+
+    GRID = np.linspace(0.0, 0.999, 400)
+
     def test_monotone_and_convex(self):
-        curve = GyroMassCurve(SHELL)
-        assert np.all(np.diff(curve.mass_grid) > 0)
+        curve = GyrationCurve(SHELL)
+        assert np.all(np.diff(curve.mass(self.GRID)) > 0)
         assert curve.mass(0.0) == pytest.approx(1.0, rel=1e-10)
 
     def test_inverse_consistency(self):
-        curve = GyroMassCurve(SHELL)
+        curve = GyrationCurve(SHELL)
         s = spin_magnitude(SHELL, 0.45)
-        approx = float(curve.omega_of_spin_mag(s))
-        exact = curve.omega_of_spin_exact(s)
+        approx = float(np.interp(s, curve.sigma(self.GRID), self.GRID))
+        exact = float(curve.omega(s)[0])
         assert approx == pytest.approx(exact, rel=1e-5)
         assert exact == pytest.approx(0.45, rel=1e-10)

@@ -22,7 +22,8 @@ def config(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("flag", [["--radius", "3.0"], ["--radius=3.0"]])
+@pytest.mark.parametrize("flag", [["--radius", "3.0"], ["--radius=3.0"],
+                                  ["--rad=3.0"], ["--rad", "3.0"]])
 def test_explicit_flag_beats_config(tmp_path, config, flag):
     rc = cli.main(["stationary", *flag, "--config", str(config), "--out-dir", str(tmp_path)])
     assert rc == cli.EXIT_OK
@@ -34,6 +35,16 @@ def test_explicit_flag_beats_config(tmp_path, config, flag):
 def test_config_fills_unset_flags(tmp_path, config):
     assert cli.main(["stationary", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
     assert float(_rows(tmp_path / "stationary_profile.csv")[-1][0]) == 5.0 * 2.0
+
+
+def test_config_switches_flags_and_rejects_unknown_keys(tmp_path):
+    cfg = tmp_path / "flow.cfg"
+    cfg.write_text("report=on\n")
+    assert cli.main(["renorm-flow", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "limit_constants.json").exists()
+    cfg.write_text("no-such-key=1\n")
+    assert cli.main(["renorm-flow", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == cli.EXIT_DOMAIN
 
 
 def test_picard_gaps_has_every_state_variable(tmp_path):
@@ -61,3 +72,12 @@ def test_picard_gaps_has_every_state_variable(tmp_path):
 ])
 def test_exit_codes(tmp_path, capsys, argv, code):
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == code
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "cmd_selfcheck", broken)
+    assert cli.main(["selfcheck", "--out-dir", str(tmp_path)]) == cli.EXIT_NUMERICAL
+    assert "internal error: IndexError: list index out of range" in capsys.readouterr().err

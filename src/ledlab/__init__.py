@@ -63,7 +63,7 @@ from .forces import (
     pseudo_inertia,
     invertibility_report,
 )
-from .gyrodynamics import GyroSolver, GyroEvolutionState, ToroidalFieldState
+from .gyrodynamics import GyroSolver, GyroEvolutionState
 from .renormflow import (
     PhysicalConstants,
     RenormPoint,

@@ -76,27 +76,34 @@ def load_config(path) -> dict:
 def _apply_config(args, parser, argv):
     """Parse argv again with the config values as the subcommand's
     defaults: argparse converts them by each flag's type, and any flag the
-    command line sets, in whatever spelling argparse accepts, wins."""
+    command line sets, in whatever spelling argparse accepts, wins.  Keys
+    name the subcommand's own flags; argparse does not check defaults
+    against `choices`, so that check is made here."""
+    sub = parser.commands[args.command]
+    flags = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
     defaults = {}
     for key, val in load_config(args.config).items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(getattr(args, dest), bool):   # store_true flags
+        if isinstance(action.default, bool):   # store_true flags
             val = val.lower() in ("1", "true", "on")
-        defaults[dest] = val
-    parser.commands[args.command].set_defaults(**defaults)
+        elif action.choices is not None and val not in action.choices:
+            raise ValueError(f"config key {key!r}: invalid choice {val!r} "
+                             f"(choose from {', '.join(action.choices)})")
+        defaults[action.dest] = val
+    sub.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
-def _profile_from_args(args, total):
+def _profile(kind, total, radius):
     from .bare_particle import DensityProfile
 
-    if args.profile == "shell":
-        return DensityProfile.shell(total, args.radius)
-    if args.profile == "volume":
-        return DensityProfile.volume(total, args.radius)
-    raise ValueError(f"unknown profile {args.profile!r}")
+    if kind == "shell":
+        return DensityProfile.shell(total, radius)
+    if kind == "volume":
+        return DensityProfile.volume(total, radius)
+    raise ValueError(f"unknown profile {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +139,10 @@ def cmd_renorm_flow(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    from .bare_particle import DensityProfile
     from .fields import stationary_state
 
     omega = args.omega_over_c * args.c / args.radius
-    fe = _profile_from_args(args, -args.charge)
+    fe = _profile(args.profile, -args.charge, args.radius)
     st = stationary_state(fe, [0.0, 0.0, omega], c=args.c)
 
     out = _out_dir(args)
@@ -153,15 +159,14 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_gyro_sim(args) -> int:
-    from .bare_particle import DensityProfile
     from .gyrodynamics import GyroSolver
 
-    fe = _profile_from_args(args, -args.charge)
-    fm = _profile_from_args(args, args.mass)
+    fe = _profile(args.profile, -args.charge, args.radius)
+    fm = _profile(args.profile, args.mass, args.radius)
     solver = GyroSolver(fe, fm, c=args.c, dr=args.radius / args.cells_per_radius,
                         r_max=args.r_max_over_R * args.radius)
     omega0 = np.array([0.0, 0.0, args.omega_over_c * args.c / args.radius])
-    state = solver.make_state(omega0, field="stationary", scale=args.perturb)
+    state = solver.make_state(omega0, scale=args.perturb)
     out = _out_dir(args)
     written = []
 
@@ -202,16 +207,13 @@ def cmd_gyro_sim(args) -> int:
 
 def cmd_admissibility(args) -> int:
     from . import admissibility as adm
-    from .bare_particle import DensityProfile
 
     if args.data_file:
         with open(args.data_file) as fh:
             spec = json.load(fh)
         try:
             prof = spec["profile"]
-            fe = (DensityProfile.shell(prof["total"], prof["R"])
-                  if prof.get("kind", "shell") == "shell"
-                  else DensityProfile.volume(prof["total"], prof["R"]))
+            fe = _profile(prof.get("kind", "shell"), prof["total"], prof["R"])
             data = adm.make_initial_data(
                 fe,
                 e_uniform=spec.get("E_uniform", (0.0, 0.0, 0.0)),

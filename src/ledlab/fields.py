@@ -209,6 +209,27 @@ def magnetic_moment(fe: DensityProfile, omega3, c: float = 1.0) -> np.ndarray:
     return np.asarray(omega3, dtype=float) * fe.moment(2) / (3.0 * c)
 
 
+def _mean_b2(st: StationaryState, r) -> np.ndarray:
+    """Angular average of |B|^2 over the sphere of radius r."""
+    a = st.alpha(r)
+    ap = st.alpha_prime(r)
+    w2 = float(st.omega3 @ st.omega3)
+    return w2 * (4.0 * a**2 + (8.0 * r / 3.0) * a * ap + (2.0 / 3.0) * r**2 * ap**2)
+
+
+def _radial_simpson(integrand, R: float, rb: float, n_grid: int) -> float:
+    """Piecewise Simpson of integrand(r) over [0, R] and [R, rb], each piece
+    on an odd node count and stopped 1e-10 R short of the support edge,
+    outside the rounding band where shell fields jump."""
+    from scipy.integrate import simpson
+
+    nudge = 1e-10
+    n_half = max(n_grid // 2, 8) | 1
+    r1 = np.linspace(0.0, R * (1.0 - nudge), n_half)
+    r2 = np.linspace(R * (1.0 + nudge), rb, n_half)
+    return simpson(integrand(r1), x=r1) + simpson(integrand(r2), x=r2)
+
+
 def field_energy(st: StationaryState) -> float:
     """(1/8 pi) int (|E|^2 + |B|^2): closed form for a shell, radial
     quadrature plus the exact exterior monopole + dipole tail otherwise."""
@@ -218,16 +239,11 @@ def field_energy(st: StationaryState) -> float:
     if st.fe.kind == "shell":
         return 0.5 * (e**2 / R) * (1.0 + (2.0 / 9.0) * beta**2)
 
-    w2 = float(st.omega3 @ st.omega3)
-
     def e_dens(r):
         return 0.5 * st.e_radial(r) ** 2 * r**2
 
     def b_dens(r):
-        a = st.alpha(r)
-        ap = st.alpha_prime(r)
-        mean_b2 = w2 * (4.0 * a**2 + (8.0 * r / 3.0) * a * ap + (2.0 / 3.0) * r**2 * ap**2)
-        return 0.5 * mean_b2 * r**2
+        return 0.5 * _mean_b2(st, r) * r**2
 
     inner_e = quad(lambda r: e_dens(np.array([r]))[0], 0.0, R,
                    epsabs=1e-12, epsrel=1e-12, limit=200)[0]
@@ -243,23 +259,13 @@ def field_energy_radial_grid(st: StationaryState, n_grid: int = 2000,
                              r_max_over_R: float = 12.0) -> float:
     """Radial-grid evaluation of the field energy (piecewise Simpson over
     the angular-averaged energy density plus the exact exterior tail)."""
-    from scipy.integrate import simpson
-
     R = st.fe.R
     rb = r_max_over_R * R
-    w2 = float(st.omega3 @ st.omega3)
-    nudge = 1e-10
 
     def dens(r):
-        a = st.alpha(r)
-        ap = st.alpha_prime(r)
-        b2 = w2 * (4.0 * a**2 + (8.0 * r / 3.0) * a * ap + (2.0 / 3.0) * r**2 * ap**2)
-        return 0.5 * (st.e_radial(r) ** 2 + b2) * r**2
+        return 0.5 * (st.e_radial(r) ** 2 + _mean_b2(st, r)) * r**2
 
-    n_half = max(n_grid // 2, 8) | 1
-    r1 = np.linspace(0.0, R * (1.0 - nudge), n_half)
-    r2 = np.linspace(R * (1.0 + nudge), rb, n_half)
-    inner = simpson(dens(r1), x=r1) + simpson(dens(r2), x=r2)
+    inner = _radial_simpson(dens, R, rb, n_grid)
     mu2 = float(st.mu @ st.mu)
     tail = st.fe.total**2 / (2.0 * rb) + mu2 / (3.0 * rb**3)
     return float(inner + tail)
@@ -281,22 +287,15 @@ def field_spin_poynting(st: StationaryState, n_grid: int = 2000,
     monopole + dipole fields.  Refining the grid improves agreement with
     the potential representation.
     """
-    from scipy.integrate import simpson
-
     R = st.fe.R
     rb = r_max_over_R * R
-    nudge = 1e-10  # outside the surface rounding band
 
     def integrand(r):
         a = st.alpha(r)
         ap = st.alpha_prime(r)
         return st.e_radial(r) * (2.0 * a + r * ap) * r**3
 
-    n_half = max(n_grid // 2, 8) | 1  # odd node count for Simpson
-    r1 = np.linspace(0.0, R * (1.0 - nudge), n_half)
-    r2 = np.linspace(R * (1.0 + nudge), rb, n_half)
-    inner = -(2.0 / (3.0 * st.c)) * (simpson(integrand(r1), x=r1)
-                                     + simpson(integrand(r2), x=r2))
+    inner = -(2.0 / (3.0 * st.c)) * _radial_simpson(integrand, R, rb, n_grid)
     # exterior tail: E_r = q/r^2, (2a + r a') = -kappa/r^3 with mu = kappa w
     q = st.fe.total
     kappa = st.fe.moment(2) / (3.0 * st.c)

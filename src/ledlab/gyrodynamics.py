@@ -39,26 +39,19 @@ from .bare_particle import (
     DensityProfile,
     GyrationCurve,
     bare_spin,
-    gyrational_mass,
+    gyrational_mass,  # noqa: F401  (perfbench's tracer tests rebind it in this namespace)
 )
 
 
 @dataclass(frozen=True)
-class ToroidalFieldState:
-    """Reduced l=1 field: radial grid, mode profiles w and their rate pi.
+class GyroEvolutionState:
+    """Reduced l=1 field on the solver grid, bare spin and gyration vector.
 
     A(x) = w(|x|) x x; regularity at the origin forces w even in r.
     """
 
-    r: np.ndarray
     w: np.ndarray      # (n, 3)
     pi: np.ndarray     # (n, 3) = d_t w
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
-class GyroEvolutionState:
-    field: ToroidalFieldState
     sb: np.ndarray
     omega: np.ndarray
     t: float = 0.0
@@ -106,11 +99,6 @@ class PicardResult:
     sb: np.ndarray
     converged: bool
 
-    @property
-    def gaps(self) -> np.ndarray:
-        """Combined per-iteration sup gap over all state variables."""
-        return np.maximum(self.gaps_w, np.maximum(self.gaps_pi, self.gaps_sb))
-
 
 class CFLError(ValueError):
     pass
@@ -150,8 +138,9 @@ class GyroSolver:
         self.n = n + 1
 
         self.fe_nodes = self._discretize_profile(fe)
-        # coupling weights: W_i with sum W_i g(r_i) ~ int g f_e 4 pi r^2 dr
-        self.weights = self.fe_nodes * 4.0 * np.pi * self.r**2 * dr
+        # coupling weights W_i r_i^2, with sum W_i g(r_i) ~ int g f_e 4 pi r^2 dr
+        weights = self.fe_nodes * 4.0 * np.pi * self.r**2 * dr
+        self._spin_weights = weights * self.r**2
         self.curve = GyrationCurve(fm, c, OMEGA_CAP)
         # staggered flux coefficients r_{i+1/2}^4 of the conservative
         # discretization (r^4 w')' / r^4 of the radial operator
@@ -165,15 +154,11 @@ class GyroSolver:
             f[i] = fe.total / (4.0 * np.pi * fe.R**2 * self.dr)
             return f
         if fe.kind == "volume":
-            rho = fe.total * 3.0 / (4.0 * np.pi * fe.R**3)
-            f[self.r <= fe.R] = rho
-            # normalize the trapezoid mass on the grid to the exact total
-            mass = np.sum(f * 4.0 * np.pi * self.r**2 * self.dr)
-            if mass != 0:
-                f *= fe.total / mass
-            return f
-        rt, ft = fe.table
-        f = np.interp(self.r, rt, ft, left=ft[0], right=0.0)
+            f[self.r <= fe.R] = fe.total * 3.0 / (4.0 * np.pi * fe.R**3)
+        else:
+            rt, ft = fe.table
+            f = np.interp(self.r, rt, ft, left=ft[0], right=0.0)
+        # normalize the trapezoid mass on the grid to the exact total
         mass = np.sum(f * 4.0 * np.pi * self.r**2 * self.dr)
         if mass != 0:
             f *= fe.total / mass
@@ -203,16 +188,18 @@ class GyroSolver:
         return 0.45 * self.dr / self.c
 
     # -- couplings ------------------------------------------------------------
-    def torque(self, w: np.ndarray, pi: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        """(2/3c) int f_e r^2 (omega x w - pi) d^3x, reduced radially."""
-        wr2 = self.weights * self.r**2
-        cross = np.cross(omega, w)
-        return (2.0 / (3.0 * self.c)) * np.einsum("i,ij->j", wr2, cross - pi)
-
     def field_spin_support(self, w: np.ndarray) -> np.ndarray:
-        """s_e = (1/c) int x cross A f_e = (2/3c) int f_e r^2 w d^3x."""
-        wr2 = self.weights * self.r**2
-        return (2.0 / (3.0 * self.c)) * np.einsum("i,ij->j", wr2, w)
+        """s_e = (1/c) int x cross A f_e = (2/3c) int f_e r^2 w d^3x.
+
+        The one radial reduction of the spin coupling; w is (..., n, 3)
+        with any leading (time) axes.
+        """
+        return (2.0 / (3.0 * self.c)) * np.einsum("i,...ij->...j", self._spin_weights, w)
+
+    def torque(self, w: np.ndarray, pi: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        """(2/3c) int f_e r^2 (omega x w - pi) d^3x = omega x s_e(w) - s_e(pi),
+        since omega is the same at every node."""
+        return np.cross(omega, self.field_spin_support(w)) - self.field_spin_support(pi)
 
     def omega_of_sb(self, sb: np.ndarray) -> np.ndarray:
         smag = float(np.linalg.norm(sb))
@@ -253,55 +240,47 @@ class GyroSolver:
         rn, rm = r[-1], r[-2]
         diag[-1] = rn**2 * (1.0 / dr + 1.0 / rn)
         lower[-2] = -(rm**2) / dr
-        rhs_scalar = rhs_scalar.copy()
         rhs_scalar[-1] = 0.0
-        ab = np.zeros((3, n))
-        ab[0] = upper
-        ab[1] = diag
-        ab[2] = lower
-        shape = solve_banded((1, 1), ab, rhs_scalar)
+        shape = solve_banded((1, 1), np.array([upper, diag, lower]), rhs_scalar)
         return shape[:, None] * np.asarray(omega, dtype=float)[None, :]
 
-    def make_state(self, omega3, field: str = "stationary",
-                   scale: float = 1.0, sb: np.ndarray = None) -> GyroEvolutionState:
-        """Initial data: stationary, scaled-stationary or zero dynamic field.
+    def make_state(self, omega3, scale: float = 1.0) -> GyroEvolutionState:
+        """Initial data: scale times the stationary field at rest (scale = 0
+        is the zero dynamic field), with the bare spin matched to omega3.
 
-        All choices keep the Gauss constraint satisfied (the toroidal
-        sector is divergence-free).  When sb is given it overrides the
-        bare spin matched to omega3, and omega is re-derived from it.
+        Every scale keeps the Gauss constraint satisfied (the toroidal
+        sector is divergence-free).
         """
         omega3 = np.asarray(omega3, dtype=float)
-        if field == "stationary":
-            w = scale * self.stationary_profile(omega3)
-        elif field == "zero":
-            w = np.zeros((self.n, 3))
-        else:
-            raise ValueError(f"unknown field option {field!r}")
-        if sb is None:
-            sb = bare_spin(self.fm, omega3, self.c)
-        else:
-            sb = np.asarray(sb, dtype=float)
-            omega3 = self.omega_of_sb(sb)
-        fld = ToroidalFieldState(self.r, w, np.zeros_like(w), 0.0)
-        return GyroEvolutionState(fld, sb, omega3, 0.0)
+        w = scale * self.stationary_profile(omega3)
+        return GyroEvolutionState(w, np.zeros_like(w), bare_spin(self.fm, omega3, self.c),
+                                  omega3)
 
     # -- stepping ------------------------------------------------------------
     def _accel(self, w: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        """d_t pi = c^2 (r^4 w')' / r^4 + 4 pi c f_e omega; w is (..., n, 3)
+        and omega (..., 3) with the same leading axes."""
         a = self.c**2 * self.laplacian(w)
-        a += (4.0 * np.pi * self.c) * self.fe_nodes[:, None] * omega[None, :]
+        a += (4.0 * np.pi * self.c) * self.fe_nodes[:, None] * omega[..., None, :]
         return a
 
-    def _boundary_kick(self, w: np.ndarray, pi: np.ndarray, dt: float) -> None:
-        """Advance pi at the outer node by the outgoing condition."""
+    def _outgoing(self, w: np.ndarray, pi: np.ndarray) -> tuple:
+        """(a, b) of the outer-node law d_t v = a v + b for v = r_n^2 pi_n,
+        the local outgoing condition; b keeps the leading axes of w."""
         r, dr, c = self.r, self.dr, self.c
         rn, rm = r[-1], r[-2]
-        un, um = rn**2 * w[-1], rm**2 * w[-2]
-        vn = rn**2 * pi[-1]
-        vm = rm**2 * pi[-2]
-        a_diag = -c / dr - c / rn
+        un, um = rn**2 * w[..., -1, :], rm**2 * w[..., -2, :]
+        vm = rm**2 * pi[..., -2, :]
+        a = -c / dr - c / rn
         b = (c / dr) * vm - (c**2 / rn) * (un - um) / dr - c**2 * un / rn**2
-        v_new = (vn * (1.0 + 0.5 * a_diag * dt) + dt * b) / (1.0 - 0.5 * a_diag * dt)
-        pi[-1] = v_new / rn**2
+        return a, b
+
+    def _boundary_kick(self, w: np.ndarray, pi: np.ndarray, dt: float) -> None:
+        """Advance pi at the outer node by the outgoing law (trapezoid rule)."""
+        a, b = self._outgoing(w, pi)
+        rn2 = self.r[-1] ** 2
+        v_new = (rn2 * pi[-1] * (1.0 + 0.5 * a * dt) + dt * b) / (1.0 - 0.5 * a * dt)
+        pi[-1] = v_new / rn2
 
     def step(self, state: GyroEvolutionState, dt: float) -> GyroEvolutionState:
         """One kick-drift-kick step with a conservative torque coupling.
@@ -313,34 +292,28 @@ class GyroSolver:
         """
         if dt > self.cfl_limit * (1.0 + 1e-12):
             raise CFLError(f"dt = {dt:g} exceeds the CFL limit {self.cfl_limit:g}")
-        w0 = state.field.w
-        w = w0.copy()
-        pi = state.field.pi.copy()
-        sb = state.sb.copy()
+        w0 = state.w
+        pi = state.pi.copy()
 
         # predictor for the half-step gyration vector
-        s_half = sb + 0.5 * dt * self.torque(w, pi, state.omega)
+        s_half = state.sb + 0.5 * dt * self.torque(w0, pi, state.omega)
         om_half = self.omega_of_sb(s_half)
 
-        acc = self._accel(w, om_half)
+        acc = self._accel(w0, om_half)
         pi[:-1] += 0.5 * dt * acc[:-1]
-        self._boundary_kick(w, pi, 0.5 * dt)
+        self._boundary_kick(w0, pi, 0.5 * dt)
 
-        w += dt * pi
+        w = w0 + dt * pi
 
         acc = self._accel(w, om_half)
         pi[:-1] += 0.5 * dt * acc[:-1]
         self._boundary_kick(w, pi, 0.5 * dt)
 
         w_mid = 0.5 * (w0 + w)
-        wr2 = self.weights * self.r**2
-        sb = sb + (2.0 / (3.0 * self.c)) * (
-            dt * np.einsum("i,ij->j", wr2, np.cross(om_half, w_mid))
-            - np.einsum("i,ij->j", wr2, w - w0))
+        sb = state.sb + (dt * np.cross(om_half, self.field_spin_support(w_mid))
+                         - self.field_spin_support(w - w0))
         omega = self.omega_of_sb(sb)
-
-        fld = ToroidalFieldState(self.r, w, pi, state.t + dt)
-        return GyroEvolutionState(fld, sb, omega, state.t + dt)
+        return GyroEvolutionState(w, pi, sb, omega, state.t + dt)
 
     # -- diagnostics ------------------------------------------------------------
     def dynamic_energy_inside(self, w: np.ndarray, pi: np.ndarray, i_audit: int) -> float:
@@ -374,10 +347,9 @@ class GyroSolver:
                      * np.dot(pi[i_audit], 2.0 * w[i_audit] + ra * wp))
 
     # -- drivers -------------------------------------------------------------
-    def run(self, state: GyroEvolutionState, horizon: float, dt: float = None,
-            record_every: int = 2) -> Trajectory:
-        """Step over the horizon, recording every record_every steps; the
-        energy audit sphere sits at min(0.8 r_max, 4 R)."""
+    def run(self, state: GyroEvolutionState, horizon: float, dt: float = None) -> Trajectory:
+        """Step over the horizon, recording every step; the energy audit
+        sphere sits at min(0.8 r_max, 4 R)."""
         if dt is None:
             dt = self.cfl_dt()
         r_audit = min(0.8 * self.r[-1], 4.0 * self.fe.R)
@@ -391,16 +363,15 @@ class GyroSolver:
             rec_t.append(s.t)
             rec_om.append(s.omega)
             rec_sb.append(s.sb)
-            rec_se.append(self.field_spin_support(s.field.w))
+            rec_se.append(self.field_spin_support(s.w))
             rec_wb.append(self.curve.mass(np.linalg.norm(s.omega)) * self.c**2)
-            rec_wf.append(self.dynamic_energy_inside(s.field.w, s.field.pi, i_audit))
-            rec_fl.append(self.poynting_flux(s.field.w, s.field.pi, i_audit))
+            rec_wf.append(self.dynamic_energy_inside(s.w, s.pi, i_audit))
+            rec_fl.append(self.poynting_flux(s.w, s.pi, i_audit))
 
         record(state)
-        for k in range(n_steps):
+        for _ in range(n_steps):
             state = self.step(state, dt)
-            if (k + 1) % record_every == 0 or k == n_steps - 1:
-                record(state)
+            record(state)
 
         return Trajectory(np.array(rec_t), np.array(rec_om), np.array(rec_sb),
                           np.array(rec_se), np.array(rec_wb), np.array(rec_wf),
@@ -416,11 +387,9 @@ class GyroSolver:
         """
         from scipy.optimize import brentq
 
-        shape = self.stationary_profile(np.array([0.0, 0.0, 1.0]))[:, 2]
-        kappa = (2.0 / (3.0 * self.c)) * float(
-            np.sum(self.weights * self.r**2 * shape))
-        s_tot = float(np.linalg.norm(
-            state.sb + self.field_spin_support(state.field.w)))
+        shape = self.stationary_profile(np.array([0.0, 0.0, 1.0]))
+        kappa = float(self.field_spin_support(shape)[2])
+        s_tot = float(np.linalg.norm(state.sb + self.field_spin_support(state.w)))
         cap = self.curve.omega_cap
 
         def f(w):
@@ -445,7 +414,7 @@ class GyroSolver:
         residual is the RMS log-misfit relative to the total logarithmic
         drop across the window.
         """
-        traj = self.run(state, horizon, dt, record_every=1)
+        traj = self.run(state, horizon, dt)
         t = traj.t
         y = np.linalg.norm(traj.omega, axis=1)
         try:
@@ -513,13 +482,13 @@ class GyroSolver:
                        stop_gap: float = 0.0) -> PicardResult:
         """Successive integration of the quasi-explicit system.
 
-        Iterate n+1 integrates the right-hand sides evaluated on iterate n
-        over [0, horizon] (trapezoid in time), starting from histories
-        constant at the initial data with vanishing rates.  Gap diagnostics
-        are sup-norms between consecutive iterates; in the contraction
-        regime the tail gaps shrink geometrically, after a transient whose
-        length scales with horizon * c / dr (the norm of the discrete
-        spatial operator).
+        Iterate n+1 integrates the stepper's right-hand sides (_accel, the
+        outgoing law and torque) evaluated on iterate n over [0, horizon]
+        (trapezoid in time), starting from histories constant at the
+        initial data.  Gap diagnostics are sup-norms between consecutive
+        iterates; in the contraction regime the tail gaps shrink
+        geometrically, after a transient whose length scales with
+        horizon * c / dr (the norm of the discrete spatial operator).
         """
         from scipy.integrate import cumulative_trapezoid
 
@@ -528,50 +497,30 @@ class GyroSolver:
         nt = int(np.ceil(horizon / dt))
         times = np.linspace(0.0, nt * dt, nt + 1)
 
-        w = np.repeat(state.field.w[None], nt + 1, axis=0)
-        pi = np.repeat(state.field.pi[None], nt + 1, axis=0)
+        w = np.repeat(state.w[None], nt + 1, axis=0)
+        pi = np.repeat(state.pi[None], nt + 1, axis=0)
         sb = np.repeat(state.sb[None], nt + 1, axis=0)
 
         def cumint(f):
             return cumulative_trapezoid(f, times, axis=0, initial=0.0)
 
-        gaps_w, gaps_pi, gaps_sb = [], [], []
+        gaps = []       # per iteration: sup gaps of w, pi and sb
         converged = False
-        wr2 = self.weights * self.r**2
-        for it in range(n_max):
+        rn2 = self.r[-1] ** 2
+        for _ in range(n_max):
             omega = self.omega_many(sb)
-            rhs_pi = self.c**2 * self.laplacian(w)
-            rhs_pi += (4.0 * np.pi * self.c) * self.fe_nodes[None, :, None] * omega[:, None, :]
-            # boundary row follows the same outgoing condition as the stepper
-            rn, rm = self.r[-1], self.r[-2]
-            un = rn**2 * w[:, -1]
-            um = rm**2 * w[:, -2]
-            vn = rn**2 * pi[:, -1]
-            vm = rm**2 * pi[:, -2]
-            vdot = (-(self.c / self.dr) * (vn - vm) - (self.c / rn) * vn
-                    - (self.c**2 / rn) * (un - um) / self.dr
-                    - self.c**2 * un / rn**2)
-            rhs_pi[:, -1] = vdot / rn**2
+            rhs_pi = self._accel(w, omega)
+            a, b = self._outgoing(w, pi)
+            rhs_pi[:, -1] = a * pi[:, -1] + b / rn2
+            rhs_sb = self.torque(w, pi, omega)
 
-            cross = np.cross(omega[:, None, :], w)
-            rhs_sb = (2.0 / (3.0 * self.c)) * np.einsum("i,kij->kj", wr2, cross - pi)
-
-            w_new = state.field.w[None] + cumint(pi)
-            pi_new = state.field.pi[None] + cumint(rhs_pi)
-            sb_new = state.sb[None] + cumint(rhs_sb)
-
-            gw = float(np.max(np.abs(w_new - w)))
-            gp = float(np.max(np.abs(pi_new - pi)))
-            gs = float(np.max(np.abs(sb_new - sb)))
-            gaps_w.append(gw)
-            gaps_pi.append(gp)
-            gaps_sb.append(gs)
-            w, pi, sb = w_new, pi_new, sb_new
-            if (stop_gap > 0 and len(gaps_w) >= 2
-                    and max(gaps_w[-1], gaps_pi[-1], gaps_sb[-1]) < stop_gap
-                    and max(gaps_w[-2], gaps_pi[-2], gaps_sb[-2]) < stop_gap):
+            new = (state.w[None] + cumint(pi), state.pi[None] + cumint(rhs_pi),
+                   state.sb[None] + cumint(rhs_sb))
+            gaps.append([float(np.max(np.abs(x - y))) for x, y in zip(new, (w, pi, sb))])
+            w, pi, sb = new
+            if stop_gap > 0 and len(gaps) >= 2 and max(gaps[-1] + gaps[-2]) < stop_gap:
                 converged = True
                 break
 
-        return PicardResult(times, np.array(gaps_w), np.array(gaps_pi),
-                            np.array(gaps_sb), len(gaps_w), w, pi, sb, converged)
+        gaps_w, gaps_pi, gaps_sb = np.array(gaps).reshape(-1, 3).T
+        return PicardResult(times, gaps_w, gaps_pi, gaps_sb, len(gaps), w, pi, sb, converged)

@@ -1,6 +1,9 @@
-"""Command-line front end: config precedence, output columns, exit codes."""
+"""Command-line front end: config precedence, config and data-file
+validation, output columns, exit codes, byte-identical reruns."""
 
 import csv
+import filecmp
+import json
 
 import numpy as np
 import pytest
@@ -45,6 +48,49 @@ def test_config_switches_flags_and_rejects_unknown_keys(tmp_path):
     cfg.write_text("no-such-key=1\n")
     assert cli.main(["renorm-flow", "--config", str(cfg),
                      "--out-dir", str(tmp_path)]) == cli.EXIT_DOMAIN
+
+
+@pytest.mark.parametrize("command, line, word", [
+    ("renorm-flow", "anomaly=maybe", "anomaly"),       # value outside the flag's choices
+    ("selfcheck", "func=x", "func"),                    # namespace attribute, not a flag
+    ("selfcheck", "command=stationary", "command"),     # the top-level parser's destination
+])
+def test_config_rejects_what_the_command_line_rejects(tmp_path, capsys, command, line, word):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out-dir", str(out)]) == cli.EXIT_DOMAIN
+    assert repr(word) in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_data_file_rejects_unknown_profile_kind(tmp_path, capsys):
+    spec = {"profile": {"kind": "shel", "total": -1.0, "R": 1.0}, "model": "nodvik"}
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    argv = ["admissibility", "--data-file", str(path), "--out-dir", str(out)]
+    assert cli.main(argv) == cli.EXIT_DOMAIN
+    assert "'shel'" in capsys.readouterr().err
+    assert not (out / "admissibility_report.json").exists()
+    spec["profile"]["kind"] = "volume"
+    path.write_text(json.dumps(spec))
+    assert cli.main(argv) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["stationary"],
+    ["renorm-flow", "--report"],
+    ["gyro-sim", "--horizon", "1", "--perturb", "0.5"],
+])
+def test_rerun_is_byte_identical(tmp_path, capsys, argv):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main([*argv, "--out-dir", str(first)]) == cli.EXIT_OK
+    assert cli.main([*argv, "--out-dir", str(second)]) == cli.EXIT_OK
+    names = sorted(p.name for p in first.iterdir())
+    assert names and names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert filecmp.cmp(first / name, second / name, shallow=False), name
 
 
 def test_picard_gaps_has_every_state_variable(tmp_path):

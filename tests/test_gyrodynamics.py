@@ -1,7 +1,9 @@
 """Oracle tests of the fixed-center gyration stepper: the closed-form shell
 gyration curve along a run, the support-spin invariant, the discrete
-stationary fixed point, the CFL guard, the stationary operator bands,
-round-off verdicts of the relax run and a recorded relax time series."""
+stationary fixed point, the CFL guard, the stationary operator bands, the
+spin coupling on a tilted axis against node-by-node sums, Picard against
+the stepper, round-off verdicts of the relax run and a recorded relax time
+series."""
 
 import csv
 import json
@@ -14,7 +16,7 @@ from scipy.linalg import solve_banded
 
 from ledlab import cli
 from ledlab.bare_particle import DensityProfile
-from ledlab.gyrodynamics import CFLError, GyroSolver
+from ledlab.gyrodynamics import CFLError, GyroEvolutionState, GyroSolver
 
 DATA = Path(__file__).parent / "data"
 MASS = 2.0
@@ -38,6 +40,23 @@ def shell_spin(omega):
     with mp.workdps(40):
         b = mp.mpf(float(omega)) * FM.R
         return float(MASS * FM.R * ((1 + b**2) / (2 * b**2) * mp.atanh(b) - 1 / (2 * b)))
+
+
+def node_sum_torque(solver, w, pi, omega):
+    """(2/3c) sum_i W_i r_i^2 (omega x w_i - pi_i), node by node."""
+    out = np.zeros(3)
+    for f, r, w_i, pi_i in zip(solver.fe_nodes, solver.r, w, pi):
+        out += f * 4.0 * np.pi * r**2 * solver.dr * r**2 * (np.cross(omega, w_i) - pi_i)
+    return (2.0 / (3.0 * solver.c)) * out
+
+
+def tilted_state(solver):
+    """A state whose field and rate are not parallel to omega, so that the
+    omega x w term of the torque does not vanish."""
+    omega = np.array([0.1, -0.2, 0.3])
+    w = 0.5 * solver.stationary_profile(np.array([0.3, 0.1, -0.2]))
+    pi = 0.2 * solver.stationary_profile(np.array([-0.1, 0.2, 0.1]))
+    return GyroEvolutionState(w, pi, solver.make_state(omega).sb, omega)
 
 
 def node_loop_bands(solver):
@@ -73,9 +92,9 @@ class TestStepper:
         s = state
         for _ in range(40):
             s = solver.step(s, solver.cfl_dt())
-        scale = np.max(np.abs(state.field.w))
-        assert np.max(np.abs(s.field.w - state.field.w)) <= 1e-14 * scale
-        assert np.max(np.abs(s.field.pi)) <= 1e-13 * scale
+        scale = np.max(np.abs(state.w))
+        assert np.max(np.abs(s.w - state.w)) <= 1e-14 * scale
+        assert np.max(np.abs(s.pi)) <= 1e-13 * scale
         np.testing.assert_allclose(s.sb, state.sb, rtol=1e-15)
         np.testing.assert_allclose(s.omega, state.omega, rtol=1e-14)
 
@@ -104,11 +123,40 @@ class TestStepper:
         omega = np.array([0.0, 0.0, 1.0])
         np.testing.assert_array_equal(s.stationary_profile(omega)[:, 2], ref)
 
+    def test_torque_on_tilted_axis_matches_node_sum(self, solver):
+        state = tilted_state(solver)
+        ref = node_sum_torque(solver, state.w, state.pi, state.omega)
+        assert np.linalg.norm(np.cross(state.omega, state.w).sum(axis=0)) > 1e-2
+        got = solver.torque(state.w, state.pi, state.omega)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_step_spin_change_on_tilted_axis_matches_node_sum(self, solver):
+        # conservative update: dt omega_half x s_e(w_mid) - s_e(w_new - w_old)
+        state = tilted_state(solver)
+        dt = solver.cfl_dt()
+        new = solver.step(state, dt)
+        om_half = solver.omega_of_sb(
+            state.sb + 0.5 * dt * node_sum_torque(solver, state.w, state.pi, state.omega))
+        ref = dt * node_sum_torque(solver, 0.5 * (state.w + new.w), (new.w - state.w) / dt,
+                                   om_half)
+        got = new.sb - state.sb
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("tilted", [False, True])
+    def test_picard_on_tilted_axis_converges_to_the_stepper(self, tilted):
+        s = GyroSolver(FE, FM, r_max=10.0)
+        omega = np.array([0.1, -0.2, 0.3])
+        state = tilted_state(s) if tilted else s.make_state(omega, scale=0.5)
+        res = s.picard_iterate(state, n_max=80, horizon=0.15, stop_gap=1e-12)
+        assert res.converged
+        ref = s.run(state, float(res.times[-1])).sb[-1]
+        assert np.linalg.norm(res.sb[-1] - ref) <= 1e-3 * np.linalg.norm(ref)
+
     def test_predicted_equilibrium_solves_the_invariant(self, solver, perturbed):
         state = solver.make_state(np.array([0.0, 0.0, 0.3]), scale=0.5)
         w_inf = solver.predicted_equilibrium(state)
         kappa = solver.field_spin_support(solver.stationary_profile([0.0, 0.0, 1.0]))[2]
-        s_tot = np.linalg.norm(state.sb + solver.field_spin_support(state.field.w))
+        s_tot = np.linalg.norm(state.sb + solver.field_spin_support(state.w))
         assert shell_spin(w_inf) + kappa * w_inf == pytest.approx(s_tot, rel=1e-14)
 
 

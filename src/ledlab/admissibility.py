@@ -45,9 +45,6 @@ class InitialData:
     fe: DensityProfile
     e_fn: callable
     b_fn: callable
-    v0: np.ndarray = None
-    omega0: np.ndarray = None
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -77,8 +74,8 @@ class Moments:
         }
 
 
-def field_moments(data: InitialData, orders=(24, 48, 24)) -> Moments:
-    pts, w = data.fe.support_rule(*orders)
+def field_moments(data: InitialData) -> Moments:
+    pts, w = data.fe.support_rule()
     e = np.asarray(data.e_fn(pts), dtype=float)
     b = np.asarray(data.b_fn(pts), dtype=float)
     q = data.fe.total
@@ -92,8 +89,8 @@ def field_moments(data: InitialData, orders=(24, 48, 24)) -> Moments:
     xb_traceless = xb - np.trace(xb) * np.eye(3)
     return Moments(mean_e, mean_b, torque_e, sigma_b, mean_xce, mean_xxb,
                    xb_traceless,
-                   e_scale=float(np.max(np.abs(e))) if e.size else 0.0,
-                   b_scale=float(np.max(np.abs(b))) if b.size else 0.0,
+                   e_scale=float(np.max(np.abs(e))),
+                   b_scale=float(np.max(np.abs(b))),
                    radius=data.fe.R)
 
 
@@ -183,27 +180,26 @@ def _classify(a_rows: np.ndarray, b_rows: np.ndarray, scale: float,
 
 
 def nodvik_check(data: InitialData, zero_tol: float = ZERO_TOL,
-                 c: float = 1.0, orders=(24, 48, 24)) -> ConstraintReport:
+                 c: float = 1.0) -> ConstraintReport:
     """Point-mass-limit torque constraint t_E + (1/c) omega x sigma_B = 0.
 
     sigma_B = 0 requires t_E = 0 (omega then free); sigma_B != 0 requires
     t_E . sigma_B = 0, leaving the one-parameter family
     omega = c t_E x sigma_B / |sigma_B|^2 + alpha sigma_B.
     """
-    m = field_moments(data, orders)
+    m = field_moments(data)
     a = np.zeros((3, 6))
     a[:, 3:] = -_cross_matrix(m.sigma_b) / c
     b = -m.torque_e
     scale = abs(data.fe.total) * m.radius * max(m.e_scale, m.b_scale * m.radius / c, 1e-300)
-    rep = _classify(a, b, scale, zero_tol, "nodvik", m,
-                    np.array([False] * 3 + [True] * 3))
-    return rep
+    return _classify(a, b, scale, zero_tol, "nodvik", m,
+                     np.array([False] * 3 + [True] * 3))
 
 
 def abraham_spin_check(data: InitialData, zero_tol: float = ZERO_TOL,
-                       c: float = 1.0, orders=(24, 48, 24)) -> ConstraintReport:
+                       c: float = 1.0) -> ConstraintReport:
     """Purely electromagnetic model with spin: both degenerate equations."""
-    m = field_moments(data, orders)
+    m = field_moments(data)
     a = np.zeros((6, 6))
     b = np.zeros(6)
     # c <E> + qdot x <B> - M . omega = 0
@@ -219,9 +215,9 @@ def abraham_spin_check(data: InitialData, zero_tol: float = ZERO_TOL,
 
 
 def abraham_nospin_check(data: InitialData, zero_tol: float = ZERO_TOL,
-                         c: float = 1.0, orders=(24, 48, 24)) -> ConstraintReport:
+                         c: float = 1.0) -> ConstraintReport:
     """Spinless Abraham constraint c <E> + qdot x <B> = 0 at the instant."""
-    m = field_moments(data, orders)
+    m = field_moments(data)
     a = np.zeros((3, 6))
     a[:, :3] = -_cross_matrix(m.mean_b)
     b = -c * m.mean_e
@@ -231,13 +227,13 @@ def abraham_nospin_check(data: InitialData, zero_tol: float = ZERO_TOL,
 
 
 def constraint_residuals(data: InitialData, model: str, qdot0, omega0,
-                         c: float = 1.0, orders=(24, 48, 24)) -> float:
+                         c: float = 1.0) -> float:
     """Residual norm of the defining constraint equations at (qdot0, omega0).
 
     Evaluated from the field moments exactly as the equations are written,
     normalized by the moment scale.
     """
-    m = field_moments(data, orders)
+    m = field_moments(data)
     qdot0 = np.asarray(qdot0, dtype=float)
     omega0 = np.asarray(omega0, dtype=float)
     if model == "nodvik":
@@ -301,7 +297,7 @@ def semirel_functionals(fieldgrid: ComplexField3, m_b: float, i_b: float,
 
 def make_initial_data(fe: DensityProfile, e_uniform=(0.0, 0.0, 0.0),
                       b_uniform=(0.0, 0.0, 0.0), include_coulomb: bool = True,
-                      e_curl: float = 0.0, label: str = "") -> InitialData:
+                      e_curl: float = 0.0) -> InitialData:
     """Analytic Gauss-consistent data: Coulomb self-field plus a uniform E,
     a uniform B and an optional divergence-free curl field
     e_curl (-y, x, 0) used to engineer a nonzero electric torque."""
@@ -323,7 +319,7 @@ def make_initial_data(fe: DensityProfile, e_uniform=(0.0, 0.0, 0.0),
         pts = np.atleast_2d(pts)
         return np.tile(b_uniform, (len(pts), 1))
 
-    return InitialData(fe, e_fn, b_fn, label=label)
+    return InitialData(fe, e_fn, b_fn)
 
 
 SCENARIOS = {
@@ -354,8 +350,7 @@ def build_scenario(name: str, fe: DensityProfile = None) -> tuple:
         raise KeyError(f"unknown scenario {name!r}")
     if fe is None:
         fe = DensityProfile.shell(-1.0, 1.0)
-    data = make_initial_data(fe, label=base, **SCENARIOS[base])
-    return data, model
+    return make_initial_data(fe, **SCENARIOS[base]), model
 
 
 def run_check(data: InitialData, model: str, **kw) -> ConstraintReport:

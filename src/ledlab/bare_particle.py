@@ -189,7 +189,7 @@ class DensityProfile:
             out = np.interp(r, rt, cum, left=0.0, right=s)
         return out + pt
 
-    def support_rule(self, order_r: int = 32, order_theta: int = 64, order_phi: int = 32):
+    def support_rule(self, order_r: int = 24, order_theta: int = 48, order_phi: int = 24):
         """3-d product rule: points (N,3) and weights with
         sum w_k g(x_k) ~ int g(x) f(|x|) d^3x  (extended part only)."""
         r, wr = self.radial_rule(order_r)

@@ -96,6 +96,15 @@ def _apply_config(args, parser, argv):
     return parser.parse_args(argv)
 
 
+def _number(spec, key):
+    """spec[key] as a float; anything else is a domain error naming the key."""
+    try:
+        return float(spec[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"malformed data file: {key!r} must be a number, "
+                         f"not {spec[key]!r}") from None
+
+
 def _profile(kind, total, radius):
     from .bare_particle import DensityProfile
 
@@ -213,7 +222,9 @@ def cmd_admissibility(args) -> int:
             spec = json.load(fh)
         try:
             prof = spec["profile"]
-            fe = _profile(prof.get("kind", "shell"), prof["total"], prof["R"])
+            if not isinstance(prof, dict):
+                raise ValueError(f"malformed data file: 'profile' must be an object, not {prof!r}")
+            fe = _profile(prof.get("kind", "shell"), _number(prof, "total"), _number(prof, "R"))
             data = adm.make_initial_data(
                 fe,
                 e_uniform=spec.get("E_uniform", (0.0, 0.0, 0.0)),
@@ -221,8 +232,10 @@ def cmd_admissibility(args) -> int:
                 include_coulomb=spec.get("include_coulomb", True),
                 e_curl=spec.get("E_curl", 0.0))
             model = spec["model"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError(f"malformed data file: missing {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed data file: {exc}") from exc
     else:
         data, model = adm.build_scenario(args.scenario)
     report = adm.run_check(data, model)

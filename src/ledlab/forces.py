@@ -19,6 +19,14 @@ time derivative enters here); it vanishes identically for a stationary
 self-field with radial E.  Terms 2 and 4 are small against M_b g for
 electron-matched stationary data, which is what makes the worldline
 equation invertible.
+
+Every node integral is built from four-vectors.  Dots contract through g
+and F is antisymmetric, so v.F = -F.v.  The anticommutator of two
+antisymmetric tensors is symmetric, hence term 2 is symmetric by
+construction:
+
+    sum_k w_k [x(x)x, [F_k, Om]_+]_+ = M + M^T,
+    M = sum_k w_k x_k (x) ((x_k.F_k).Om + (x_k.Om).F_k).
 """
 
 from __future__ import annotations
@@ -64,25 +72,27 @@ def stationary_snapshot(st) -> FieldSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# slice geometry
+# slice quadrature and per-node four-vectors
 # ---------------------------------------------------------------------------
 
-def _slice_nodes(fe: DensityProfile, u: FourVector, z3, orders):
-    """Quadrature nodes on the simultaneity slice of u through z.
+def _slice(snapshot: FieldSnapshot, fe: DensityProfile, u: FourVector,
+           omega3, omega_tensor, c):
+    """Quadrature on the simultaneity slice of u through the centre.
 
-    Returns (xi, w, x4, lab_pts): body coordinates xi (N,3) with weights w
-    carrying the measure f_e d^3 xi, the slice four-vectors x4 = x - z,
-    and the lab-frame spatial evaluation points.
+    Returns (w, x4, e, b, om): weights carrying the measure f_e d^3 xi,
+    the slice four-vectors x4 (body nodes boosted along u), E and B at
+    their space parts, and the gyration tensor (omega_tensor, or the one
+    dual to omega3 in the u frame).
     """
-    xi, w = fe.support_rule(*orders)
-    z3 = np.asarray(z3, dtype=float)
-    if np.allclose(u.c, _E0.c):
-        x4 = np.concatenate([np.zeros((len(xi), 1)), xi], axis=1)
-        return xi, w, x4, xi + z3
-    v3 = u.space / u.time
-    lam = boost_matrix(v3)
-    x4 = (lam @ np.concatenate([np.zeros((len(xi), 1)), xi], axis=1).T).T
-    return xi, w, x4, x4[:, 1:] + z3
+    xi, w = fe.support_rule()
+    x4 = np.concatenate([np.zeros((len(xi), 1)), xi], axis=1)
+    if not np.allclose(u.c, _E0.c):
+        x4 = x4 @ boost_matrix(u.space / u.time).T
+    e, b = snapshot.eb(x4[:, 1:])
+    om = omega_tensor
+    if om is None:
+        om = gyration_tensor(np.zeros(3) if omega3 is None else omega3, u, c)
+    return w, x4, e, b, om
 
 
 def _f_dot_vec(e, b, v4):
@@ -93,16 +103,25 @@ def _f_dot_vec(e, b, v4):
     return out
 
 
-def _element_velocity(u: FourVector, omega_t: Rank2Tensor, x4: np.ndarray):
-    """U = u - Om . x per node."""
-    om_op = omega_t.operator
-    return u.c[None, :] - np.einsum("ab,kb->ka", om_op, x4)
+def _row_dot(v4, t: Rank2Tensor):
+    """v . T per node (row action through g)."""
+    return v4 @ METRIC @ t.m
 
 
-def _resolve_omega(u: FourVector, omega3, omega_tensor, c):
-    if omega_tensor is not None:
-        return omega_tensor
-    return gyration_tensor(np.zeros(3) if omega3 is None else omega3, u, c)
+def _inner_nodes(a4, b4):
+    """a . b per node."""
+    return np.einsum("ka,ka->k", a4 @ METRIC, b4)
+
+
+def _x_anticommutator(x4, e, b, om: Rank2Tensor):
+    """x . [F, Om]_+ = (x.F).Om + (x.Om).F per node, with v.F = -F.v."""
+    return -_row_dot(_f_dot_vec(e, b, x4), om) - _f_dot_vec(e, b, _row_dot(x4, om))
+
+
+def _spin_orbit(w, x4, e, b, om: Rank2Tensor):
+    """sum_k w_k [x(x)x, [F_k, Om]_+]_+ = M + M^T."""
+    m = (w[:, None] * x4).T @ _x_anticommutator(x4, e, b, om)
+    return m + m.T
 
 
 # ---------------------------------------------------------------------------
@@ -111,50 +130,36 @@ def _resolve_omega(u: FourVector, omega3, omega_tensor, c):
 
 def minkowski_force(snapshot: FieldSnapshot, fe: DensityProfile,
                     u: FourVector = _E0, omega3=None, omega_tensor=None,
-                    z3=(0.0, 0.0, 0.0), c: float = 1.0,
-                    orders=(24, 48, 24)) -> FourVector:
-    """Abraham-Lorentz type Minkowski force int F.U f_e over the slice."""
-    om = _resolve_omega(u, omega3, omega_tensor, c)
-    xi, w, x4, pts = _slice_nodes(fe, u, z3, orders)
-    e, b = snapshot.eb(pts)
-    uu = _element_velocity(u, om, x4)
-    fu = _f_dot_vec(e, b, uu)
-    return FourVector(np.einsum("k,ka->a", w, fu))
+                    c: float = 1.0) -> FourVector:
+    """Abraham-Lorentz type Minkowski force int F.U f_e over the slice,
+    with element velocity U = u - Om.x."""
+    w, x4, e, b, om = _slice(snapshot, fe, u, omega3, omega_tensor, c)
+    return FourVector(w @ _f_dot_vec(e, b, u.c - x4 @ om.operator.T))
 
 
 def force_dot_u(snapshot: FieldSnapshot, fe: DensityProfile,
                 u: FourVector = _E0, omega3=None, omega_tensor=None,
-                z3=(0.0, 0.0, 0.0), c: float = 1.0, orders=(24, 48, 24)):
+                c: float = 1.0):
     """f.u evaluated two ways: directly and from the gyration coupling.
 
     Both vanish identically for a particle without spin; for Omega != 0
     they agree to quadrature tolerance.  Returns (direct, coupling).
     """
-    om = _resolve_omega(u, omega3, omega_tensor, c)
-    f = minkowski_force(snapshot, fe, u, omega3, omega_tensor, z3, c, orders)
-    direct = inner(f, u)
-
-    xi, w, x4, pts = _slice_nodes(fe, u, z3, orders)
-    e, b = snapshot.eb(pts)
-    fu = _f_dot_vec(e, b, np.tile(u.c, (len(xi), 1)))
-    s = np.einsum("kb,ba->ka", x4 @ METRIC, om.m)  # x . Omega per node
-    coupling = -float(np.einsum("k,ka,ab,kb->", w, s, METRIC, fu))
+    w, x4, e, b, om = _slice(snapshot, fe, u, omega3, omega_tensor, c)
+    direct = inner(FourVector(w @ _f_dot_vec(e, b, u.c - x4 @ om.operator.T)), u)
+    fu = _f_dot_vec(e, b, np.broadcast_to(u.c, x4.shape))
+    coupling = -float(w @ _inner_nodes(_row_dot(x4, om), fu))
     return direct, coupling
 
 
 def minkowski_torque(snapshot: FieldSnapshot, fe: DensityProfile,
                      u: FourVector = _E0, omega3=None, omega_tensor=None,
-                     z3=(0.0, 0.0, 0.0), c: float = 1.0,
-                     orders=(24, 48, 24)) -> Rank2Tensor:
+                     c: float = 1.0) -> Rank2Tensor:
     """Minkowski torque int x ^ (F.U)_perp f_e; antisymmetric, t.u = 0."""
-    om = _resolve_omega(u, omega3, omega_tensor, c)
-    xi, w, x4, pts = _slice_nodes(fe, u, z3, orders)
-    e, b = snapshot.eb(pts)
-    uu = _element_velocity(u, om, x4)
-    fu = _f_dot_vec(e, b, uu)
+    w, x4, e, b, om = _slice(snapshot, fe, u, omega3, omega_tensor, c)
+    fu = _f_dot_vec(e, b, u.c - x4 @ om.operator.T)
     proj = METRIC + np.outer(u.c, u.c)  # space projector, then act through g
-    fperp = np.einsum("ab,bc,kc->ka", proj, METRIC, fu)
-    m = np.einsum("k,ka,kb->ab", w, x4, fperp)
+    m = (w[:, None] * x4).T @ fu @ (proj @ METRIC).T
     return Rank2Tensor(m - m.T, symmetry="antisymmetric")
 
 
@@ -162,51 +167,17 @@ def minkowski_torque(snapshot: FieldSnapshot, fe: DensityProfile,
 # Nodvik spin-orbit mass and the pseudo-inertia tensor
 # ---------------------------------------------------------------------------
 
-def _field_tensors(e, b):
-    """F^{mu nu} per node, shape (N, 4, 4)."""
-    n = len(e)
-    f = np.zeros((n, 4, 4))
-    f[:, 0, 1:] = e
-    f[:, 1:, 0] = -e
-    f[:, 1, 2] = b[:, 2]
-    f[:, 2, 1] = -b[:, 2]
-    f[:, 2, 3] = b[:, 0]
-    f[:, 3, 2] = -b[:, 0]
-    f[:, 3, 1] = b[:, 1]
-    f[:, 1, 3] = -b[:, 1]
-    return f
-
-
-def _anticommute_field(f_nodes, om: Rank2Tensor):
-    """[F, Om]_+ per node."""
-    return (np.einsum("kab,bc,cd->kad", f_nodes, METRIC, om.m)
-            + np.einsum("ab,bc,kcd->kad", om.m, METRIC, f_nodes))
-
-
-def _xx_anticommute(x4, s_nodes, w):
-    """sum_k w_k [x(x)x, S_k]_+ with [A, B]_+ = A.B + B.A."""
-    xx_s = np.einsum("k,ka,kb,bc,kcd->ad", w, x4, x4, METRIC, s_nodes)
-    s_xx = np.einsum("k,kab,bc,kc,kd->ad", w, s_nodes, METRIC, x4, x4)
-    return xx_s + s_xx
-
-
 def nodvik_mass(snapshot: FieldSnapshot, fe: DensityProfile,
                 u: FourVector = _E0, omega3=None, omega_tensor=None,
-                z3=(0.0, 0.0, 0.0), c: float = 1.0,
-                orders=(24, 48, 24)) -> Rank2Tensor:
+                c: float = 1.0) -> Rank2Tensor:
     """Symmetric Nodvik spin-orbit mass tensor.
 
     - int [x(x)x, [F_red, Om]_+]_+ f_e over the slice; the snapshot is
     expected to carry the reduced field (total minus the co-moving
     Coulomb + dipole self-field).
     """
-    om = _resolve_omega(u, omega3, omega_tensor, c)
-    xi, w, x4, pts = _slice_nodes(fe, u, z3, orders)
-    e, b = snapshot.eb(pts)
-    f = _field_tensors(e, b)
-    s = _anticommute_field(f, om)
-    m = _xx_anticommute(x4, s, w)
-    return Rank2Tensor(-m, symmetry="symmetric")
+    w, x4, e, b, om = _slice(snapshot, fe, u, omega3, omega_tensor, c)
+    return Rank2Tensor(-_spin_orbit(w, x4, e, b, om), symmetry="symmetric")
 
 
 @dataclass(frozen=True)
@@ -223,8 +194,7 @@ class PseudoInertia:
 
 def pseudo_inertia(snapshot: FieldSnapshot, fe: DensityProfile,
                    omega3, m_gyro: float, omega_dot3=(0.0, 0.0, 0.0),
-                   m_gyro_dot: float = 0.0, z3=(0.0, 0.0, 0.0),
-                   c: float = 1.0, orders=(24, 48, 24)) -> PseudoInertia:
+                   m_gyro_dot: float = 0.0, c: float = 1.0) -> PseudoInertia:
     """Assemble M~ and f~ in the instantaneous rest frame (u = e0).
 
     m_gyro is the bare gyrational mass at the current gyration speed;
@@ -233,45 +203,34 @@ def pseudo_inertia(snapshot: FieldSnapshot, fe: DensityProfile,
     that involve the gyration rate of change.
     """
     u = _E0
-    om = gyration_tensor(omega3, u, c)
+    w, x4, e, b, om = _slice(snapshot, fe, u, omega3, None, c)
+    e_dot, b_dot = snapshot.eb_dot(x4[:, 1:])
     om_dot = gyration_tensor(omega_dot3, u, c)
-    xi, w, x4, pts = _slice_nodes(fe, u, z3, orders)
-    e, b = snapshot.eb(pts)
-    e_dot, b_dot = snapshot.eb_dot(pts)
-    f = _field_tensors(e, b)
-    f_dot = _field_tensors(e_dot, b_dot)
 
     bare = Rank2Tensor(m_gyro * METRIC, symmetry="symmetric")
 
     # term 2: -int [x(x)x, [F, Om]_+]_+ f_e
-    t2 = Rank2Tensor(-_xx_anticommute(x4, _anticommute_field(f, om), w),
-                     symmetry="symmetric")
+    t2 = Rank2Tensor(-_spin_orbit(w, x4, e, b, om), symmetry="symmetric")
 
-    # term 3: slice derivative of x(x)x (x.Om.F.u) f_e;
-    # scalar s = inner(x.Om, F.u) per node
-    fu = _f_dot_vec(e, b, np.tile(u.c, (len(xi), 1)))
-    fu_dot = _f_dot_vec(e_dot, b_dot, np.tile(u.c, (len(xi), 1)))
-    x_om = np.einsum("ka,ab,bc->kc", x4, METRIC, om.m)
-    s_static = np.einsum("ka,ab,kb->k", x_om, METRIC, fu)
-    s_dot = np.einsum("ka,ab,kb->k", x_om, METRIC, fu_dot)
-    e0c = u.c
-    sym_part = (np.einsum("k,ka->a", w * s_static, x4)[None, :] * e0c[:, None]
-                + np.einsum("k,ka->a", w * s_static, x4)[:, None] * e0c[None, :])
-    xx_part = np.einsum("k,ka,kb->ab", w * s_dot, x4, x4)
-    t3 = Rank2Tensor(sym_part + xx_part, symmetry="symmetric")
+    # term 3: slice derivative of x(x)x (x.Om.F.u) f_e
+    uu = np.broadcast_to(u.c, x4.shape)
+    fu = _f_dot_vec(e, b, uu)
+    x_om = _row_dot(x4, om)
+    s_dot = _inner_nodes(x_om, _f_dot_vec(e_dot, b_dot, uu))
+    ws = (w * _inner_nodes(x_om, fu)) @ x4
+    t3 = Rank2Tensor(np.outer(u.c, ws) + np.outer(ws, u.c)
+                     + ((w * s_dot)[:, None] * x4).T @ x4, symmetry="symmetric")
 
     # term 4: -int (F.u) (x) x f_e  (not symmetrizable)
-    t4 = Rank2Tensor(-np.einsum("k,ka,kb->ab", w, fu, x4), symmetry="general")
+    t4 = Rank2Tensor(-(w[:, None] * fu).T @ x4, symmetry="general")
 
     m_tilde = Rank2Tensor(bare.m + t2.m + t3.m + t4.m, symmetry="general")
 
-    # effective force f~
-    g2 = minkowski_force(snapshot, fe, u, omega3, None, z3, c, orders)
-    g3 = FourVector(np.einsum("k,ka->a", w * s_dot, x4))
-    f_omdot = _anticommute_field(f, om_dot)
-    s4 = np.einsum("ka,ab,kbc,cd,d->k", x4, METRIC, f_omdot, METRIC, u.c)
-    g4 = FourVector(np.einsum("k,ka->a", w * s4, x4))
-    f_tilde = FourVector(-m_gyro_dot * u.c + g2.c + g3.c + g4.c)
+    # f~ = -m_gyro_dot u + int (F.U + (x.Om.F_dot.u + x.[F, Om_dot]_+.u) x) f_e
+    g2 = w @ _f_dot_vec(e, b, u.c - x4 @ om.operator.T)
+    s4 = _x_anticommutator(x4, e, b, om_dot) @ METRIC @ u.c
+    g34 = (w * (s_dot + s4)) @ x4
+    f_tilde = FourVector(-m_gyro_dot * u.c + g2 + g34)
 
     return PseudoInertia(m_tilde, f_tilde, bare, t2, t3, t4)
 

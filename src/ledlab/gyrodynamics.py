@@ -67,7 +67,6 @@ class Trajectory:
     W_field_inside: np.ndarray
     flux: np.ndarray
     r_audit: float
-    final_state: GyroEvolutionState
 
 
 @dataclass
@@ -375,7 +374,7 @@ class GyroSolver:
 
         return Trajectory(np.array(rec_t), np.array(rec_om), np.array(rec_sb),
                           np.array(rec_se), np.array(rec_wb), np.array(rec_wf),
-                          np.array(rec_fl), self.r[i_audit], state)
+                          np.array(rec_fl), self.r[i_audit])
 
     def predicted_equilibrium(self, state: GyroEvolutionState) -> float:
         """|omega| of the stationary state conserving s_b + s_e.

@@ -1,9 +1,11 @@
 """Command-line front end: config precedence, config and data-file
-validation, output columns, exit codes, byte-identical reruns."""
+validation, output columns, exit codes, an admissibility report against
+a pinned file, byte-identical reruns."""
 
 import csv
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ import pytest
 from ledlab import cli
 from ledlab.bare_particle import DensityProfile
 from ledlab.gyrodynamics import GyroSolver
+
+DATA = Path(__file__).parent / "data"
 
 
 def _rows(path):
@@ -78,10 +82,45 @@ def test_data_file_rejects_unknown_profile_kind(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("profile, word", [
+    (3, "'profile'"),
+    ({"kind": "shell", "total": "x", "R": 1.0}, "'total'"),
+    ({"kind": "shell", "total": -1.0, "R": [1.0]}, "'R'"),
+])
+def test_data_file_rejects_malformed_profiles(tmp_path, capsys, profile, word):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"profile": profile, "model": "nodvik"}))
+    out = tmp_path / "out"
+    argv = ["admissibility", "--data-file", str(path), "--out-dir", str(out)]
+    assert cli.main(argv) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "malformed data file" in err and word in err
+    assert not (out / "admissibility_report.json").exists()
+
+
+def _numbers(obj):
+    if isinstance(obj, dict):
+        return [x for key in sorted(obj) for x in _numbers(obj[key])]
+    if isinstance(obj, list):
+        return [x for v in obj for x in _numbers(v)]
+    return [obj] if isinstance(obj, float) else []
+
+
+def test_admissibility_report_matches_the_pinned_file(tmp_path, capsys):
+    pinned = json.loads((DATA / "admissibility_curlE-uniform-B-abraham.json").read_text())
+    argv = ["admissibility", "--scenario", "curlE-uniform-B-abraham", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    got = json.loads((tmp_path / "admissibility_report.json").read_text())
+    assert (got["verdict"], got["dim_family"]) == (pinned["verdict"], pinned["dim_family"])
+    assert sorted(got) == sorted(pinned)
+    np.testing.assert_allclose(_numbers(got), _numbers(pinned), rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("argv", [
     ["stationary"],
     ["renorm-flow", "--report"],
     ["gyro-sim", "--horizon", "1", "--perturb", "0.5"],
+    ["admissibility", "--scenario", "curlE-uniform-B-nodvik"],
 ])
 def test_rerun_is_byte_identical(tmp_path, capsys, argv):
     first, second = tmp_path / "first", tmp_path / "second"

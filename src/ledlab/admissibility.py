@@ -353,7 +353,9 @@ def build_scenario(name: str, fe: DensityProfile = None) -> tuple:
     return make_initial_data(fe, **SCENARIOS[base]), model
 
 
+CHECKS = {"nodvik": nodvik_check, "abraham_spin": abraham_spin_check,
+          "abraham_nospin": abraham_nospin_check}
+
+
 def run_check(data: InitialData, model: str, **kw) -> ConstraintReport:
-    fn = {"nodvik": nodvik_check, "abraham_spin": abraham_spin_check,
-          "abraham_nospin": abraham_nospin_check}[model]
-    return fn(data, **kw)
+    return CHECKS[model](data, **kw)

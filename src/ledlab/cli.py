@@ -96,13 +96,25 @@ def _apply_config(args, parser, argv):
     return parser.parse_args(argv)
 
 
-def _number(spec, key):
-    """spec[key] as a float; anything else is a domain error naming the key."""
-    try:
-        return float(spec[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"malformed data file: {key!r} must be a number, "
-                         f"not {spec[key]!r}") from None
+_DATA_FILE_KEYS = ("profile", "model", "E_uniform", "B_uniform", "include_coulomb", "E_curl")
+
+
+def _finite(x) -> bool:
+    """x is a finite JSON number (true and false are not numbers)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and bool(np.isfinite(x))
+
+
+def _vector3(x) -> bool:
+    return isinstance(x, list) and len(x) == 3 and all(map(_finite, x))
+
+
+def _entry(spec, key, ok, expected, default=None):
+    """spec[key] (default when the key is absent and a default is given) if
+    ok(value); anything else is a domain error naming the key."""
+    value = spec[key] if default is None else spec.get(key, default)
+    if not ok(value):
+        raise ValueError(f"malformed data file: {key!r} must be {expected}, not {value!r}")
+    return value
 
 
 def _profile(kind, total, radius):
@@ -221,21 +233,26 @@ def cmd_admissibility(args) -> int:
         with open(args.data_file) as fh:
             spec = json.load(fh)
         try:
-            prof = spec["profile"]
-            if not isinstance(prof, dict):
-                raise ValueError(f"malformed data file: 'profile' must be an object, not {prof!r}")
-            fe = _profile(prof.get("kind", "shell"), _number(prof, "total"), _number(prof, "R"))
-            data = adm.make_initial_data(
-                fe,
-                e_uniform=spec.get("E_uniform", (0.0, 0.0, 0.0)),
-                b_uniform=spec.get("B_uniform", (0.0, 0.0, 0.0)),
-                include_coulomb=spec.get("include_coulomb", True),
-                e_curl=spec.get("E_curl", 0.0))
-            model = spec["model"]
+            unknown = sorted(set(spec) - set(_DATA_FILE_KEYS))
+            if unknown:
+                raise ValueError(f"malformed data file: unknown key {unknown[0]!r} "
+                                 f"(known: {', '.join(_DATA_FILE_KEYS)})")
+            prof = _entry(spec, "profile", lambda x: isinstance(x, dict), "an object")
+            fe = _profile(prof.get("kind", "shell"),
+                          *(float(_entry(prof, k, _finite, "a finite number")) for k in ("total", "R")))
+            model = _entry(spec, "model", lambda x: isinstance(x, str) and x in adm.CHECKS,
+                           f"one of {', '.join(adm.CHECKS)}")
+            kwargs = dict(
+                e_uniform=_entry(spec, "E_uniform", _vector3, "3 finite numbers", [0.0] * 3),
+                b_uniform=_entry(spec, "B_uniform", _vector3, "3 finite numbers", [0.0] * 3),
+                include_coulomb=_entry(spec, "include_coulomb", lambda x: isinstance(x, bool),
+                                       "true or false", True),
+                e_curl=_entry(spec, "E_curl", _finite, "a finite number", 0.0))
         except KeyError as exc:
             raise ValueError(f"malformed data file: missing {exc}") from exc
         except TypeError as exc:
             raise ValueError(f"malformed data file: {exc}") from exc
+        data = adm.make_initial_data(fe, **kwargs)
     else:
         data, model = adm.build_scenario(args.scenario)
     report = adm.run_check(data, model)

@@ -48,6 +48,12 @@ class GyroEvolutionState:
     """Reduced l=1 field on the solver grid, bare spin and gyration vector.
 
     A(x) = w(|x|) x x; regularity at the origin forces w even in r.
+
+    `lap` is c^2 GyroSolver.laplacian(w), the wave-operator part of d_t pi
+    at this w.  `GyroSolver.step` sets it on the state it returns (its
+    second kick computed it), so the next step's first kick reuses it;
+    `make_state` leaves it None, and `step` then computes it from w.  A
+    state built with a new w must leave it None.
     """
 
     w: np.ndarray      # (n, 3)
@@ -55,6 +61,7 @@ class GyroEvolutionState:
     sb: np.ndarray
     omega: np.ndarray
     t: float = 0.0
+    lap: np.ndarray = None   # (n, 3) c^2 laplacian(w), or None
 
 
 @dataclass
@@ -103,6 +110,16 @@ class CFLError(ValueError):
     pass
 
 
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, written out as np.cross computes it
+    (component k is a_{k+1} b_{k+2} - a_{k+2} b_{k+1}); a and b are (3,) or
+    (nt, 3).  np.cross spends most of a 3-vector call on axis handling."""
+    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
+
+
 class GyroSolver:
     """Radial method-of-lines solver for the fixed-center gyration problem.
 
@@ -116,6 +133,13 @@ class GyroSolver:
     exact for the l=1 exterior family g'(t-r/c)/c + g(t-r/c)/r of r^2 w,
     which in particular annihilates the static dipole tail.  The spin
     inversion is capped at omega R / c = OMEGA_CAP.
+
+    The grid has `n` nodes r_i = i dr.  The charge support is its first
+    `m` nodes: m is the index of the last nonzero `fe_nodes` entry plus one,
+    fixed here from the charge profile.  Every coupling weight vanishes
+    beyond it, so the source of the wave equation and the field-spin sums
+    touch only w[..., :m, :], and a step costs one laplacian of the grid
+    plus work on m nodes.  The outer node must lie outside the support.
     """
 
     def __init__(self, fe: DensityProfile, fm: DensityProfile, c: float = 1.0,
@@ -132,18 +156,25 @@ class GyroSolver:
         if r_max is None:
             r_max = 10.0 * R
         n = int(round(r_max / dr))
+        if n <= n_in:
+            raise ValueError(f"r_max = {r_max:g} must exceed the support radius "
+                             f"R = {R:g} by at least one cell")
         self.dr = dr
         self.r = np.arange(n + 1) * dr
         self.n = n + 1
 
         self.fe_nodes = self._discretize_profile(fe)
+        self.m = len(np.trim_zeros(self.fe_nodes, "b"))
         # coupling weights W_i r_i^2, with sum W_i g(r_i) ~ int g f_e 4 pi r^2 dr
         weights = self.fe_nodes * 4.0 * np.pi * self.r**2 * dr
-        self._spin_weights = weights * self.r**2
+        self._spin_weights = (weights * self.r**2)[:self.m]
         self.curve = GyrationCurve(fm, c, OMEGA_CAP)
         # staggered flux coefficients r_{i+1/2}^4 of the conservative
-        # discretization (r^4 w')' / r^4 of the radial operator
+        # discretization (r^4 w')' / r^4 of the radial operator, and the
+        # interior rows' denominators r_i^4 dr
         self._r_half4 = (0.5 * (self.r[:-1] + self.r[1:])) ** 4
+        self._flux_coef = self._r_half4[:, None]
+        self._lap_den = (self.r[1:-1] ** 4 * dr)[:, None]
 
     # -- grid setup ---------------------------------------------------------
     def _discretize_profile(self, fe: DensityProfile) -> np.ndarray:
@@ -165,18 +196,26 @@ class GyroSolver:
 
     # -- discrete operators --------------------------------------------------
     def laplacian(self, w: np.ndarray) -> np.ndarray:
-        """Conservative form (r^4 w')' / r^4 of d^2_r + (4/r) d_r.
+        """Conservative form (r^4 w')' / r^4 of d^2_r + (4/r) d_r over the
+        whole grid; w is (..., n, 3).
 
         Flux form makes the semidiscrete field energy balance telescope
         exactly to the boundary, which is what the energy audit measures.
-        Origin row by even symmetry of w.
+        Origin row by even symmetry of w; the outer row is 0, because the
+        outgoing law advances that node.  The flux coefficients and row
+        denominators are cached at set-up and the rows are formed in place,
+        so a call allocates the output and one flux array.
         """
         dr = self.dr
-        out = np.zeros_like(w)
-        r = self.r
-        flux = self._r_half4[:, None] * (w[..., 1:, :] - w[..., :-1, :]) / dr
-        out[..., 1:-1, :] = (flux[..., 1:, :] - flux[..., :-1, :]) / (r[1:-1] ** 4 * dr)[:, None]
+        out = np.empty_like(w)
+        flux = np.subtract(w[..., 1:, :], w[..., :-1, :])
+        flux *= self._flux_coef
+        flux /= dr
+        interior = out[..., 1:-1, :]
+        np.subtract(flux[..., 1:, :], flux[..., :-1, :], out=interior)
+        interior /= self._lap_den
         out[..., 0, :] = 10.0 * (w[..., 1, :] - w[..., 0, :]) / dr**2
+        out[..., -1, :] = 0.0
         return out
 
     def cfl_dt(self) -> float:
@@ -190,15 +229,17 @@ class GyroSolver:
     def field_spin_support(self, w: np.ndarray) -> np.ndarray:
         """s_e = (1/c) int x cross A f_e = (2/3c) int f_e r^2 w d^3x.
 
-        The one radial reduction of the spin coupling; w is (..., n, 3)
-        with any leading (time) axes.
+        The one radial reduction of the spin coupling; w is (..., k, 3)
+        with any leading (time) axes and k >= m nodes.  Its weights vanish
+        beyond the support, so only w[..., :m, :] is read.
         """
-        return (2.0 / (3.0 * self.c)) * np.einsum("i,...ij->...j", self._spin_weights, w)
+        return (2.0 / (3.0 * self.c)) * np.einsum("i,...ij->...j", self._spin_weights,
+                                                  w[..., :self.m, :])
 
     def torque(self, w: np.ndarray, pi: np.ndarray, omega: np.ndarray) -> np.ndarray:
         """(2/3c) int f_e r^2 (omega x w - pi) d^3x = omega x s_e(w) - s_e(pi),
         since omega is the same at every node."""
-        return np.cross(omega, self.field_spin_support(w)) - self.field_spin_support(pi)
+        return _cross(omega, self.field_spin_support(w)) - self.field_spin_support(pi)
 
     def omega_of_sb(self, sb: np.ndarray) -> np.ndarray:
         smag = float(np.linalg.norm(sb))
@@ -256,12 +297,29 @@ class GyroSolver:
                                   omega3)
 
     # -- stepping ------------------------------------------------------------
+    def _source(self, omega: np.ndarray) -> np.ndarray:
+        """4 pi c f_e omega on the support nodes, (..., m, 3) for omega (..., 3)."""
+        return (4.0 * np.pi * self.c) * self.fe_nodes[:self.m, None] * omega[..., None, :]
+
+    def _wave(self, w: np.ndarray) -> np.ndarray:
+        """c^2 laplacian(w), the part of d_t pi that spans the grid."""
+        lap = self.laplacian(w)
+        lap *= self.c**2
+        return lap
+
     def _accel(self, w: np.ndarray, omega: np.ndarray) -> np.ndarray:
         """d_t pi = c^2 (r^4 w')' / r^4 + 4 pi c f_e omega; w is (..., n, 3)
         and omega (..., 3) with the same leading axes."""
-        a = self.c**2 * self.laplacian(w)
-        a += (4.0 * np.pi * self.c) * self.fe_nodes[:, None] * omega[..., None, :]
+        a = self._wave(w)
+        a[..., :self.m, :] += self._source(omega)
         return a
+
+    def _kick(self, pi: np.ndarray, lap: np.ndarray, source: np.ndarray, h: float) -> None:
+        """pi += h d_t pi below the outer node, in place; lap is c^2 laplacian(w)
+        and source the support term of _source."""
+        m = self.m
+        pi[:m] += h * (lap[:m] + source)
+        pi[m:-1] += h * lap[m:-1]
 
     def _outgoing(self, w: np.ndarray, pi: np.ndarray) -> tuple:
         """(a, b) of the outer-node law d_t v = a v + b for v = r_n^2 pi_n,
@@ -291,28 +349,30 @@ class GyroSolver:
         """
         if dt > self.cfl_limit * (1.0 + 1e-12):
             raise CFLError(f"dt = {dt:g} exceeds the CFL limit {self.cfl_limit:g}")
+        m, h = self.m, 0.5 * dt
         w0 = state.w
         pi = state.pi.copy()
 
         # predictor for the half-step gyration vector
-        s_half = state.sb + 0.5 * dt * self.torque(w0, pi, state.omega)
+        s_half = state.sb + h * self.torque(w0, pi, state.omega)
         om_half = self.omega_of_sb(s_half)
+        source = self._source(om_half)
 
-        acc = self._accel(w0, om_half)
-        pi[:-1] += 0.5 * dt * acc[:-1]
-        self._boundary_kick(w0, pi, 0.5 * dt)
+        lap = state.lap if state.lap is not None else self._wave(w0)
+        self._kick(pi, lap, source, h)
+        self._boundary_kick(w0, pi, h)
 
         w = w0 + dt * pi
 
-        acc = self._accel(w, om_half)
-        pi[:-1] += 0.5 * dt * acc[:-1]
-        self._boundary_kick(w, pi, 0.5 * dt)
+        lap = self._wave(w)
+        self._kick(pi, lap, source, h)
+        self._boundary_kick(w, pi, h)
 
-        w_mid = 0.5 * (w0 + w)
-        sb = state.sb + (dt * np.cross(om_half, self.field_spin_support(w_mid))
-                         - self.field_spin_support(w - w0))
+        w_mid = 0.5 * (w0[:m] + w[:m])
+        sb = state.sb + (dt * _cross(om_half, self.field_spin_support(w_mid))
+                         - self.field_spin_support(w[:m] - w0[:m]))
         omega = self.omega_of_sb(sb)
-        return GyroEvolutionState(w, pi, sb, omega, state.t + dt)
+        return GyroEvolutionState(w, pi, sb, omega, state.t + dt, lap)
 
     # -- diagnostics ------------------------------------------------------------
     def dynamic_energy_inside(self, w: np.ndarray, pi: np.ndarray, i_audit: int) -> float:

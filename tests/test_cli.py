@@ -98,6 +98,44 @@ def test_data_file_rejects_malformed_profiles(tmp_path, capsys, profile, word):
     assert not (out / "admissibility_report.json").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("E_curl", "x"),
+    ("E_curl", True),
+    ("E_uniform", [1, 2]),
+    ("E_uniform", [0.0, 0.0, float("nan")]),
+    ("B_uniform", [0, "x", 0]),
+    ("B_uniform", 0.1),
+    ("include_coulomb", "no"),
+    ("include_coulomb", 0),
+    ("model", "nosuch"),
+    ("model", ["nodvik"]),
+    ("E_unifrom", [0.0, 0.0, 0.0]),
+])
+def test_data_file_rejects_malformed_keys(tmp_path, capsys, key, value):
+    spec = {"profile": {"kind": "shell", "total": -1.0, "R": 1.0}, "model": "nodvik"}
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({**spec, key: value}))
+    out = tmp_path / "out"
+    argv = ["admissibility", "--data-file", str(path), "--out-dir", str(out)]
+    assert cli.main(argv) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "malformed data file" in err and repr(key) in err
+    assert not (out / "admissibility_report.json").exists()
+
+
+def test_data_file_with_every_key_matches_the_scenario(tmp_path, capsys):
+    spec = {"profile": {"kind": "shell", "total": -1, "R": 1.0}, "model": "abraham_spin",
+            "E_uniform": [0, 0, 0], "B_uniform": [0.0, 0.0, 0.08],
+            "include_coulomb": True, "E_curl": 0.04}
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(spec))
+    for name, source in (("file", ["--data-file", str(path)]),
+                         ("scenario", ["--scenario", "curlE-uniform-B-abraham"])):
+        assert cli.main(["admissibility", *source, "--out-dir", str(tmp_path / name)]) == cli.EXIT_OK
+    report = "admissibility_report.json"
+    assert (tmp_path / "file" / report).read_bytes() == (tmp_path / "scenario" / report).read_bytes()
+
+
 def _numbers(obj):
     if isinstance(obj, dict):
         return [x for key in sorted(obj) for x in _numbers(obj[key])]

@@ -1,11 +1,13 @@
 """Oracle tests of the fixed-center gyration stepper: the closed-form shell
 gyration curve along a run, the support-spin invariant, the discrete
 stationary fixed point, the CFL guard, the stationary operator bands, the
-spin coupling on a tilted axis against node-by-node sums, Picard against
-the stepper, round-off verdicts of the relax run and a recorded relax time
-series."""
+spin coupling on a tilted axis against node-by-node sums, the laplacian
+against a node loop, the support-sliced stepper against a full-grid one,
+Picard against the stepper, round-off verdicts of the relax run and a
+recorded relax time series."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -59,6 +61,66 @@ def tilted_state(solver):
     return GyroEvolutionState(w, pi, solver.make_state(omega).sb, omega)
 
 
+def node_loop_laplacian(solver, w):
+    """(r^4 w')' / r^4 row by row: the staggered fluxes r_{i+1/2}^4 (w_{i+1} -
+    w_i) / dr differenced over r_i^4 dr, the origin row 10 (w_1 - w_0) / dr^2
+    and a zero outer row; w is (..., n, 3)."""
+    r, dr = solver.r, solver.dr
+    rh4 = (0.5 * (r[:-1] + r[1:])) ** 4
+    r4 = r**4
+    out = np.full_like(w, np.nan)
+    for i in range(1, len(r) - 1):
+        f_out = rh4[i] * (w[..., i + 1, :] - w[..., i, :]) / dr
+        f_in = rh4[i - 1] * (w[..., i, :] - w[..., i - 1, :]) / dr
+        out[..., i, :] = (f_out - f_in) / (r4[i] * dr)
+    out[..., 0, :] = 10.0 * (w[..., 1, :] - w[..., 0, :]) / dr**2
+    out[..., -1, :] = 0.0
+    return out
+
+
+def full_grid_run(s, state, horizon):
+    """The stepper with every coupling over the whole grid: the source added
+    and the spin weights summed on all n nodes, two laplacians per step and
+    np.cross.  Returns the histories GyroSolver.run records."""
+    c, dr, r = s.c, s.dr, s.r
+    dt = s.cfl_dt()
+    spin_weights = s.fe_nodes * 4.0 * np.pi * r**2 * dr * r**2
+
+    def se(w):
+        return (2.0 / (3.0 * c)) * np.einsum("i,...ij->...j", spin_weights, w)
+
+    def accel(w, omega):
+        a = np.zeros_like(w)
+        flux = s._r_half4[:, None] * (w[1:] - w[:-1]) / dr
+        a[1:-1] = (flux[1:] - flux[:-1]) / (r[1:-1] ** 4 * dr)[:, None]
+        a[0] = 10.0 * (w[1] - w[0]) / dr**2
+        a = c**2 * a
+        a += (4.0 * np.pi * c) * s.fe_nodes[:, None] * omega[None, :]
+        return a
+
+    i_audit = int(round(min(0.8 * r[-1], 4.0 * s.fe.R) / dr))
+    t, w, pi, sb, omega = state.t, state.w, state.pi, state.sb, state.omega
+    rec = {k: [] for k in ("t", "omega", "sb", "se", "W_b", "W_field_inside", "flux")}
+    for step in range(int(np.ceil(horizon / dt)) + 1):
+        if step:
+            w0, pi = w, pi.copy()
+            om_half = s.omega_of_sb(sb + 0.5 * dt * (np.cross(omega, se(w0)) - se(pi)))
+            pi[:-1] += 0.5 * dt * accel(w0, om_half)[:-1]
+            s._boundary_kick(w0, pi, 0.5 * dt)
+            w = w0 + dt * pi
+            pi[:-1] += 0.5 * dt * accel(w, om_half)[:-1]
+            s._boundary_kick(w, pi, 0.5 * dt)
+            sb = sb + (dt * np.cross(om_half, se(0.5 * (w0 + w))) - se(w - w0))
+            omega = s.omega_of_sb(sb)
+            t = t + dt
+        for key, value in (("t", t), ("omega", omega), ("sb", sb), ("se", se(w)),
+                           ("W_b", s.curve.mass(np.linalg.norm(omega)) * c**2),
+                           ("W_field_inside", s.dynamic_energy_inside(w, pi, i_audit)),
+                           ("flux", s.poynting_flux(w, pi, i_audit))):
+            rec[key].append(value)
+    return {k: np.array(v) for k, v in rec.items()}
+
+
 def node_loop_bands(solver):
     """The stationary operator bands assembled node by node."""
     n, dr, r, rh4 = solver.n, solver.dr, solver.r, solver._r_half4
@@ -103,6 +165,11 @@ class TestStepper:
         solver.step(state, solver.cfl_limit)
         with pytest.raises(CFLError):
             solver.step(state, 1.001 * solver.cfl_limit)
+
+    def test_outer_node_must_lie_outside_the_support(self):
+        with pytest.raises(ValueError, match="support radius"):
+            GyroSolver(FE, FM, r_max=1.0)
+        GyroSolver(FE, FM, r_max=1.05)
 
     def test_cap_is_hard_in_the_stepper_and_saturates_histories(self, solver):
         sb = np.array([[0.0, 0.0, 0.5], [0.0, 6.0, 8.0]])   # |s| = 10 is beyond the cap
@@ -158,6 +225,64 @@ class TestStepper:
         kappa = solver.field_spin_support(solver.stationary_profile([0.0, 0.0, 1.0]))[2]
         s_tot = np.linalg.norm(state.sb + solver.field_spin_support(state.w))
         assert shell_spin(w_inf) + kappa * w_inf == pytest.approx(s_tot, rel=1e-14)
+
+
+class TestSupportStepper:
+    """A step pays for one laplacian of the grid plus work on the first m
+    nodes, and gives the full-grid stepper's numbers bit for bit."""
+
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    def test_laplacian_matches_node_loop(self, solver, lead):
+        w = np.random.default_rng(3).normal(size=(*lead, solver.n, 3))
+        got = solver.laplacian(w)
+        np.testing.assert_array_equal(got, node_loop_laplacian(solver, w))
+        np.testing.assert_array_equal(got[..., -1, :], 0.0)
+
+    @pytest.mark.parametrize("kind", ["shell", "volume"])
+    @pytest.mark.parametrize("dr", [1.0 / 20.0, 0.143])     # 0.143 snaps to R/7
+    def test_support_size_is_exact(self, kind, dr):
+        fe = getattr(DensityProfile, kind)(-1.0, 1.0)
+        s = GyroSolver(fe, getattr(DensityProfile, kind)(MASS, 1.0), dr=dr)
+        assert s.fe_nodes[s.m - 1] != 0
+        np.testing.assert_array_equal(s.fe_nodes[s.m:], 0.0)
+        assert s.m <= int(round(fe.R / s.dr)) + 1 < s.n
+
+    def test_carried_laplacian_equals_a_fresh_one(self, solver):
+        dt = solver.cfl_dt()
+        state = tilted_state(solver)
+        for _ in range(3):
+            state = solver.step(state, dt)
+        assert state.lap is not None
+        carried = solver.step(state, dt)
+        fresh = solver.step(dataclasses.replace(state, lap=None), dt)
+        for field in dataclasses.fields(GyroEvolutionState):
+            np.testing.assert_array_equal(getattr(carried, field.name),
+                                          getattr(fresh, field.name), err_msg=field.name)
+
+    @pytest.mark.parametrize("tilted", [False, True])
+    def test_run_matches_the_full_grid_stepper(self, tilted):
+        fe, fm = DensityProfile.volume(-1.0, 1.0), DensityProfile.volume(MASS, 1.0)
+        s = GyroSolver(fe, fm, r_max=200.0)
+        state = tilted_state(s) if tilted else s.make_state(np.array([0.0, 0.0, 0.3]), 0.5)
+        horizon = 40 * s.cfl_dt()
+        traj = s.run(state, horizon)
+        ref = full_grid_run(s, state, horizon)
+        assert len(traj.t) >= 40 and np.ptp(traj.flux) > 0
+        for key, value in ref.items():
+            np.testing.assert_array_equal(getattr(traj, key), value, err_msg=key)
+
+    def test_run_calls_laplacian_once_per_step_and_once_more(self, solver, monkeypatch):
+        calls = []
+        laplacian = GyroSolver.laplacian
+
+        def counted(self, w):
+            calls.append(w.shape)
+            return laplacian(self, w)
+
+        monkeypatch.setattr(GyroSolver, "laplacian", counted)
+        traj = solver.run(solver.make_state(np.array([0.0, 0.0, 0.3]), 0.5), 1.0)
+        steps = len(traj.t) - 1
+        assert steps >= 10 and len(calls) == steps + 1
 
 
 def _gyro_sim(tmp_path, *flags):

@@ -2,8 +2,7 @@
 
 Library layers:
   minkowski      flat-spacetime four-vector / rank-2 tensor algebra
-  kinematics     worldline and gyrograph kinematics, admissibility checks
-  bare_particle  gyrational mass, bare spin, Minkowski inertia, inversion
+  bare_particle  gyrational mass, bare spin, spin inversion
   fields         stationary bound states and field functionals
   forces         Minkowski force/torque, Nodvik mass, pseudo-inertia
   gyrodynamics   fixed-center field-particle evolution and Picard iteration
@@ -19,29 +18,16 @@ from .minkowski import (
     inner,
     outer,
     wedge_up,
-    wedge_down,
     trace,
-    commutators,
-    split_space_time,
     dual_vector,
     dual_tensor,
-)
-from .kinematics import (
-    four_velocity,
-    fermi_walker,
-    thomas_precession,
-    validate_state,
-    WorldlineSample,
-    GyrographSample,
 )
 from .bare_particle import (
     DensityProfile,
     GyrationCurve,
     gyrational_mass,
-    maclaurin_check,
     bare_spin,
     omega_from_spin,
-    minkowski_inertia,
 )
 from .fields import (
     StationaryState,
@@ -50,9 +36,6 @@ from .fields import (
     field_energy,
     field_spin,
     stress_energy,
-    comoving_fields,
-    conserved_functionals,
-    ComplexField3,
 )
 from .forces import (
     FieldSnapshot,
@@ -61,7 +44,6 @@ from .forces import (
     minkowski_torque,
     nodvik_mass,
     pseudo_inertia,
-    invertibility_report,
 )
 from .gyrodynamics import GyroSolver, GyroEvolutionState
 from .renormflow import (
@@ -80,7 +62,6 @@ from .admissibility import (
     nodvik_check,
     abraham_spin_check,
     abraham_nospin_check,
-    semirel_functionals,
 )
 
 __version__ = "0.1.0"

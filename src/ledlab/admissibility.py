@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bare_particle import DensityProfile
-from .fields import ComplexField3, StationaryState, _grid_integrals
+from .fields import StationaryState
 
 ZERO_TOL = 1e-10
 
@@ -250,45 +250,6 @@ def constraint_residuals(data: InitialData, model: str, qdot0, omega0,
         scale = max(c * m.e_scale, m.b_scale, 1e-300)
         return float(np.linalg.norm(r)) / scale
     raise ValueError(f"unknown model {model!r}")
-
-
-# ---------------------------------------------------------------------------
-# semi-relativistic conserved functionals
-# ---------------------------------------------------------------------------
-
-def semirel_functionals(fieldgrid: ComplexField3, m_b: float, i_b: float,
-                        qdot=(0.0, 0.0, 0.0), s_b=(0.0, 0.0, 0.0),
-                        q3=(0.0, 0.0, 0.0), variant: str = "spin",
-                        c: float = 1.0, support_radius: float = 0.0) -> dict:
-    """Energy, momentum, angular momentum, charge of a field + particle
-    snapshot in the semi-relativistic massive models.
-
-    variant 'spin'     : W includes |s_b|^2/2I_b and |p_b|^2/2m_b (Newtonian)
-    variant 'infI'     : infinite-inertia limit; spin kinetic energy drops
-    variant 'einstein' : Einsteinian momentum p = m gamma qdot and kinetic
-                         energy m c^2 sqrt(1 + p^2/m^2 c^2)
-    """
-    if variant not in ("spin", "infI", "einstein"):
-        raise ValueError(f"unknown variant {variant!r}")
-    w_field, p_field, l_field, q_charge = _grid_integrals(fieldgrid, support_radius, c)
-    qdot = np.asarray(qdot, dtype=float)
-    s_b = np.asarray(s_b, dtype=float)
-    q3 = np.asarray(q3, dtype=float)
-
-    if variant == "einstein":
-        v2 = float(qdot @ qdot) / c**2
-        gamma = 1.0 / np.sqrt(1.0 - v2)
-        p_b = m_b * gamma * qdot
-        kinetic = m_b * c**2 * np.sqrt(1.0 + float(p_b @ p_b) / (m_b * c)**2)
-    else:
-        p_b = m_b * qdot
-        kinetic = 0.5 * float(p_b @ p_b) / m_b
-    w = w_field + kinetic
-    if variant == "spin":
-        w += 0.5 * float(s_b @ s_b) / i_b
-    p = p_field + p_b
-    l = l_field + np.cross(q3, p_b) + s_b
-    return {"W": w, "W_field": w_field, "P": p, "L": l, "Q": q_charge}
 
 
 # ---------------------------------------------------------------------------

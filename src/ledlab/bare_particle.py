@@ -9,8 +9,8 @@ into a radial integral against closed-form angular kernels:
             = ((1+beta^2)/(2 beta^3)) artanh(beta) - 1/(2 beta^2)
 
 with beta = omega r / c the equatorial speed at radius r.  The gyrational
-mass, bare spin, Minkowski inertia tensor and the spin -> angular-velocity
-inversion are built from these.  For a surface (shell) density the radial
+mass, bare spin and the spin -> angular-velocity inversion are built from
+these.  For a surface (shell) density the radial
 integral collapses to the closed forms used by the renormalization flow.
 
 Gyration curve.  On a radial rule (r_k, w_k) the bare spin magnitude is
@@ -39,8 +39,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-from .minkowski import Rank2Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +392,6 @@ def gyrational_mass(fm: DensityProfile, omega: float, c: float = 1.0) -> float:
     return float(GyrationCurve(fm, c).mass(omega))
 
 
-def maclaurin_check(fm: DensityProfile, c: float = 1.0, eps: float = 1e-3):
-    """Fit M(omega) ~ m0 + (1/2) I omega^2 at small omega by differences.
-
-    Returns the fitted (m0, I); for consistency m0 should reproduce the
-    profile total and I the non-relativistic moment of inertia.
-    """
-    w1 = eps * c / fm.R
-    w2 = 2.0 * w1
-    m1 = gyrational_mass(fm, w1, c)
-    m2 = gyrational_mass(fm, w2, c)
-    # solve m(w) = m0 + I/2 w^2 through both samples (quartic term cancels
-    # to leading order in the Richardson combination for m0)
-    ib = 2.0 * (m2 - m1) / (w2**2 - w1**2)
-    m0 = (4.0 * m1 - m2) / 3.0
-    return m0, ib
-
-
 def spin_magnitude(fm: DensityProfile, omega: float, c: float = 1.0) -> float:
     """|s_b|(|omega|): int r^2 <gamma sin^2> f 4 pi r^2 dr * omega."""
     omega = abs(float(omega))
@@ -444,29 +425,3 @@ def omega_from_spin(fm: DensityProfile, s3, c: float = 1.0) -> np.ndarray:
         return np.zeros(3)
     return GyrationCurve(fm, c).omega(smag)[0] * s3 / smag
 
-
-def minkowski_inertia(fm: DensityProfile, omega3, c: float = 1.0) -> Rank2Tensor:
-    """Rest-frame Minkowski inertia tensor of the gyrating bare particle.
-
-    Contravariant components of int (||x||^2 g - x (x) x) gamma f delta(u.x);
-    the operator (contraction with the metric) has time-time entry
-    + int r^2 gamma f and space block I_perp (1 - w w) + I_par w w.
-    Contracting with the gyration dual vector reproduces the bare spin.
-    """
-    omega3 = np.asarray(omega3, dtype=float)
-    mag = float(np.linalg.norm(omega3))
-    _check_subluminal(fm, mag, c)
-
-    r2gam = fm.radial_integral(lambda r: r**2 * gamma_kernel(mag * r / c))
-    i_par = float(GyrationCurve(fm, c).spin_moment(mag))
-    i_perp = r2gam - 0.5 * i_par
-
-    if mag > 0:
-        n = omega3 / mag
-    else:
-        n = np.array([0.0, 0.0, 1.0])
-    space = i_perp * (np.eye(3) - np.outer(n, n)) + i_par * np.outer(n, n)
-    m = np.zeros((4, 4))
-    m[0, 0] = -r2gam   # r^2 g^{00}; the operator entry is +r2gam
-    m[1:, 1:] = space
-    return Rank2Tensor(m, symmetry="symmetric")

@@ -58,10 +58,19 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _open_input(path):
+    """open(path) for reading; a file that cannot be opened is a domain
+    error that names it."""
+    try:
+        return open(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def load_config(path) -> dict:
     """Flat key=value text file; '#' comments and blank lines ignored."""
     cfg = {}
-    with open(path) as fh:
+    with _open_input(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -230,7 +239,7 @@ def cmd_admissibility(args) -> int:
     from . import admissibility as adm
 
     if args.data_file:
-        with open(args.data_file) as fh:
+        with _open_input(args.data_file) as fh:
             spec = json.load(fh)
         try:
             unknown = sorted(set(spec) - set(_DATA_FILE_KEYS))

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
-from .bare_particle import DensityProfile, gyrational_mass, bare_spin
+from .bare_particle import DensityProfile
 from .minkowski import METRIC, Rank2Tensor, trace
 
 
@@ -209,27 +209,6 @@ def magnetic_moment(fe: DensityProfile, omega3, c: float = 1.0) -> np.ndarray:
     return np.asarray(omega3, dtype=float) * fe.moment(2) / (3.0 * c)
 
 
-def _mean_b2(st: StationaryState, r) -> np.ndarray:
-    """Angular average of |B|^2 over the sphere of radius r."""
-    a = st.alpha(r)
-    ap = st.alpha_prime(r)
-    w2 = float(st.omega3 @ st.omega3)
-    return w2 * (4.0 * a**2 + (8.0 * r / 3.0) * a * ap + (2.0 / 3.0) * r**2 * ap**2)
-
-
-def _radial_simpson(integrand, R: float, rb: float, n_grid: int) -> float:
-    """Piecewise Simpson of integrand(r) over [0, R] and [R, rb], each piece
-    on an odd node count and stopped 1e-10 R short of the support edge,
-    outside the rounding band where shell fields jump."""
-    from scipy.integrate import simpson
-
-    nudge = 1e-10
-    n_half = max(n_grid // 2, 8) | 1
-    r1 = np.linspace(0.0, R * (1.0 - nudge), n_half)
-    r2 = np.linspace(R * (1.0 + nudge), rb, n_half)
-    return simpson(integrand(r1), x=r1) + simpson(integrand(r2), x=r2)
-
-
 def field_energy(st: StationaryState) -> float:
     """(1/8 pi) int (|E|^2 + |B|^2): closed form for a shell, radial
     quadrature plus the exact exterior monopole + dipole tail otherwise."""
@@ -239,11 +218,17 @@ def field_energy(st: StationaryState) -> float:
     if st.fe.kind == "shell":
         return 0.5 * (e**2 / R) * (1.0 + (2.0 / 9.0) * beta**2)
 
+    w2 = float(st.omega3 @ st.omega3)
+
     def e_dens(r):
         return 0.5 * st.e_radial(r) ** 2 * r**2
 
     def b_dens(r):
-        return 0.5 * _mean_b2(st, r) * r**2
+        # angular average of |B|^2 over the sphere of radius r
+        a = st.alpha(r)
+        ap = st.alpha_prime(r)
+        mean_b2 = w2 * (4.0 * a**2 + (8.0 * r / 3.0) * a * ap + (2.0 / 3.0) * r**2 * ap**2)
+        return 0.5 * mean_b2 * r**2
 
     inner_e = quad(lambda r: e_dens(np.array([r]))[0], 0.0, R,
                    epsabs=1e-12, epsrel=1e-12, limit=200)[0]
@@ -253,22 +238,6 @@ def field_energy(st: StationaryState) -> float:
     mu2 = float(st.mu @ st.mu)
     tail = st.fe.total**2 / (2.0 * R) + mu2 / (3.0 * R**3)
     return inner_e + inner_b + tail
-
-
-def field_energy_radial_grid(st: StationaryState, n_grid: int = 2000,
-                             r_max_over_R: float = 12.0) -> float:
-    """Radial-grid evaluation of the field energy (piecewise Simpson over
-    the angular-averaged energy density plus the exact exterior tail)."""
-    R = st.fe.R
-    rb = r_max_over_R * R
-
-    def dens(r):
-        return 0.5 * (st.e_radial(r) ** 2 + _mean_b2(st, r)) * r**2
-
-    inner = _radial_simpson(dens, R, rb, n_grid)
-    mu2 = float(st.mu @ st.mu)
-    tail = st.fe.total**2 / (2.0 * rb) + mu2 / (3.0 * rb**3)
-    return float(inner + tail)
 
 
 def field_spin_potential(st: StationaryState) -> np.ndarray:
@@ -295,7 +264,14 @@ def field_spin_poynting(st: StationaryState, n_grid: int = 2000,
         ap = st.alpha_prime(r)
         return st.e_radial(r) * (2.0 * a + r * ap) * r**3
 
-    inner = -(2.0 / (3.0 * st.c)) * _radial_simpson(integrand, R, rb, n_grid)
+    # each piece on an odd node count, stopped 1e-10 R short of the support
+    # edge, outside the rounding band where shell fields jump
+    nudge = 1e-10
+    n_half = max(n_grid // 2, 8) | 1
+    r1 = np.linspace(0.0, R * (1.0 - nudge), n_half)
+    r2 = np.linspace(R * (1.0 + nudge), rb, n_half)
+    radial = simpson(integrand(r1), x=r1) + simpson(integrand(r2), x=r2)
+    inner = -(2.0 / (3.0 * st.c)) * radial
     # exterior tail: E_r = q/r^2, (2a + r a') = -kappa/r^3 with mu = kappa w
     q = st.fe.total
     kappa = st.fe.moment(2) / (3.0 * st.c)
@@ -358,132 +334,3 @@ def stress_energy(e3, b3) -> Rank2Tensor:
     m = (ff.m - 0.25 * tr * METRIC) / (4.0 * np.pi)
     return Rank2Tensor(m, symmetry="symmetric")
 
-
-# ---------------------------------------------------------------------------
-# grid snapshots and conserved functionals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComplexField3:
-    """Complex field G = E + iB sampled on a rectilinear grid.
-
-    axes   (x, y, z) 1-d coordinate arrays
-    G      complex array of shape (3, nx, ny, nz)
-    """
-
-    axes: tuple
-    G: np.ndarray
-
-    @staticmethod
-    def from_callables(e_fn, b_fn, axes) -> "ComplexField3":
-        x, y, z = (np.asarray(a, dtype=float) for a in axes)
-        xx, yy, zz = np.meshgrid(x, y, z, indexing="ij")
-        pts = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
-        e = e_fn(pts).reshape(len(x), len(y), len(z), 3)
-        b = b_fn(pts).reshape(len(x), len(y), len(z), 3)
-        g = np.moveaxis(e, -1, 0) + 1j * np.moveaxis(b, -1, 0)
-        return ComplexField3((x, y, z), g)
-
-    @property
-    def E(self) -> np.ndarray:
-        return self.G.real
-
-    @property
-    def B(self) -> np.ndarray:
-        return self.G.imag
-
-    def divergence(self, part: str = "real") -> np.ndarray:
-        f = self.E if part == "real" else self.B
-        x, y, z = self.axes
-        return (np.gradient(f[0], x, axis=0)
-                + np.gradient(f[1], y, axis=1)
-                + np.gradient(f[2], z, axis=2))
-
-    def boundary_flux(self, part: str = "real") -> float:
-        """Surface integral of the field over the grid's box boundary."""
-        f = self.E if part == "real" else self.B
-        x, y, z = self.axes
-        flux = 0.0
-        flux += np.trapezoid(np.trapezoid(f[0][-1], z, axis=-1), y)
-        flux -= np.trapezoid(np.trapezoid(f[0][0], z, axis=-1), y)
-        flux += np.trapezoid(np.trapezoid(f[1][:, -1], z, axis=-1), x)
-        flux -= np.trapezoid(np.trapezoid(f[1][:, 0], z, axis=-1), x)
-        flux += np.trapezoid(np.trapezoid(f[2][:, :, -1], y, axis=-1), x)
-        flux -= np.trapezoid(np.trapezoid(f[2][:, :, 0], y, axis=-1), x)
-        return float(flux)
-
-    def gauss_residual(self, rho_grid: np.ndarray) -> float:
-        """max |div E - 4 pi rho| over the grid interior."""
-        d = self.divergence("real") - 4.0 * np.pi * rho_grid
-        return float(np.max(np.abs(d[1:-1, 1:-1, 1:-1])))
-
-    def volume_integral(self, dens: np.ndarray) -> float:
-        x, y, z = self.axes
-        return float(np.trapezoid(np.trapezoid(np.trapezoid(dens, z, axis=-1), y, axis=-1), x))
-
-
-def field_energy_grid(field: ComplexField3) -> float:
-    """(1/8 pi) int (|E|^2 + |B|^2) over the grid volume (trapezoid)."""
-    dens = np.sum(field.E**2 + field.B**2, axis=0) / (8.0 * np.pi)
-    return field.volume_integral(dens)
-
-
-def _grid_integrals(field: ComplexField3, support_radius: float, c: float) -> tuple:
-    """Field energy, momentum and angular momentum over the grid, and the
-    charge by Gauss flux through its boundary: (W, P, L, Q)."""
-    x, y, z = field.axes
-    if min(x[-1], y[-1], z[-1], -x[0], -y[0], -z[0]) < support_radius:
-        raise ValueError("grid does not enclose the particle support")
-    e, b = field.E, field.B
-    poynting = np.cross(np.moveaxis(e, 0, -1), np.moveaxis(b, 0, -1)) / (4.0 * np.pi * c)
-    xx, yy, zz = np.meshgrid(x, y, z, indexing="ij")
-    pos = np.stack([xx, yy, zz], axis=-1)
-    ang = np.cross(pos, poynting)
-    p = np.array([field.volume_integral(poynting[..., i]) for i in range(3)])
-    l = np.array([field.volume_integral(ang[..., i]) for i in range(3)])
-    q = field.boundary_flux("real") / (4.0 * np.pi)
-    return field_energy_grid(field), p, l, q
-
-
-def conserved_functionals(field: ComplexField3, fm: DensityProfile, omega3,
-                          c: float = 1.0) -> dict:
-    """Total energy, momentum, angular momentum and charge of a rest-frame
-    snapshot: field integrals over the grid plus the particle's gyrational
-    energy and bare spin.  Charge is measured by Gauss flux through the
-    grid boundary."""
-    w_field, p, l_field, q = _grid_integrals(field, fm.R, c)
-    omega3 = np.asarray(omega3, dtype=float)
-    w = w_field + gyrational_mass(fm, float(np.linalg.norm(omega3)), c) * c**2
-    l = l_field + bare_spin(fm, omega3, c)
-    return {"W": w, "P": p, "L": l, "L_field": l_field, "Q": q}
-
-
-# ---------------------------------------------------------------------------
-# co-moving charge + dipole potentials
-# ---------------------------------------------------------------------------
-
-def comoving_fields(v3, mu3, x_out, x, c: float = 1.0):
-    """Potentials of a unit point charge plus point dipole mu in uniform
-    motion (present-position form), evaluated at x for source center x_out.
-
-    Returns (phi, A).  The caller scales by the total charge; at v = 0
-    this reduces to phi = 1/|y|, A = mu x y / |y|^3.
-    """
-    v = np.asarray(v3, dtype=float) / c
-    mu = np.asarray(mu3, dtype=float)
-    y = np.asarray(x, dtype=float) - np.asarray(x_out, dtype=float)
-    v2 = float(v @ v)
-    if v2 >= 1.0:
-        raise ValueError("superluminal velocity")
-    if v2 == 0.0:
-        r = np.linalg.norm(y)
-        return 1.0 / r, np.cross(mu, y) / r**3
-
-    vhat = v / np.sqrt(v2)
-    y_par = float(y @ vhat)
-    y_perp = y - y_par * vhat
-    gamma = 1.0 / np.sqrt(1.0 - v2)
-    d = np.linalg.norm(y_par * vhat + np.sqrt(1.0 - v2) * y_perp)
-    phi = 1.0 / d + (1.0 - v2) * float(v @ np.cross(mu, y)) / d**3
-    a = v / d + (1.0 - v2) * np.cross(mu, gamma * y_par * vhat + y_perp) / d**3
-    return phi, a

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bare_particle import DensityProfile
-from .minkowski import METRIC, FourVector, Rank2Tensor, boost_matrix, inner
-from .kinematics import gyration_tensor
+from .minkowski import (DEFAULT_TOL, METRIC, FourVector, Rank2Tensor, boost_matrix,
+                        dual_tensor, inner)
 
 _E0 = FourVector.basis(0)
 
@@ -74,6 +74,20 @@ def stationary_snapshot(st) -> FieldSnapshot:
 # ---------------------------------------------------------------------------
 # slice quadrature and per-node four-vectors
 # ---------------------------------------------------------------------------
+
+def gyration_tensor(omega3, u: FourVector, c: float = 1.0) -> Rank2Tensor:
+    """Gyration tensor dual to the angular velocity omega3 in the u frame.
+
+    Normalized so that Omega . x = -(0, omega x x)/c in the rest frame;
+    the element four-velocity of a rigidly gyrating charge is then
+    U = u - Omega . x with space part (omega x x)/c.
+    """
+    w4 = FourVector([0.0, *(np.asarray(omega3, dtype=float) / c)])
+    # w must be expressed orthogonal to u; for u = e0 this is automatic
+    if abs(inner(w4, u)) > DEFAULT_TOL * max(1.0, float(np.max(np.abs(w4.c)))):
+        raise ValueError("omega3 must live in the space slice of u")
+    return dual_tensor(w4, u)
+
 
 def _slice(snapshot: FieldSnapshot, fe: DensityProfile, u: FourVector,
            omega3, omega_tensor, c):
@@ -234,21 +248,3 @@ def pseudo_inertia(snapshot: FieldSnapshot, fe: DensityProfile,
 
     return PseudoInertia(m_tilde, f_tilde, bare, t2, t3, t4)
 
-
-@dataclass(frozen=True)
-class InvertibilityReport:
-    perturbation_ratio: float
-    condition_estimate: float
-    invertible: bool
-
-
-def invertibility_report(m_tilde: Rank2Tensor, m_gyro: float) -> InvertibilityReport:
-    """Operator-norm ratio ||M~ - M_b g|| / M_b and a condition estimate.
-
-    The worldline equation is solvable for u_dot when the field terms are
-    a small perturbation of the diagonal gyrational term (ratio < 1).
-    """
-    dev = (m_tilde.m - m_gyro * METRIC) @ METRIC
-    ratio = float(np.linalg.norm(dev, 2)) / m_gyro
-    cond = float(np.linalg.cond(m_tilde.operator))
-    return InvertibilityReport(ratio, cond, ratio < 1.0)

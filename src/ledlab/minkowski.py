@@ -203,64 +203,22 @@ def wedge_up(a: FourVector, b: FourVector) -> Rank2Tensor:
     return Rank2Tensor(m - m.T, symmetry="antisymmetric")
 
 
-def wedge_down(a: FourVector, b: FourVector) -> Rank2Tensor:
-    """Symmetrized tensor product a (x) b + b (x) a."""
-    m = np.outer(a.c, b.c)
-    return Rank2Tensor(m + m.T, symmetry="symmetric")
-
-
 def trace(t: Rank2Tensor) -> float:
     """Four-trace sum_mu g^{mu mu} T^{mu mu}; trace(metric) = 4."""
     return float(np.trace(METRIC @ t.m))
 
 
-def commutators(a: Rank2Tensor, b: Rank2Tensor, sign: int) -> Rank2Tensor:
-    """A . B + sign * B . A with the metric-contracted matrix action."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    ab = a.operator @ b.m
-    ba = b.operator @ a.m
-    sym = None
-    if sign == +1 and a.symmetry == "antisymmetric" and b.symmetry == "antisymmetric":
-        sym = "symmetric"
-    return Rank2Tensor(ab + sign * ba, symmetry=sym)
-
-
-def commutator(a: Rank2Tensor, b: Rank2Tensor) -> Rank2Tensor:
-    return commutators(a, b, -1)
-
-
 def anticommutator(a: Rank2Tensor, b: Rank2Tensor) -> Rank2Tensor:
-    return commutators(a, b, +1)
+    """A . B + B . A with the metric-contracted matrix action."""
+    sym = None
+    if a.symmetry == "antisymmetric" and b.symmetry == "antisymmetric":
+        sym = "symmetric"
+    return Rank2Tensor(a.operator @ b.m + b.operator @ a.m, symmetry=sym)
 
 
 # ---------------------------------------------------------------------------
-# decompositions relative to a timelike unit vector
+# duality relative to a timelike unit vector
 # ---------------------------------------------------------------------------
-
-def _require_unit_timelike(u: FourVector, tol: float) -> None:
-    if abs(inner(u, u) + 1.0) > tol:
-        raise ValueError(f"u is not unit timelike: u.u = {inner(u, u)}")
-
-
-def split_space_time(s: Rank2Tensor, u: FourVector, tol: float = DEFAULT_TOL):
-    """Split an antisymmetric tensor into space-space and time-space parts.
-
-    Returns (s_perp, s_par, h) with
-
-        s_perp = s + [u (x) u, s]_+        (space-space, s_perp . u = 0)
-        s_par  = u ^ (s . u)               (time-space)
-        h      = s . u                     (helicity vector)
-
-    and s_perp + s_par = s.
-    """
-    _require_unit_timelike(u, tol)
-    uu = Rank2Tensor(np.outer(u.c, u.c), symmetry="symmetric")
-    s_perp = s + anticommutator(uu, s)
-    h = s.dot(u)
-    s_par = wedge_up(u, h)
-    return (Rank2Tensor(s_perp.m, symmetry="antisymmetric"), s_par, h)
-
 
 def dual_vector(omega: Rank2Tensor, u: FourVector, tol: float = DEFAULT_TOL) -> FourVector:
     """Spacelike vector w dual to an antisymmetric space-space tensor.
@@ -309,10 +267,3 @@ def boost_matrix(v3, c: float = 1.0) -> np.ndarray:
     lam[1:, 1:] = np.eye(3) + (gamma - 1.0) * np.outer(beta, beta) / b2
     return lam
 
-
-def boost_vector(v: FourVector, lam: np.ndarray) -> FourVector:
-    return FourVector(lam @ v.c)
-
-
-def boost_tensor(t: Rank2Tensor, lam: np.ndarray) -> Rank2Tensor:
-    return Rank2Tensor(lam @ t.m @ lam.T, symmetry=t.symmetry)

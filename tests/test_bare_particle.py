@@ -8,13 +8,10 @@ from ledlab.bare_particle import (
     bare_spin,
     gamma_kernel,
     gyrational_mass,
-    maclaurin_check,
-    minkowski_inertia,
     omega_from_spin,
     spin_kernel,
     spin_magnitude,
 )
-from ledlab.minkowski import FourVector
 
 SHELL = DensityProfile.shell(1.0, 1.0)
 VOLUME = DensityProfile.volume(1.0, 1.0)
@@ -98,6 +95,13 @@ class TestProfiles:
         assert SHELL.enclosed(0.5)[0] == 0.0
         assert SHELL.enclosed(2.0)[0] == pytest.approx(1.0)
 
+    def test_volume_inertia_oracle(self):
+        # (2/3) int r^2 f 4 pi r^2 dr by quadrature
+        rho = 3.0 / (4.0 * np.pi)
+        oracle = (2.0 / 3.0) * quad(
+            lambda r: r**2 * rho * 4 * np.pi * r**2, 0, 1)[0]
+        assert VOLUME.moment_of_inertia() == pytest.approx(oracle, rel=1e-12)
+
 
 class TestGyrationalMass:
     def test_static_limit(self):
@@ -143,26 +147,6 @@ class TestGyrationalMass:
         m = np.array([gyrational_mass(SHELL, wi) for wi in w])
         assert np.all(np.diff(m) > 0)
         assert np.all(np.diff(m, 2) > -1e-12)
-
-
-class TestMaclaurin:
-    def test_shell(self):
-        m0, ib = maclaurin_check(SHELL)
-        assert m0 == pytest.approx(1.0, rel=1e-8)
-        assert ib == pytest.approx(2.0 / 3.0, rel=1e-4)
-        assert ib == pytest.approx(SHELL.moment_of_inertia(), rel=1e-4)
-
-    def test_volume(self):
-        m0, ib = maclaurin_check(VOLUME)
-        assert m0 == pytest.approx(1.0, rel=1e-8)
-        assert ib == pytest.approx(0.4, rel=1e-4)
-
-    def test_volume_inertia_oracle(self):
-        # (2/3) int r^2 f 4 pi r^2 dr by quadrature
-        rho = 3.0 / (4.0 * np.pi)
-        oracle = (2.0 / 3.0) * quad(
-            lambda r: r**2 * rho * 4 * np.pi * r**2, 0, 1)[0]
-        assert VOLUME.moment_of_inertia() == pytest.approx(oracle, rel=1e-12)
 
 
 class TestBareSpin:
@@ -251,47 +235,6 @@ class TestOmegaFromSpin:
         vals = GyrationCurve(SHELL).sigma(ws)
         for w, v in zip(ws, vals):
             assert v == pytest.approx(spin_magnitude(SHELL, w), rel=1e-12)
-
-
-class TestMinkowskiInertia:
-    def test_static_shell_blocks(self):
-        t = minkowski_inertia(SHELL, [0, 0, 0])
-        op = t.operator
-        # operator time-time entry: int r^2 f = m R^2; space block (2/3) m R^2
-        assert op[0, 0] == pytest.approx(1.0)
-        np.testing.assert_allclose(np.diag(op)[1:], 2.0 / 3.0, rtol=1e-12)
-        np.testing.assert_allclose(op - np.diag(np.diag(op)), 0.0, atol=1e-14)
-
-    def test_contraction_reproduces_spin(self):
-        w3 = np.array([0.1, 0.2, 0.4])
-        t = minkowski_inertia(SHELL, w3)
-        got = t.dot(FourVector([0.0, *w3]))
-        np.testing.assert_allclose(got.c[1:], bare_spin(SHELL, w3), rtol=1e-12)
-        assert got.c[0] == pytest.approx(0.0, abs=1e-14)
-
-    def test_symmetric(self):
-        t = minkowski_inertia(VOLUME, [0.3, 0.0, 0.4])
-        np.testing.assert_allclose(t.m, t.m.T, atol=1e-12)
-
-    def test_component_oracle(self):
-        # direct quadrature of the defining integrand for the shell
-        w = 0.6
-
-        def angular(fn):
-            return 0.5 * quad(fn, -1, 1, epsabs=1e-13, epsrel=1e-13)[0]
-
-        gam = lambda mu: 1.0 / np.sqrt(1.0 - w**2 * (1.0 - mu**2))
-        i_par = angular(lambda mu: (1 - mu**2) * gam(mu))        # zz kernel
-        i_time = angular(gam)
-        t = minkowski_inertia(SHELL, [0, 0, w])
-        assert t.operator[3, 3] == pytest.approx(i_par, rel=1e-10)
-        assert t.operator[0, 0] == pytest.approx(i_time, rel=1e-10)
-        # xx entry: <gamma (1 - sin^2 cos^2 phi)> = <gamma> - i_par/2
-        assert t.operator[1, 1] == pytest.approx(i_time - 0.5 * i_par, rel=1e-10)
-
-    def test_superluminal_rejected(self):
-        with pytest.raises(ValueError):
-            minkowski_inertia(SHELL, [0, 0, 1.2])
 
 
 class TestGyrationCurveSamples:

@@ -197,6 +197,15 @@ def test_exit_codes(tmp_path, capsys, argv, code):
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == code
 
 
+@pytest.mark.parametrize("command, flag", [("admissibility", "--data-file"),
+                                           ("selfcheck", "--config")])
+def test_unreadable_input_file_is_a_domain_error(tmp_path, capsys, command, flag):
+    path = tmp_path / "nonexistent.txt"
+    assert cli.main([command, flag, str(path), "--out-dir", str(tmp_path)]) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert f"error: cannot read {path}" in err and "internal error" not in err
+
+
 def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
     def broken(args):
         raise IndexError("list index out of range")

@@ -4,14 +4,9 @@ from scipy.integrate import quad
 
 from ledlab.bare_particle import DensityProfile
 from ledlab.fields import (
-    ComplexField3,
-    field_energy_radial_grid,
     NumericalFailure,
     StationaryState,
-    comoving_fields,
-    conserved_functionals,
     field_energy,
-    field_energy_grid,
     field_spin,
     field_spin_potential,
     field_spin_poynting,
@@ -21,7 +16,7 @@ from ledlab.fields import (
     stress_energy,
     toroidal_alpha,
 )
-from ledlab.minkowski import FourVector, boost_matrix, trace
+from ledlab.minkowski import FourVector, trace
 
 FE_SHELL = DensityProfile.shell(-1.0, 1.0)
 FE_VOL = DensityProfile.volume(-1.0, 1.0)
@@ -134,19 +129,6 @@ class TestFieldEnergy:
         mu2 = float(st.mu @ st.mu)
         tail = 1.0 / (2 * rb) + mu2 / (3 * rb**3)
         assert field_energy(st) == pytest.approx(inner + tail, rel=1e-8)
-
-    def test_radial_grid_matches_closed_form(self):
-        st = stationary_state(FE_SHELL, [0, 0, 0.5])
-        got = field_energy_radial_grid(st)
-        assert got == pytest.approx(field_energy(st), rel=1e-6)
-
-    def test_box_grid_approximates_closed_form(self):
-        st = stationary_state(FE_SHELL, [0, 0, 0.5])
-        ax = np.linspace(-30, 30, 175)
-        grid = ComplexField3.from_callables(st.E, st.B, (ax, ax, ax))
-        got = field_energy_grid(grid)
-        assert got == pytest.approx(field_energy(st), rel=5e-3)
-
 
 class TestFieldSpin:
     def test_zero_omega(self):
@@ -264,121 +246,6 @@ class TestExteriorMultipole:
         assert np.linalg.norm(resid) / np.linalg.norm(conv) < 1e-8
         # and the amplitude matches the implementation's alpha at r = 2
         assert coeff == pytest.approx(0.6 * st.alpha(np.array([2.0]))[0], rel=1e-8)
-
-
-class TestComovingFields:
-    def test_static_coulomb(self):
-        phi, a = comoving_fields([0, 0, 0], [0, 0, 0], [0, 0, 0], [2.0, 0, 0])
-        assert phi == pytest.approx(0.5)
-        np.testing.assert_allclose(a, 0.0)
-
-    def test_static_dipole(self):
-        mu = np.array([0.0, 0.0, 0.3])
-        y = np.array([1.0, 2.0, -0.5])
-        phi, a = comoving_fields([0, 0, 0], mu, [0, 0, 0], y)
-        np.testing.assert_allclose(a, np.cross(mu, y) / np.linalg.norm(y) ** 3,
-                                   rtol=1e-13)
-        assert phi == pytest.approx(1.0 / np.linalg.norm(y))
-
-    def test_boosted_coulomb_oracle(self):
-        # independent oracle: Lorentz-transform the rest-frame potential
-        v = np.array([0.6, 0.0, 0.0])
-        lam = boost_matrix(v)
-        for y in ([1.0, 0.5, -0.2], [0.0, 1.3, 0.4], [-2.0, 0.0, 0.0]):
-            y = np.array(y)
-            phi, a = comoving_fields(v, [0, 0, 0], [0, 0, 0], y)
-            # rest-frame position of the event (0, y): spatial part of
-            # boost(-v) applied to it
-            ev = np.concatenate([[0.0], y])
-            x_rest = (boost_matrix(-v) @ ev)[1:]
-            a4_rest = np.array([1.0 / np.linalg.norm(x_rest), 0, 0, 0])
-            a4_lab = lam @ a4_rest
-            assert phi == pytest.approx(a4_lab[0], rel=1e-12)
-            np.testing.assert_allclose(a, a4_lab[1:], rtol=1e-12, atol=1e-15)
-
-    def test_superluminal_rejected(self):
-        with pytest.raises(ValueError):
-            comoving_fields([1.2, 0, 0], [0, 0, 0], [0, 0, 0], [1, 0, 0])
-
-
-class TestComplexField3:
-    def grid(self, st, L=8.0, n=61):
-        ax = np.linspace(-L, L, n)
-        return ComplexField3.from_callables(st.E, st.B, (ax, ax, ax))
-
-    def test_parts(self):
-        st = stationary_state(FE_SHELL, [0, 0, 0.4])
-        g = self.grid(st)
-        assert g.G.shape == (3, 61, 61, 61)
-        np.testing.assert_allclose(g.E + 1j * g.B, g.G)
-
-    def test_divergence_free_imaginary_part(self):
-        st = stationary_state(FE_VOL, [0, 0, 0.4])
-        g = self.grid(st, L=4.0, n=81)
-        div_b = g.divergence("imag")
-        scale = np.max(np.abs(g.B))
-        # check well inside the support where B is smooth
-        assert np.max(np.abs(div_b[36:45, 36:45, 36:45])) < 2e-2 * scale
-
-    def test_gauss_flux_charge(self):
-        st = stationary_state(FE_SHELL, [0, 0, 0.4])
-        g = self.grid(st, L=6.0, n=97)
-        q = g.boundary_flux("real") / (4 * np.pi)
-        assert q == pytest.approx(-1.0, rel=1e-3)
-        assert g.boundary_flux("imag") / (4 * np.pi) == pytest.approx(0.0, abs=1e-9)
-
-    def test_gauss_residual_source_free_field(self):
-        ax = np.linspace(-2, 2, 41)
-        e_uni = lambda p: np.tile([0.3, -0.1, 0.2], (len(p), 1))
-        b_dip = lambda p: np.cross(np.tile([0, 0, 1.0], (len(p), 1)), p)
-        g = ComplexField3.from_callables(e_uni, b_dip, (ax, ax, ax))
-        assert g.gauss_residual(np.zeros((41, 41, 41))) < 1e-12
-
-
-class TestConservedFunctionals:
-    def setup_method(self):
-        self.fm = DensityProfile.shell(2.0, 1.0)
-        self.omega = np.array([0.0, 0.0, 0.4])
-        self.st = stationary_state(FE_SHELL, self.omega)
-        L, n = 10.0, 101
-        ax = np.linspace(-L, L, n)
-        self.grid = ComplexField3.from_callables(self.st.E, self.st.B,
-                                                 (ax, ax, ax))
-        self.out = conserved_functionals(self.grid, self.fm, self.omega)
-        self.L = L
-
-    def test_charge(self):
-        assert self.out["Q"] == pytest.approx(-1.0, rel=1e-3)
-
-    def test_momentum_vanishes(self):
-        # azimuthal Poynting field integrates to zero by symmetry
-        scale = field_energy(self.st)
-        np.testing.assert_allclose(self.out["P"] / scale, 0.0, atol=1e-10)
-
-    def test_field_angular_momentum_matches_field_spin(self):
-        s_f = field_spin_poynting(self.st)
-        got = self.out["L_field"]
-        # truncation of the Poynting spin integral outside the box ~ R/L
-        tail_bound = 1.5 * np.linalg.norm(s_f) * 1.0 / self.L
-        assert np.linalg.norm(got - s_f) < tail_bound
-        np.testing.assert_allclose(self.out["L"], got + np.array(
-            [0, 0, float(np.linalg.norm(
-                __import__('ledlab').bare_spin(self.fm, self.omega)))]),
-            rtol=1e-12)
-
-    def test_energy_contains_gyrational_part(self):
-        from ledlab.bare_particle import gyrational_mass
-
-        w_gyro = gyrational_mass(self.fm, 0.4)
-        assert self.out["W"] > w_gyro
-        grid_field = field_energy_grid(self.grid)
-        assert self.out["W"] == pytest.approx(w_gyro + grid_field, rel=1e-12)
-
-    def test_grid_coverage_error(self):
-        ax = np.linspace(-0.5, 0.5, 11)
-        small = ComplexField3.from_callables(self.st.E, self.st.B, (ax, ax, ax))
-        with pytest.raises(ValueError):
-            conserved_functionals(small, self.fm, self.omega)
 
 
 class TestExportTables:

@@ -95,13 +95,6 @@ class TestProfiles:
         assert SHELL.enclosed(0.5)[0] == 0.0
         assert SHELL.enclosed(2.0)[0] == pytest.approx(1.0)
 
-    def test_volume_inertia_oracle(self):
-        # (2/3) int r^2 f 4 pi r^2 dr by quadrature
-        rho = 3.0 / (4.0 * np.pi)
-        oracle = (2.0 / 3.0) * quad(
-            lambda r: r**2 * rho * 4 * np.pi * r**2, 0, 1)[0]
-        assert VOLUME.moment_of_inertia() == pytest.approx(oracle, rel=1e-12)
-
 
 class TestGyrationalMass:
     def test_static_limit(self):
@@ -147,6 +140,36 @@ class TestGyrationalMass:
         m = np.array([gyrational_mass(SHELL, wi) for wi in w])
         assert np.all(np.diff(m) > 0)
         assert np.all(np.diff(m, 2) > -1e-12)
+
+
+def maclaurin_fit(fm, c=1.0, eps=1e-3):
+    """(m0, I) of M(omega) ~ m0 + (1/2) I omega^2 through two small-omega
+    samples; the Richardson combination for m0 cancels the quartic term."""
+    w1 = eps * c / fm.R
+    w2 = 2.0 * w1
+    m1 = gyrational_mass(fm, w1, c)
+    m2 = gyrational_mass(fm, w2, c)
+    return (4.0 * m1 - m2) / 3.0, 2.0 * (m2 - m1) / (w2**2 - w1**2)
+
+
+class TestMaclaurin:
+    def test_shell(self):
+        m0, ib = maclaurin_fit(SHELL)
+        assert m0 == pytest.approx(1.0, rel=1e-8)
+        assert ib == pytest.approx(2.0 / 3.0, rel=1e-4)
+        assert ib == pytest.approx(SHELL.moment_of_inertia(), rel=1e-4)
+
+    def test_volume(self):
+        m0, ib = maclaurin_fit(VOLUME)
+        assert m0 == pytest.approx(1.0, rel=1e-8)
+        assert ib == pytest.approx(0.4, rel=1e-4)
+
+    def test_volume_inertia_oracle(self):
+        # (2/3) int r^2 f 4 pi r^2 dr by quadrature
+        rho = 3.0 / (4.0 * np.pi)
+        oracle = (2.0 / 3.0) * quad(
+            lambda r: r**2 * rho * 4 * np.pi * r**2, 0, 1)[0]
+        assert VOLUME.moment_of_inertia() == pytest.approx(oracle, rel=1e-12)
 
 
 class TestBareSpin:
@@ -235,6 +258,41 @@ class TestOmegaFromSpin:
         vals = GyrationCurve(SHELL).sigma(ws)
         for w, v in zip(ws, vals):
             assert v == pytest.approx(spin_magnitude(SHELL, w), rel=1e-12)
+
+
+class TestMinkowskiInertia:
+    """The rest-frame Minkowski inertia int (||x||^2 g - x (x) x) gamma f:
+    time-time entry int r^2 gamma f, axial entry GyrationCurve.spin_moment."""
+
+    def test_static_shell_blocks(self):
+        # int r^2 f = m R^2; axial block (2/3) m R^2, the moment of inertia
+        assert SHELL.moment(2) == pytest.approx(1.0)
+        assert GyrationCurve(SHELL).spin_moment(0.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert GyrationCurve(SHELL).spin_moment(0.0) == pytest.approx(
+            SHELL.moment_of_inertia(), rel=1e-12)
+
+    def test_contraction_reproduces_spin(self):
+        # the space block I_perp (1 - n n) + I_par n n maps w = |w| n to I_par w
+        w3 = np.array([0.1, 0.2, 0.4])
+        i_par = GyrationCurve(SHELL).spin_moment(np.linalg.norm(w3))
+        np.testing.assert_allclose(bare_spin(SHELL, w3), i_par * w3, rtol=1e-12)
+
+    def test_component_oracle(self):
+        # direct quadrature of the defining integrand for the shell
+        w = 0.6
+
+        def angular(fn):
+            return 0.5 * quad(fn, -1, 1, epsabs=1e-13, epsrel=1e-13)[0]
+
+        gam = lambda mu: 1.0 / np.sqrt(1.0 - w**2 * (1.0 - mu**2))
+        i_par = angular(lambda mu: (1 - mu**2) * gam(mu))        # zz kernel
+        i_time = angular(gam)
+        assert GyrationCurve(SHELL).spin_moment(w) == pytest.approx(i_par, rel=1e-10)
+        assert gyrational_mass(SHELL, w) == pytest.approx(i_time, rel=1e-10)
+
+    def test_superluminal_rejected(self):
+        with pytest.raises(ValueError):
+            bare_spin(SHELL, [0, 0, 1.2])
 
 
 class TestGyrationCurveSamples:

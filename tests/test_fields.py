@@ -22,6 +22,29 @@ FE_SHELL = DensityProfile.shell(-1.0, 1.0)
 FE_VOL = DensityProfile.volume(-1.0, 1.0)
 
 
+def sphere_rule(n_mu=32, n_phi=64):
+    """Unit directions and solid-angle weights (summing to 4 pi): Gauss-
+    Legendre in cos(theta), uniform in phi."""
+    mu, wmu = np.polynomial.legendre.leggauss(n_mu)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    mu, phi = np.meshgrid(mu, phi, indexing="ij")
+    sin = np.sqrt(1.0 - mu**2)
+    dirs = np.stack([sin * np.cos(phi), sin * np.sin(phi), mu], axis=-1).reshape(-1, 3)
+    return dirs, np.repeat(wmu, n_phi) * (2.0 * np.pi / n_phi)
+
+
+def ball_rule(edges, n_r=48):
+    """Points and volume weights on the ball of radius edges[-1], Gauss-
+    Legendre in r on each piece between consecutive edges (so a shell's
+    jump sits on a piece boundary, never on a node)."""
+    x, w = np.polynomial.legendre.leggauss(n_r)
+    r = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(edges, edges[1:])])
+    wr = np.concatenate([0.5 * (b - a) * w for a, b in zip(edges, edges[1:])])
+    dirs, wd = sphere_rule()
+    pts = (r[:, None, None] * dirs[None]).reshape(-1, 3)
+    return pts, np.outer(wr * r**2, wd).ravel()
+
+
 class TestStationaryPotentials:
     def test_shell_coulomb_exterior(self):
         st = stationary_state(FE_SHELL, [0, 0, 0.5])
@@ -129,6 +152,22 @@ class TestFieldEnergy:
         mu2 = float(st.mu @ st.mu)
         tail = 1.0 / (2 * rb) + mu2 / (3 * rb**3)
         assert field_energy(st) == pytest.approx(inner + tail, rel=1e-8)
+
+    def test_radial_grid_matches_closed_form(self):
+        # (1/8 pi) int (|E|^2 + |B|^2) from the vector fields: Gauss nodes
+        # in r inside, in s = R/r outside, and on the sphere
+        st = stationary_state(FE_SHELL, [0, 0, 0.5])
+        dirs, wd = sphere_rule()
+        x, w = np.polynomial.legendre.leggauss(48)
+        r_in, w_in = 0.5 * (x + 1.0), 0.5 * w
+        s_out, w_out = 0.5 * (x + 1.0), 0.5 * w
+        r = np.concatenate([r_in, 1.0 / s_out])
+        wr = np.concatenate([w_in, w_out / s_out**2]) * r**2
+        pts = (r[:, None, None] * dirs[None]).reshape(-1, 3)
+        dens = np.sum(st.E(pts) ** 2 + st.B(pts) ** 2, axis=1) / (8.0 * np.pi)
+        got = float(dens @ np.outer(wr, wd).ravel())
+        assert got == pytest.approx(field_energy(st), rel=1e-6)
+
 
 class TestFieldSpin:
     def test_zero_omega(self):
@@ -246,6 +285,96 @@ class TestExteriorMultipole:
         assert np.linalg.norm(resid) / np.linalg.norm(conv) < 1e-8
         # and the amplitude matches the implementation's alpha at r = 2
         assert coeff == pytest.approx(0.6 * st.alpha(np.array([2.0]))[0], rel=1e-8)
+
+
+class TestComovingFields:
+    """The exterior fields of the state at rest in its own frame: point
+    charge plus point dipole."""
+
+    def test_static_coulomb(self):
+        st = stationary_state(DensityProfile.shell(1.0, 1.0), [0, 0, 0])
+        assert st.phi(2.0)[0] == pytest.approx(0.5)
+        np.testing.assert_allclose(st.A([2.0, 0, 0]), 0.0)
+
+    def test_static_dipole(self):
+        st = stationary_state(DensityProfile.shell(1.0, 1.0), [0, 0, 0.9])
+        mu = st.mu
+        np.testing.assert_allclose(mu, [0.0, 0.0, 0.3], rtol=1e-13)
+        y = np.array([1.0, 2.0, -0.5])
+        np.testing.assert_allclose(st.A(y)[0], np.cross(mu, y) / np.linalg.norm(y) ** 3,
+                                   rtol=1e-13)
+        assert st.phi(np.linalg.norm(y))[0] == pytest.approx(1.0 / np.linalg.norm(y))
+
+
+class TestComplexField3:
+    """Gauss's law for G = E + iB of the stationary state."""
+
+    def test_divergence_free_imaginary_part(self):
+        st = stationary_state(FE_VOL, [0, 0, 0.4])
+        # central differences of step 0.1 on the nodes of [-0.4, 0.4]^3,
+        # well inside the support where B is smooth
+        h = 0.1
+        ax = h * np.arange(-4, 5)
+        x0 = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+        div_b = sum((st.B(x0 + h * e)[:, i] - st.B(x0 - h * e)[:, i]) / (2 * h)
+                    for i, e in enumerate(np.eye(3)))
+        scale = np.max(np.abs(st.B(x0)))
+        assert np.max(np.abs(div_b)) < 2e-2 * scale
+
+    def test_gauss_flux_charge(self):
+        # flux through the faces of the cube [-6, 6]^3
+        st = stationary_state(FE_SHELL, [0, 0, 0.4])
+        L = 6.0
+        x, w = np.polynomial.legendre.leggauss(48)
+        a, b = np.meshgrid(L * x, L * x, indexing="ij")
+        wf = np.outer(L * w, L * w).ravel()
+        flux = {"real": 0.0, "imag": 0.0}
+        for axis in range(3):
+            for side in (-1.0, 1.0):
+                face = np.empty((a.size, 3))
+                face[:, axis] = side * L
+                face[:, [k for k in range(3) if k != axis]] = np.stack(
+                    [a.ravel(), b.ravel()], axis=1)
+                flux["real"] += side * (st.E(face)[:, axis] @ wf)
+                flux["imag"] += side * (st.B(face)[:, axis] @ wf)
+        q = flux["real"] / (4 * np.pi)
+        assert q == pytest.approx(-1.0, rel=1e-3)
+        assert flux["imag"] / (4 * np.pi) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestConservedFunctionals:
+    """Charge, field momentum and field angular momentum of the stationary
+    state as integrals of E and B."""
+
+    def setup_method(self):
+        self.omega = np.array([0.0, 0.0, 0.4])
+        self.st = stationary_state(FE_SHELL, self.omega)
+        self.L = 10.0
+
+    def poynting_integrals(self):
+        pts, wq = ball_rule([0.0, 1.0, self.L])
+        s = np.cross(self.st.E(pts), self.st.B(pts)) / (4.0 * np.pi)
+        return wq @ s, wq @ np.cross(pts, s)
+
+    def test_charge(self):
+        # flux of E through a sphere of radius 3 about an off-centre point
+        centre = np.array([0.5, -0.3, 0.2])
+        dirs, wd = sphere_rule()
+        flux = np.sum(self.st.E(centre + 3.0 * dirs) * dirs, axis=1) @ (9.0 * wd)
+        assert flux / (4 * np.pi) == pytest.approx(-1.0, rel=1e-3)
+
+    def test_momentum_vanishes(self):
+        # azimuthal Poynting field integrates to zero by symmetry
+        scale = field_energy(self.st)
+        p, _ = self.poynting_integrals()
+        np.testing.assert_allclose(p / scale, 0.0, atol=1e-10)
+
+    def test_field_angular_momentum_matches_field_spin(self):
+        s_f = field_spin_poynting(self.st)
+        _, got = self.poynting_integrals()
+        # truncation of the Poynting spin integral outside the ball ~ R/L
+        tail_bound = 1.5 * np.linalg.norm(s_f) * 1.0 / self.L
+        assert np.linalg.norm(got - s_f) < tail_bound
 
 
 class TestExportTables:

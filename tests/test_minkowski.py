@@ -67,6 +67,20 @@ class TestProducts:
         a = rand_vec(rng)
         assert np.max(np.abs(wedge_up(a, a).m)) == 0.0
 
+    def test_wedge_down_basis(self):
+        # the symmetrized product a (x) b + b (x) a
+        t = outer(E[1], E[2]) + outer(E[2], E[1])
+        assert t.m[1, 2] == 1.0 and t.m[2, 1] == 1.0
+        t00 = outer(E[0], E[0]) + outer(E[0], E[0])
+        np.testing.assert_allclose(t00.m, 2.0 * np.outer(E[0].c, E[0].c))
+
+    def test_wedge_sum_identity(self):
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            a, b = rand_vec(rng), rand_vec(rng)
+            lhs = wedge_up(a, b).m + (outer(a, b) + outer(b, a)).m
+            np.testing.assert_allclose(lhs, 2.0 * np.outer(a.c, b.c), atol=1e-12)
+
     def test_outer_action(self):
         rng = np.random.default_rng(2)
         a, b, c = rand_vec(rng), rand_vec(rng), rand_vec(rng)
@@ -114,6 +128,41 @@ class TestCommutators:
         t = Rank2Tensor(rng.normal(size=(4, 4)))
         v = rand_vec(rng)
         assert not np.allclose(t.dot(v).c, v.dot(t).c)
+
+
+def split_space_time(s, u):
+    """(s_perp, s_par, h) = (s + [u (x) u, s]_+, u ^ (s.u), s.u) of an
+    antisymmetric s relative to a unit timelike u; s_perp + s_par = s."""
+    h = s.dot(u)
+    return s + anticommutator(outer(u, u), s), wedge_up(u, h), h
+
+
+class TestSplit:
+    def test_purely_spatial(self):
+        s = wedge_up(E[1], E[2])
+        perp, par, h = split_space_time(s, E[0])
+        np.testing.assert_allclose(perp.m, s.m, atol=1e-15)
+        np.testing.assert_allclose(par.m, 0.0, atol=1e-15)
+        np.testing.assert_allclose(h.c, 0.0, atol=1e-15)
+
+    def test_purely_timelike(self):
+        s = wedge_up(E[0], E[1])
+        perp, par, h = split_space_time(s, E[0])
+        np.testing.assert_allclose(perp.m, 0.0, atol=1e-15)
+        np.testing.assert_allclose(par.m, s.m, atol=1e-15)
+
+    def test_reconstruction_boosted(self):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            a, b = rand_vec(rng), rand_vec(rng)
+            s = wedge_up(a, b)
+            lam = boost_matrix(rng.uniform(-0.5, 0.5, size=3))
+            u = FourVector(lam[:, 0])
+            perp, par, h = split_space_time(s, u)
+            np.testing.assert_allclose(perp.m + par.m, s.m, atol=1e-12)
+            # space-space part annihilates u
+            np.testing.assert_allclose(perp.dot(u).c, 0.0, atol=1e-12)
+            np.testing.assert_allclose(h.c, s.dot(u).c, atol=1e-13)
 
 
 class TestDual:

@@ -13,24 +13,27 @@ mass, bare spin and the spin -> angular-velocity inversion are built from
 these.  For a surface (shell) density the radial
 integral collapses to the closed forms used by the renormalization flow.
 
-Gyration curve.  On a radial rule (r_k, w_k) the bare spin magnitude is
+Gyration curve.  On a radial rule (r_k, w_k) the bare spin magnitude and
+its slope are
 
     sigma(omega)    = sum_k w_k r_k^2 omega K(beta_k),
     d sigma/d omega = sum_k w_k r_k^2 (beta K)'(beta_k),
-    (beta K)'(beta) = 1/(beta^2 (1 - beta^2)) - artanh(beta)/beta^3.
+    (beta K)'(beta) = 2 (1 - K u) / (u (1 + beta^2)),  u = (1 - beta)(1 + beta),
 
-Below beta = 0.3, where the closed forms cancel catastrophically, K and
-(beta K)' are summed from their even series, whose coefficients of
-beta^(2k-2), k >= 1, are 2k/(4k^2 - 1) and 2k/(2k + 1).  All of them are
-positive, so beta K is increasing and convex on [0, 1); for a density
-w_k >= 0 so is sigma on [0, c/R), and K >= K(0) = 2/3 gives
-sigma(omega) >= I omega with I = (2/3) sum_k w_k r_k^2.  Newton's
-iteration for sigma(omega) = s started at min(s/I, omega_cap) therefore
-starts at or above the root, and each tangent step of an increasing
-convex function lands between the root and the previous iterate: the
-iterates decrease monotonically onto the root, with no bracket.
-GyrationCurve does this once per mass profile; every spin map here
-calls it.
+an identity with no cancellation on [0, 1), so one kernel pass gives both.
+Below beta = 0.3, where the closed form of K cancels catastrophically, K
+is summed from its even series, whose coefficients of beta^(2k-2), k >= 1,
+are 2k/(4k^2 - 1); those of (beta K)' are 2k/(2k + 1).  All are positive,
+so beta K is increasing and convex on [0, 1); for a density w_k >= 0 so is
+sigma on [0, c/R), and K >= K(0) = 2/3 gives sigma(omega) >= I omega with
+I = (2/3) sum_k w_k r_k^2.  Newton's first iterate for sigma(omega) = s
+therefore lies at or above the root: cold it is min(s/I, omega_cap), warm
+the tangent step from any guess in [0, omega_cap], which convexity puts at
+or above the root, clamped to omega_cap.  Each later tangent step of an
+increasing convex function lands between the root and the previous
+iterate: the iterates decrease monotonically onto the root, with no
+bracket.  GyrationCurve does this once per mass profile; every spin map
+here calls it.
 """
 
 from __future__ import annotations
@@ -209,11 +212,10 @@ class DensityProfile:
 # angular kernels of rigid relativistic rotation
 # ---------------------------------------------------------------------------
 
-SERIES_BELOW = 0.3   # below this beta the kernels are summed from their series
+SERIES_BELOW = 0.3   # below this beta the kernel is summed from its series
 _K = np.arange(1, 18)
 _EXPONENTS = (_K - 1).astype(float)
 _SPIN_SERIES = 2.0 * _K / (4.0 * _K**2 - 1.0)    # K(beta)
-_SLOPE_SERIES = 2.0 * _K / (2.0 * _K + 1.0)      # (beta K)'(beta)
 
 
 def gamma_kernel(beta):
@@ -225,27 +227,8 @@ def gamma_kernel(beta):
     return out
 
 
-def _even_kernel(beta, closed, coef):
-    """closed(beta), or sum_k coef[k] beta^(2k) where beta < SERIES_BELOW."""
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    small = beta < SERIES_BELOW
-    if not small.any():
-        return closed(beta)
-    if small.all():
-        return np.power.outer(beta * beta, _EXPONENTS) @ coef
-    out = closed(np.where(small, SERIES_BELOW, beta))
-    out[small] = np.power.outer(beta[small] ** 2, _EXPONENTS) @ coef
-    return out
-
-
 def _spin_closed(b):
     return ((1.0 + b**2) / (2.0 * b**3)) * np.arctanh(b) - 1.0 / (2.0 * b**2)
-
-
-def _slope_closed(b):
-    # (1 - b)(1 + b) keeps 1 - b^2 exact to rounding as b -> 1
-    b2 = b * b
-    return 1.0 / (b2 * (1.0 - b) * (1.0 + b)) - np.arctanh(b) / (b2 * b)
 
 
 def spin_kernel(beta):
@@ -255,16 +238,15 @@ def spin_kernel(beta):
     even power series 2/3 + (4/15) b^2 + ... below SERIES_BELOW, where the
     closed form cancels catastrophically.
     """
-    return _even_kernel(beta, _spin_closed, _SPIN_SERIES)
-
-
-def spin_kernel_slope(beta):
-    """d(beta K)/d beta = 1/(b^2 (1 - b^2)) - artanh(b)/b^3.
-
-    Below SERIES_BELOW, the even series 2/3 + (4/5) b^2 + ... with
-    coefficients 2k/(2k+1).
-    """
-    return _even_kernel(beta, _slope_closed, _SLOPE_SERIES)
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    small = beta < SERIES_BELOW
+    if not small.any():
+        return _spin_closed(beta)
+    if small.all():
+        return np.power.outer(beta * beta, _EXPONENTS) @ _SPIN_SERIES
+    out = _spin_closed(np.where(small, SERIES_BELOW, beta))
+    out[small] = np.power.outer(beta[small] ** 2, _EXPONENTS) @ _SPIN_SERIES
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +299,25 @@ class GyrationCurve:
 
     def slope(self, omega):
         """d sigma/d|omega| = sum_k w_k r_k^2 (beta K)'(beta_k)."""
+        return self._sigma_slope(omega)[1]
+
+    def _sigma_slope(self, omega):
+        """(sigma, d sigma/d omega) from one spin_kernel pass; sigma is odd
+        here, so Newton returns from an iterate rounded below zero."""
         beta = self._beta(omega)
-        return spin_kernel_slope(beta.ravel()).reshape(beta.shape) @ self._wr2
+        k = spin_kernel(beta.ravel()).reshape(beta.shape)
+        u = (1.0 - beta) * (1.0 + beta)
+        dk = 2.0 * (1.0 - k * u) / (u * (1.0 + beta * beta))
+        return omega * (k @ self._wr2), dk @ self._wr2
 
     def mass(self, omega):
         """Gyrational mass sum_k w_k artanh(beta_k)/beta_k plus the point part."""
         beta = self._beta(omega)
         return gamma_kernel(beta.ravel()).reshape(beta.shape) @ self._w + self._point
 
-    def omega(self, smag, saturate: bool = False) -> np.ndarray:
-        """|omega| with sigma(|omega|) = smag, elementwise (1-d result).
-
-        Newton from min(s / inertia, cap) decreases monotonically onto the
-        root (module docstring).  A residual above 1e-9 |s| plus the
-        rounding floor eps |omega| sigma' falls back to bisection.
-        """
-        s = np.atleast_1d(np.asarray(smag, dtype=float))
+    def _admit(self, s, saturate=False):
+        """(s, mask of s >= sigma_cap): such s raise ValueError, or are clipped
+        with saturate=True; a NaN raises FloatingPointError."""
         over = s >= self.sigma_cap
         if over.any():
             if not saturate:
@@ -340,19 +325,50 @@ class GyrationCurve:
                     f"|s| = {s.max():g} reaches the gyrational bound "
                     f"{self.sigma_cap:g} at omega R / c = {self.omega_cap * self.fm.R / self.c:g}")
             s = np.minimum(s, self.sigma_cap)
+        if np.isnan(s).any():
+            raise FloatingPointError("spin magnitude is not finite")
+        return s, over
+
+    @staticmethod
+    def _accepts(f, s, w, df):
+        """|residual| <= 1e-9 |s| plus the rounding floor eps |omega| sigma';
+        after the first, iterates only descend, so the last residual bounds
+        the returned one."""
+        return abs(f) <= 1e-9 * s + 16.0 * _EPS * w * df
+
+    def invert(self, s: float, start: float = None) -> float:
+        """|omega| with sigma(|omega|) = s for one float s: Newton on floats,
+        cold or from `start`, any guess in [0, cap] (module docstring), with
+        each iterate clamped to the cap and bisection if `_accepts` fails."""
+        if not s < self.sigma_cap:      # at the cap, or NaN: _admit raises
+            self._admit(np.array([s]))
+        cap = self.omega_cap
+        w = min(s / self.inertia, cap) if start is None else float(start)
+        for _ in range(NEWTON_MAX):
+            sig, df = map(float, self._sigma_slope(w))
+            f = sig - s
+            step = f / df
+            w = min(w - step, cap)
+            if abs(step) <= 1e-13 * w:
+                break
+        if not self._accepts(f, s, w, df):
+            w = float(self._bisect(s))
+        return w
+
+    def omega(self, smag, saturate: bool = False) -> np.ndarray:
+        """|omega| with sigma(|omega|) = smag, elementwise (1-d result): `invert`
+        from a cold start; saturate=True gives the cap for |s| >= sigma_cap."""
+        s, over = self._admit(np.atleast_1d(np.asarray(smag, dtype=float)), saturate)
         w = np.minimum(s / self.inertia, self.omega_cap)
         for _ in range(NEWTON_MAX):
-            f = self.sigma(w) - s
-            df = self.slope(w)
+            sig, df = self._sigma_slope(w)
+            f = sig - s
             step = f / df
-            w = w - step
+            w = np.minimum(w - step, self.omega_cap)
             if (np.abs(step) <= 1e-13 * w).all():
                 break
-        # the last residual bounds the returned one: iterates only descend
-        bad = ~(np.abs(f) <= 1e-9 * s + 16.0 * _EPS * w * df)
+        bad = ~self._accepts(f, s, w, df)
         if bad.any():
-            if not np.isfinite(s[bad]).all():
-                raise FloatingPointError("spin magnitude is not finite")
             w[bad] = self._bisect(s[bad])
         if saturate:
             w[over] = self.omega_cap
@@ -423,5 +439,5 @@ def omega_from_spin(fm: DensityProfile, s3, c: float = 1.0) -> np.ndarray:
     smag = float(np.linalg.norm(s3))
     if smag == 0.0:
         return np.zeros(3)
-    return GyrationCurve(fm, c).omega(smag)[0] * s3 / smag
+    return GyrationCurve(fm, c).invert(smag) * s3 / smag
 

@@ -171,10 +171,10 @@ class GyroSolver:
         self.curve = GyrationCurve(fm, c, OMEGA_CAP)
         # staggered flux coefficients r_{i+1/2}^4 of the conservative
         # discretization (r^4 w')' / r^4 of the radial operator, and the
-        # interior rows' denominators r_i^4 dr
+        # interior rows' denominators r_i^4 dr, full width: no broadcast
         self._r_half4 = (0.5 * (self.r[:-1] + self.r[1:])) ** 4
-        self._flux_coef = self._r_half4[:, None]
-        self._lap_den = (self.r[1:-1] ** 4 * dr)[:, None]
+        self._flux_coef = np.repeat(self._r_half4[:, None], 3, axis=1)
+        self._lap_den = np.repeat((self.r[1:-1] ** 4 * dr)[:, None], 3, axis=1)
 
     # -- grid setup ---------------------------------------------------------
     def _discretize_profile(self, fe: DensityProfile) -> np.ndarray:
@@ -241,11 +241,13 @@ class GyroSolver:
         since omega is the same at every node."""
         return _cross(omega, self.field_spin_support(w)) - self.field_spin_support(pi)
 
-    def omega_of_sb(self, sb: np.ndarray) -> np.ndarray:
+    def omega_of_sb(self, sb: np.ndarray, start: float = None) -> np.ndarray:
+        """omega parallel to sb on the gyration curve; `start` is a guess of
+        |omega| in [0, cap] that warm-starts the inversion."""
         smag = float(np.linalg.norm(sb))
         if smag == 0.0:
             return np.zeros(3)
-        return self.curve.omega(smag)[0] * sb / smag
+        return self.curve.invert(smag, start) * sb / smag
 
     def omega_many(self, sb: np.ndarray) -> np.ndarray:
         """Vectorized spin inversion along a time series (nt, 3), saturated
@@ -355,7 +357,7 @@ class GyroSolver:
 
         # predictor for the half-step gyration vector
         s_half = state.sb + h * self.torque(w0, pi, state.omega)
-        om_half = self.omega_of_sb(s_half)
+        om_half = self.omega_of_sb(s_half, np.linalg.norm(state.omega))
         source = self._source(om_half)
 
         lap = state.lap if state.lap is not None else self._wave(w0)
@@ -371,7 +373,7 @@ class GyroSolver:
         w_mid = 0.5 * (w0[:m] + w[:m])
         sb = state.sb + (dt * _cross(om_half, self.field_spin_support(w_mid))
                          - self.field_spin_support(w[:m] - w0[:m]))
-        omega = self.omega_of_sb(sb)
+        omega = self.omega_of_sb(sb, np.linalg.norm(om_half))
         return GyroEvolutionState(w, pi, sb, omega, state.t + dt, lap)
 
     # -- diagnostics ------------------------------------------------------------

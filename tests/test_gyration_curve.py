@@ -1,23 +1,21 @@
 """Oracle tests of the gyration curve: closed forms evaluated in mpmath,
-branch continuity of the kernels, inversion round trips and the
-inverse's cap, saturation and fallback paths."""
+branch continuity of the kernel and of the slope, inversion round trips,
+the warm-started inverse against the cold one, and the inverse's cap,
+saturation and fallback paths."""
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ledlab import bare_particle
-from ledlab.bare_particle import (
-    SERIES_BELOW,
-    DensityProfile,
-    GyrationCurve,
-    spin_kernel,
-    spin_kernel_slope,
-)
+from ledlab.bare_particle import SERIES_BELOW, DensityProfile, GyrationCurve, spin_kernel
 
 MASS = 2.0
 SHELL = DensityProfile.shell(MASS, 1.0)
 VOLUME = DensityProfile.volume(MASS, 1.0)
+# on a unit shell (m = R = c = 1) sigma' = m R^2 (beta K)' is (beta K)' at beta = omega
+UNIT_SLOPE = GyrationCurve(DensityProfile.shell(1.0, 1.0)).slope
 EDGE_BETAS = [0.01, 0.1, 0.29, np.nextafter(SERIES_BELOW, 0.0), SERIES_BELOW,
               0.3000001, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-10]
 
@@ -42,9 +40,9 @@ class TestKernels:
     @pytest.mark.parametrize("beta", EDGE_BETAS)
     def test_slope_against_mpmath_derivative(self, beta):
         expect = mp.diff(beta_k, mp.mpf(float(beta)))
-        assert spin_kernel_slope(beta)[0] == pytest.approx(float(expect), rel=1e-13)
+        assert UNIT_SLOPE(beta) == pytest.approx(float(expect), rel=1e-13)
 
-    @pytest.mark.parametrize("kernel", [spin_kernel, spin_kernel_slope])
+    @pytest.mark.parametrize("kernel", [spin_kernel, UNIT_SLOPE], ids=["spin_kernel", "slope"])
     def test_continuous_across_series_switch(self, kernel):
         below = np.nextafter(SERIES_BELOW, 0.0)
         above = np.nextafter(SERIES_BELOW, 1.0)
@@ -54,15 +52,15 @@ class TestKernels:
 
     def test_mixed_array_matches_elementwise(self):
         betas = np.array([0.05, 0.35, 0.0, 0.8, 0.299])
-        for kernel in (spin_kernel, spin_kernel_slope):
-            each = np.array([kernel(b)[0] for b in betas])
+        for kernel in (spin_kernel, UNIT_SLOPE):
+            each = np.array([kernel(np.array([b]))[0] for b in betas])
             np.testing.assert_allclose(kernel(betas), each, rtol=1e-15)
 
     def test_series_coefficients(self):
         # the first terms 2/3 + (4/15) b^2 and 2/3 + (4/5) b^2
         b = 1e-4
         assert spin_kernel(b)[0] == pytest.approx(2 / 3 + 4 / 15 * b**2, rel=1e-16)
-        assert spin_kernel_slope(b)[0] == pytest.approx(2 / 3 + 4 / 5 * b**2, rel=1e-16)
+        assert UNIT_SLOPE(b) == pytest.approx(2 / 3 + 4 / 5 * b**2, rel=1e-16)
 
 
 class TestCurve:
@@ -145,6 +143,21 @@ class TestInverse:
             calls.clear()
             assert curve.omega(s)[0] == pytest.approx(w, rel=1e-14)
             assert len(calls) <= 5
+
+    @pytest.mark.parametrize("fm", [SHELL, VOLUME], ids=["shell", "volume"])
+    @settings(max_examples=300, deadline=None)
+    @given(frac=st.floats(1e-300, 1.0, exclude_max=True), guess=st.floats(0.0, 1.0))
+    def test_warm_start_matches_cold_root(self, fm, frac, guess):
+        # any start in [0, cap]: the first tangent step, clamped to the cap,
+        # lies at or above the root, and Newton descends from there.  Below
+        # 1e-300 sigma_cap the root nears the subnormals, where a relative
+        # bound cannot hold for any method.
+        curve = GyrationCurve(fm)
+        s = frac * curve.sigma_cap
+        cold = curve.omega(s)[0]
+        w = curve.invert(s, guess * curve.omega_cap)
+        assert w == pytest.approx(cold, rel=1e-14, abs=0.0)
+        assert abs(curve.sigma(w) - s) <= 16 * np.finfo(float).eps * w * curve.slope(w)
 
     def test_bisection_fallback(self, monkeypatch):
         # one Newton step cannot reach the residual test; bisection can

@@ -3,8 +3,9 @@ gyration curve along a run, the support-spin invariant, the discrete
 stationary fixed point, the CFL guard, the stationary operator bands, the
 spin coupling on a tilted axis against node-by-node sums, the laplacian
 against a node loop, the support-sliced stepper against a full-grid one,
-Picard against the stepper, round-off verdicts of the relax run and a
-recorded relax time series."""
+Picard against the stepper, round-off verdicts of the relax run, a
+recorded relax time series, and the kernel passes and rejections of the
+warm-started spin inversion."""
 
 import csv
 import dataclasses
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from ledlab import cli
+from ledlab import bare_particle, cli
 from ledlab.bare_particle import DensityProfile
 from ledlab.gyrodynamics import CFLError, GyroEvolutionState, GyroSolver
 
@@ -81,7 +82,9 @@ def node_loop_laplacian(solver, w):
 def full_grid_run(s, state, horizon):
     """The stepper with every coupling over the whole grid: the source added
     and the spin weights summed on all n nodes, two laplacians per step and
-    np.cross.  Returns the histories GyroSolver.run records."""
+    np.cross; the spin inversions take the stepper's warm starts, |omega| of
+    the state and then |omega_half|.  Returns the histories GyroSolver.run
+    records."""
     c, dr, r = s.c, s.dr, s.r
     dt = s.cfl_dt()
     spin_weights = s.fe_nodes * 4.0 * np.pi * r**2 * dr * r**2
@@ -104,14 +107,15 @@ def full_grid_run(s, state, horizon):
     for step in range(int(np.ceil(horizon / dt)) + 1):
         if step:
             w0, pi = w, pi.copy()
-            om_half = s.omega_of_sb(sb + 0.5 * dt * (np.cross(omega, se(w0)) - se(pi)))
+            om_half = s.omega_of_sb(sb + 0.5 * dt * (np.cross(omega, se(w0)) - se(pi)),
+                                    np.linalg.norm(omega))
             pi[:-1] += 0.5 * dt * accel(w0, om_half)[:-1]
             s._boundary_kick(w0, pi, 0.5 * dt)
             w = w0 + dt * pi
             pi[:-1] += 0.5 * dt * accel(w, om_half)[:-1]
             s._boundary_kick(w, pi, 0.5 * dt)
             sb = sb + (dt * np.cross(om_half, se(0.5 * (w0 + w))) - se(w - w0))
-            omega = s.omega_of_sb(sb)
+            omega = s.omega_of_sb(sb, np.linalg.norm(om_half))
             t = t + dt
         for key, value in (("t", t), ("omega", omega), ("sb", sb), ("se", se(w)),
                            ("W_b", s.curve.mass(np.linalg.norm(omega)) * c**2),
@@ -170,6 +174,33 @@ class TestStepper:
         with pytest.raises(ValueError, match="support radius"):
             GyroSolver(FE, FM, r_max=1.0)
         GyroSolver(FE, FM, r_max=1.05)
+
+    @pytest.mark.parametrize("start", [None, 0.3])
+    def test_inversion_rejects_nan_and_spins_at_the_cap(self, solver, start):
+        with pytest.raises(FloatingPointError):
+            solver.omega_of_sb(np.array([0.0, np.nan, 0.5]), start)
+        at_cap = solver.curve.sigma_cap
+        with pytest.raises(ValueError, match="gyrational bound"):
+            solver.omega_of_sb(np.array([0.0, 0.0, at_cap]), start)
+        with pytest.raises(ValueError, match="gyrational bound"):
+            solver.omega_of_sb(np.array([0.0, 0.0, np.inf]), start)
+
+    def test_warm_started_step_inversions_average_at_most_3_5_kernel_calls(self, monkeypatch):
+        # 5 R/c of the perturbed shell at the default grid; each step starts
+        # its two inversions from |omega| and |omega_half|, close to the roots
+        s = GyroSolver(FE, FM)
+        state = s.make_state(np.array([0.0, 0.0, 0.3]), scale=0.5)
+        s.curve.sigma_cap
+        calls = []
+        kernel = bare_particle.spin_kernel
+        monkeypatch.setattr(bare_particle, "spin_kernel",
+                            lambda b: calls.append(1) or kernel(b))
+        dt = s.cfl_dt()
+        steps = int(np.ceil(5.0 / dt))
+        for _ in range(steps):
+            state = s.step(state, dt)
+        assert np.linalg.norm(state.omega) != 0.3
+        assert len(calls) <= 3.5 * 2 * steps
 
     def test_cap_is_hard_in_the_stepper_and_saturates_histories(self, solver):
         sb = np.array([[0.0, 0.0, 0.5], [0.0, 6.0, 8.0]])   # |s| = 10 is beyond the cap
@@ -305,7 +336,7 @@ class TestRelaxRun:
         head, new = load(tmp_path / "timeseries.csv")
         assert head == head_ref and new.shape == ref.shape
         for j, name in enumerate(head):
-            tol = 1e-10 * np.max(np.abs(ref[:, j]))
+            tol = 1e-12 * np.max(np.abs(ref[:, j]))
             assert np.max(np.abs(new[:, j] - ref[:, j])) <= tol, name
 
     def test_unperturbed_run_has_nothing_to_fit_or_normalize(self, tmp_path):

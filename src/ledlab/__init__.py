@@ -7,6 +7,7 @@ Library layers:
   forces         Minkowski force/torque, Nodvik mass, pseudo-inertia
   gyrodynamics   fixed-center field-particle evolution and Picard iteration
   renormflow     stationary renormalization flow to vanishing bare mass
+  roots          bracketed scalar root (Brent's method)
   admissibility  Nodvik/Abraham initial-data classifiers
   cli            command-line front end
 """

@@ -38,7 +38,7 @@ here calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,149 +50,75 @@ import numpy as np
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Spherically symmetric radial measure with compact support [0, R].
+    """Spherically symmetric radial measure with compact support [0, R]:
+    a uniform shell of radius R or a uniform ball (kind 'volume').
 
-    kind            'shell' | 'volume' | 'custom'
-    total           integral of the measure (m_b for mass, -e for charge)
-    R               support radius
-    point_fraction  fraction of `total` sitting as a point at the origin
-                    (mass profiles only; must be < 1 so the moment of
-                    inertia stays strictly positive)
-    table           (r, f(r)) arrays for kind='custom', trapezoid-integrated
+    kind   'shell' | 'volume'
+    total  integral of the measure (m_b for mass, -e for charge)
+    R      support radius
     """
 
     kind: str
     total: float
     R: float
-    point_fraction: float = 0.0
-    table: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("shell", "volume", "custom"):
+        if self.kind not in ("shell", "volume"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.R <= 0:
             raise ValueError("R must be positive")
-        if not (0.0 <= self.point_fraction < 1.0):
-            raise ValueError("point_fraction must lie in [0, 1): a complete "
-                             "point mass has no moment of inertia")
-        if self.kind == "custom" and self.table is None:
-            raise ValueError("custom profile needs a radial table")
 
     # -- constructors ---------------------------------------------------
     @staticmethod
-    def shell(total: float, R: float, point_fraction: float = 0.0) -> "DensityProfile":
-        return DensityProfile("shell", total, R, point_fraction)
+    def shell(total: float, R: float) -> "DensityProfile":
+        return DensityProfile("shell", total, R)
 
     @staticmethod
-    def volume(total: float, R: float, point_fraction: float = 0.0) -> "DensityProfile":
-        return DensityProfile("volume", total, R, point_fraction)
+    def volume(total: float, R: float) -> "DensityProfile":
+        return DensityProfile("volume", total, R)
 
-    @staticmethod
-    def from_table(r, f, point_fraction: float = 0.0) -> "DensityProfile":
-        """Radial table (r, f(r)); the total is its trapezoid integral."""
-        r = np.asarray(r, dtype=float)
-        f = np.asarray(f, dtype=float)
-        if r.ndim != 1 or r.shape != f.shape or len(r) < 2:
-            raise ValueError("table needs matching 1-d r and f arrays")
-        if r[0] < 0 or np.any(np.diff(r) <= 0):
-            raise ValueError("table radii must be increasing and nonnegative")
-        spread = float(np.trapezoid(f * 4.0 * np.pi * r**2, r))
-        total = spread / (1.0 - point_fraction)
-        rr = r.copy(); rr.flags.writeable = False
-        ff = f.copy(); ff.flags.writeable = False
-        return DensityProfile("custom", total, float(r[-1]), point_fraction,
-                              table=(rr, ff))
-
-    @staticmethod
-    def load_table(path, point_fraction: float = 0.0) -> "DensityProfile":
-        """Two-column text table (r, density)."""
-        data = np.loadtxt(path)
-        return DensityProfile.from_table(data[:, 0], data[:, 1], point_fraction)
-
-    # -- radial quadrature -----------------------------------------------
-    @property
-    def spread_total(self) -> float:
-        """Mass/charge carried by the extended (non-point) part."""
-        return self.total * (1.0 - self.point_fraction)
-
+    # -- radial integrals -------------------------------------------------
     def radial_rule(self, order: int = 64):
-        """Nodes and weights with sum_k w_k g(r_k) ~ int g(r) f(r) 4 pi r^2 dr.
-
-        The point-mass fraction is not included (its r = 0 location
-        contributes nothing to any r-weighted kernel with kernel(0)
-        finite handled separately by the callers that need it).
-        """
+        """Nodes and weights with sum_k w_k g(r_k) ~ int g(r) f(r) 4 pi r^2 dr:
+        the one node R for a shell, Gauss-Legendre on [0, R] for a ball."""
         if self.kind == "shell":
-            return np.array([self.R]), np.array([self.spread_total])
-        if self.kind == "volume":
-            x, w = np.polynomial.legendre.leggauss(order)
-            r = 0.5 * self.R * (x + 1.0)
-            wr = 0.5 * self.R * w
-            dens = self.spread_total * 3.0 / (4.0 * np.pi * self.R**3)
-            return r, wr * dens * 4.0 * np.pi * r**2
-        r, f = self.table
-        scale = self.spread_total / max(
-            float(np.trapezoid(f * 4.0 * np.pi * r**2, r)), np.finfo(float).tiny)
-        w = np.zeros_like(r)
-        dr = np.diff(r)
-        w[:-1] += 0.5 * dr
-        w[1:] += 0.5 * dr
-        return r.copy(), w * f * 4.0 * np.pi * r**2 * scale
+            return np.array([self.R]), np.array([self.total])
+        x, w = np.polynomial.legendre.leggauss(order)
+        r = 0.5 * self.R * (x + 1.0)
+        wr = 0.5 * self.R * w
+        dens = self.total * 3.0 / (4.0 * np.pi * self.R**3)
+        return r, wr * dens * 4.0 * np.pi * r**2
 
-    def radial_integral(self, kernel, order: int = 64, include_point: bool = True) -> float:
-        """int kernel(r) f(r) 4 pi r^2 d r, plus the point part kernel(0)."""
-        r, w = self.radial_rule(order)
-        out = float(w @ kernel(r))
-        if include_point and self.point_fraction:
-            out += self.total * self.point_fraction * float(kernel(np.zeros(1))[0])
-        return out
+    def radial_integral(self, kernel) -> float:
+        """int kernel(r) f(r) 4 pi r^2 dr on the radial rule."""
+        r, w = self.radial_rule()
+        return float(w @ kernel(r))
 
-    def moment(self, n: int, order: int = 64) -> float:
-        """int r^n f(r) 4 pi r^2 dr (point part contributes only to n=0)."""
+    def moment(self, n: int) -> float:
+        """int r^n f(r) 4 pi r^2 dr."""
         if self.kind == "shell":
-            base = self.spread_total * self.R**n
-        elif self.kind == "volume":
-            base = self.spread_total * 3.0 / (n + 3.0) * self.R**n
-        else:
-            base = self.radial_integral(lambda r: r**n, order, include_point=False)
-        if n == 0:
-            base += self.total * self.point_fraction
-        return base
+            return self.total * self.R**n
+        return self.total * 3.0 / (n + 3.0) * self.R**n
 
-    def moment_of_inertia(self) -> float:
-        """Non-relativistic principal moment (2/3) int r^2 f d^3x."""
-        return (2.0 / 3.0) * self.moment(2)
+    def surface_step(self, r, inside, outside) -> np.ndarray:
+        """`inside` below R and `outside` above it.  Points within rounding
+        distance 1e-12 R of the surface take the midpoint value, the
+        distributional value of a shell's jump on its support."""
+        band = 1e-12 * self.R
+        return np.where(r < self.R - band, inside,
+                        np.where(r > self.R + band, outside, 0.5 * (inside + outside)))
 
     def enclosed(self, r) -> np.ndarray:
-        """Cumulative integral of the measure up to radius r.
-
-        At a surface jump the midpoint convention is used: enclosed(R) for
-        a shell is the point part plus half the shell (the distributional
-        value relevant for fields evaluated on the support).
-        """
+        """Cumulative integral of the measure up to radius r, midpoint-valued
+        on a shell (surface_step)."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        pt = self.total * self.point_fraction
-        s = self.spread_total
         if self.kind == "shell":
-            # points within rounding distance of the surface take the
-            # midpoint (distributional) value
-            band = 1e-12 * self.R
-            out = np.where(r < self.R - band, 0.0,
-                           np.where(r > self.R + band, s, 0.5 * s))
-        elif self.kind == "volume":
-            out = s * np.clip(r / self.R, 0.0, 1.0) ** 3
-        else:
-            rt, f = self.table
-            integrand = f * 4.0 * np.pi * rt**2
-            cum = np.concatenate([[0.0], np.cumsum(
-                0.5 * (integrand[1:] + integrand[:-1]) * np.diff(rt))])
-            cum *= s / cum[-1] if cum[-1] != 0 else 1.0
-            out = np.interp(r, rt, cum, left=0.0, right=s)
-        return out + pt
+            return self.surface_step(r, 0.0, self.total)
+        return self.total * np.clip(r / self.R, 0.0, 1.0) ** 3
 
     def support_rule(self, order_r: int = 24, order_theta: int = 48, order_phi: int = 24):
         """3-d product rule: points (N,3) and weights with
-        sum w_k g(x_k) ~ int g(x) f(|x|) d^3x  (extended part only)."""
+        sum w_k g(x_k) ~ int g(x) f(|x|) d^3x."""
         r, wr = self.radial_rule(order_r)
         mu, wmu = np.polynomial.legendre.leggauss(order_theta)
         phi = 2.0 * np.pi * np.arange(order_phi) / order_phi
@@ -277,7 +203,6 @@ class GyrationCurve:
         self._r_c = r / c
         self._w = w
         self._wr2 = w * r**2
-        self._point = fm.total * fm.point_fraction
         self.inertia = (2.0 / 3.0) * float(np.sum(self._wr2))
         self.omega_cap = omega_cap * c / fm.R
 
@@ -297,13 +222,10 @@ class GyrationCurve:
         """|s_b|(|omega|), with the shape of omega."""
         return np.abs(omega) * self.spin_moment(omega)
 
-    def slope(self, omega):
-        """d sigma/d|omega| = sum_k w_k r_k^2 (beta K)'(beta_k)."""
-        return self._sigma_slope(omega)[1]
-
-    def _sigma_slope(self, omega):
-        """(sigma, d sigma/d omega) from one spin_kernel pass; sigma is odd
-        here, so Newton returns from an iterate rounded below zero."""
+    def sigma_slope(self, omega):
+        """(sigma, d sigma/d omega) from one spin_kernel pass, the slope
+        sum_k w_k r_k^2 (beta K)'(beta_k); sigma is odd here, so Newton
+        returns from an iterate rounded below zero."""
         beta = self._beta(omega)
         k = spin_kernel(beta.ravel()).reshape(beta.shape)
         u = (1.0 - beta) * (1.0 + beta)
@@ -311,9 +233,9 @@ class GyrationCurve:
         return omega * (k @ self._wr2), dk @ self._wr2
 
     def mass(self, omega):
-        """Gyrational mass sum_k w_k artanh(beta_k)/beta_k plus the point part."""
+        """Gyrational mass sum_k w_k artanh(beta_k)/beta_k."""
         beta = self._beta(omega)
-        return gamma_kernel(beta.ravel()).reshape(beta.shape) @ self._w + self._point
+        return gamma_kernel(beta.ravel()).reshape(beta.shape) @ self._w
 
     def _admit(self, s, saturate=False):
         """(s, mask of s >= sigma_cap): such s raise ValueError, or are clipped
@@ -345,7 +267,7 @@ class GyrationCurve:
         cap = self.omega_cap
         w = min(s / self.inertia, cap) if start is None else float(start)
         for _ in range(NEWTON_MAX):
-            sig, df = map(float, self._sigma_slope(w))
+            sig, df = map(float, self.sigma_slope(w))
             f = sig - s
             step = f / df
             w = min(w - step, cap)
@@ -361,7 +283,7 @@ class GyrationCurve:
         s, over = self._admit(np.atleast_1d(np.asarray(smag, dtype=float)), saturate)
         w = np.minimum(s / self.inertia, self.omega_cap)
         for _ in range(NEWTON_MAX):
-            sig, df = self._sigma_slope(w)
+            sig, df = self.sigma_slope(w)
             f = sig - s
             step = f / df
             w = np.minimum(w - step, self.omega_cap)

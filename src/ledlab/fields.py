@@ -8,7 +8,9 @@ potential plus a purely l=1 toroidal vector potential
 
 so every stationary functional (energy, magnetic moment, field spin in
 both its potential and Poynting representations) reduces to radial
-integrals; outside the support the fields are exactly point charge plus
+integrals.  For the two profiles, a shell and a uniform ball, the inner
+integrals int f s^4 and int f s are closed forms, and so is the field
+energy; outside the support the fields are exactly point charge plus
 point dipole.  Gaussian units with c explicit.
 """
 
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, simpson
 
 from .bare_particle import DensityProfile
 from .minkowski import METRIC, Rank2Tensor, trace
@@ -35,34 +36,18 @@ def _p4(fe: DensityProfile, r):
     """int_0^r f s^4 ds, midpoint-valued at surface jumps."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if fe.kind == "shell":
-        dens = fe.total / (4.0 * np.pi * fe.R**2) * fe.R**4
-        band = 1e-12 * fe.R
-        return np.where(r < fe.R - band, 0.0,
-                        np.where(r > fe.R + band, dens, 0.5 * dens))
-    if fe.kind == "volume":
-        rho = fe.total * 3.0 / (4.0 * np.pi * fe.R**3)
-        return rho * np.minimum(r, fe.R) ** 5 / 5.0
-    rt, f = fe.table
-    integ = f * rt**4
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (integ[1:] + integ[:-1]) * np.diff(rt))])
-    return np.interp(r, rt, cum, left=0.0, right=cum[-1])
+        return fe.surface_step(r, 0.0, fe.total / (4.0 * np.pi * fe.R**2) * fe.R**4)
+    rho = fe.total * 3.0 / (4.0 * np.pi * fe.R**3)
+    return rho * np.minimum(r, fe.R) ** 5 / 5.0
 
 
 def _q1(fe: DensityProfile, r):
     """int_r^R f s ds, midpoint-valued at surface jumps."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if fe.kind == "shell":
-        dens = fe.total / (4.0 * np.pi * fe.R**2) * fe.R
-        band = 1e-12 * fe.R
-        return np.where(r < fe.R - band, dens,
-                        np.where(r > fe.R + band, 0.0, 0.5 * dens))
-    if fe.kind == "volume":
-        rho = fe.total * 3.0 / (4.0 * np.pi * fe.R**3)
-        return rho * (fe.R**2 - np.minimum(r, fe.R) ** 2) / 2.0
-    rt, f = fe.table
-    integ = f * rt
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (integ[1:] + integ[:-1]) * np.diff(rt))])
-    return np.interp(r, rt, cum[-1] - cum, left=cum[-1], right=0.0)
+        return fe.surface_step(r, fe.total / (4.0 * np.pi * fe.R**2) * fe.R, 0.0)
+    rho = fe.total * 3.0 / (4.0 * np.pi * fe.R**3)
+    return rho * (fe.R**2 - np.minimum(r, fe.R) ** 2) / 2.0
 
 
 def toroidal_alpha(fe: DensityProfile, r) -> np.ndarray:
@@ -105,8 +90,6 @@ class StationaryState:
         om = np.asarray(self.omega3, dtype=float)
         if np.linalg.norm(om) * self.fe.R >= self.c:
             raise ValueError("superluminal equatorial speed")
-        if self.fe.point_fraction != 0.0:
-            raise ValueError("charge profiles admit no point charge")
         object.__setattr__(self, "omega3", om)
 
     # radial scalar models ------------------------------------------------
@@ -210,39 +193,20 @@ def magnetic_moment(fe: DensityProfile, omega3, c: float = 1.0) -> np.ndarray:
 
 
 def field_energy(st: StationaryState) -> float:
-    """(1/8 pi) int (|E|^2 + |B|^2): closed form for a shell, radial
-    quadrature plus the exact exterior monopole + dipole tail otherwise."""
-    e = -st.fe.total
+    """(1/8 pi) int (|E|^2 + |B|^2), in closed form with beta = |omega| R / c:
+    (1/2)(e^2/R)(1 + (2/9) beta^2) for a shell, (3/5)(e^2/R)(1 + (2/21) beta^2)
+    for a uniform ball (its inner integrands are polynomials in r)."""
+    e2 = st.fe.total**2
     R = st.fe.R
     beta = np.linalg.norm(st.omega3) * R / st.c
     if st.fe.kind == "shell":
-        return 0.5 * (e**2 / R) * (1.0 + (2.0 / 9.0) * beta**2)
-
-    w2 = float(st.omega3 @ st.omega3)
-
-    def e_dens(r):
-        return 0.5 * st.e_radial(r) ** 2 * r**2
-
-    def b_dens(r):
-        # angular average of |B|^2 over the sphere of radius r
-        a = st.alpha(r)
-        ap = st.alpha_prime(r)
-        mean_b2 = w2 * (4.0 * a**2 + (8.0 * r / 3.0) * a * ap + (2.0 / 3.0) * r**2 * ap**2)
-        return 0.5 * mean_b2 * r**2
-
-    inner_e = quad(lambda r: e_dens(np.array([r]))[0], 0.0, R,
-                   epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-    inner_b = quad(lambda r: b_dens(np.array([r]))[0], 0.0, R,
-                   epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-    # exterior: exact point charge + point dipole
-    mu2 = float(st.mu @ st.mu)
-    tail = st.fe.total**2 / (2.0 * R) + mu2 / (3.0 * R**3)
-    return inner_e + inner_b + tail
+        return 0.5 * (e2 / R) * (1.0 + (2.0 / 9.0) * beta**2)
+    return 0.6 * (e2 / R) * (1.0 + (2.0 / 21.0) * beta**2)
 
 
 def field_spin_potential(st: StationaryState) -> np.ndarray:
     """(1/c) int x cross A f d^3x = (2/3c) int alpha r^2 f d^3x omega."""
-    coeff = st.fe.radial_integral(lambda r: st.alpha(r) * r**2, include_point=False)
+    coeff = st.fe.radial_integral(lambda r: st.alpha(r) * r**2)
     return (2.0 / (3.0 * st.c)) * coeff * st.omega3
 
 
@@ -264,13 +228,20 @@ def field_spin_poynting(st: StationaryState, n_grid: int = 2000,
         ap = st.alpha_prime(r)
         return st.e_radial(r) * (2.0 * a + r * ap) * r**3
 
+    def simpson(r):
+        """Composite Simpson rule of the integrand on an odd number of
+        equally spaced nodes r."""
+        y = integrand(r)
+        return (r[1] - r[0]) / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum()
+                                      + 2.0 * y[2:-1:2].sum())
+
     # each piece on an odd node count, stopped 1e-10 R short of the support
     # edge, outside the rounding band where shell fields jump
     nudge = 1e-10
     n_half = max(n_grid // 2, 8) | 1
     r1 = np.linspace(0.0, R * (1.0 - nudge), n_half)
     r2 = np.linspace(R * (1.0 + nudge), rb, n_half)
-    radial = simpson(integrand(r1), x=r1) + simpson(integrand(r2), x=r2)
+    radial = simpson(r1) + simpson(r2)
     inner = -(2.0 / (3.0 * st.c)) * radial
     # exterior tail: E_r = q/r^2, (2a + r a') = -kappa/r^3 with mu = kappa w
     q = st.fe.total

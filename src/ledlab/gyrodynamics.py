@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .bare_particle import (
     DensityProfile,
@@ -41,6 +40,7 @@ from .bare_particle import (
     bare_spin,
     gyrational_mass,  # noqa: F401  (perfbench's tracer tests rebind it in this namespace)
 )
+from .roots import bracketed_root
 
 
 @dataclass(frozen=True)
@@ -183,11 +183,7 @@ class GyroSolver:
             i = int(round(fe.R / self.dr))
             f[i] = fe.total / (4.0 * np.pi * fe.R**2 * self.dr)
             return f
-        if fe.kind == "volume":
-            f[self.r <= fe.R] = fe.total * 3.0 / (4.0 * np.pi * fe.R**3)
-        else:
-            rt, ft = fe.table
-            f = np.interp(self.r, rt, ft, left=ft[0], right=0.0)
+        f[self.r <= fe.R] = fe.total * 3.0 / (4.0 * np.pi * fe.R**3)
         # normalize the trapezoid mass on the grid to the exact total
         mass = np.sum(f * 4.0 * np.pi * self.r**2 * self.dr)
         if mass != 0:
@@ -263,27 +259,27 @@ class GyroSolver:
     # -- initial data -----------------------------------------------------------
     def stationary_profile(self, omega: np.ndarray) -> np.ndarray:
         """Discrete stationary solution of the radial BVP (exact fixed
-        point of the discretized dynamics at the matching spin)."""
-        n, dr, r = self.n, self.dr, self.r
-        rh4 = self._r_half4
-        lower = np.zeros(n)
-        diag = np.zeros(n)
-        upper = np.zeros(n)
-        rhs_scalar = -(4.0 * np.pi / self.c) * self.fe_nodes
-        diag[0] = -10.0 / dr**2
-        upper[1] = 10.0 / dr**2
-        # rows 1 .. n-2; float_power rounds like the scalar r[i] ** 4 (libm
-        # pow), so the bands equal a node-by-node assembly bit for bit
-        scale = np.float_power(r[1:-1], 4) * dr**2
-        lower[:-2] = rh4[:-1] / scale
-        diag[1:-1] = -(rh4[1:] + rh4[:-1]) / scale
-        upper[2:] = rh4[1:] / scale
-        # static outgoing residue: d_r (r^2 w) + r^2 w / r = 0 one-sided
+        point of the discretized dynamics at the matching spin).
+
+        The rows of laplacian(w) = -(4 pi / c) f_e are solved in flux form,
+        F_i = r_{i+1/2}^4 (w_{i+1} - w_i) / dr: the origin row fixes F_0, and
+        interior row i fixes F_i - F_{i-1} = -(4 pi / c) f_e r_i^4 dr, so the
+        fluxes are one cumulative sum.  The static outgoing residue
+        d_r (r^2 w) + r w = 0 (one-sided) and the last difference fix the
+        outer node, and the differences summed back from it give the rest.
+        """
+        dr, r = self.dr, self.r
+        rhs = -(4.0 * np.pi / self.c) * self.fe_nodes
+        flux = rhs[:-1] * r[:-1] ** 4 * dr
+        flux[0] = self._r_half4[0] * rhs[0] * dr / 10.0
+        diff = np.cumsum(flux) * dr / self._r_half4
+        # r_n^2 (1/dr + 1/r_n) w_n - (r_m^2/dr)(w_n - diff[-1]) = 0, with
+        # r_n^2 - r_m^2 factored so that it does not cancel
         rn, rm = r[-1], r[-2]
-        diag[-1] = rn**2 * (1.0 / dr + 1.0 / rn)
-        lower[-2] = -(rm**2) / dr
-        rhs_scalar[-1] = 0.0
-        shape = solve_banded((1, 1), np.array([upper, diag, lower]), rhs_scalar)
+        outer = -(rm**2) * diff[-1] / ((rn - rm) * (rn + rm) + rn * dr)
+        shape = np.empty(self.n)
+        shape[-1] = outer
+        shape[-2::-1] = outer - np.cumsum(diff[::-1])
         return shape[:, None] * np.asarray(omega, dtype=float)[None, :]
 
     def make_state(self, omega3, scale: float = 1.0) -> GyroEvolutionState:
@@ -446,8 +442,6 @@ class GyroSolver:
         gyration speed solves sigma(w) + kappa w = |s_b + s_e|(0) with
         kappa the field-spin coefficient of the discrete stationary mode.
         """
-        from scipy.optimize import brentq
-
         shape = self.stationary_profile(np.array([0.0, 0.0, 1.0]))
         kappa = float(self.field_spin_support(shape)[2])
         s_tot = float(np.linalg.norm(state.sb + self.field_spin_support(state.w)))
@@ -458,7 +452,7 @@ class GyroSolver:
 
         if s_tot == 0.0:
             return 0.0
-        return brentq(f, 0.0, cap, xtol=4.0 * _EPS * cap, rtol=4.0 * _EPS)
+        return bracketed_root(f, 0.0, cap, xtol=4.0 * _EPS * cap, rtol=4.0 * _EPS)
 
     def run_to_stationary(self, state: GyroEvolutionState, horizon: float,
                           dt: float = None) -> tuple:
@@ -551,8 +545,6 @@ class GyroSolver:
         geometrically, after a transient whose length scales with
         horizon * c / dr (the norm of the discrete spatial operator).
         """
-        from scipy.integrate import cumulative_trapezoid
-
         if dt is None:
             dt = self.cfl_dt()
         nt = int(np.ceil(horizon / dt))
@@ -562,8 +554,14 @@ class GyroSolver:
         pi = np.repeat(state.pi[None], nt + 1, axis=0)
         sb = np.repeat(state.sb[None], nt + 1, axis=0)
 
+        steps = np.diff(times)
+
         def cumint(f):
-            return cumulative_trapezoid(f, times, axis=0, initial=0.0)
+            """Trapezoid integral from t = 0 over the time grid (axis 0)."""
+            out = np.zeros_like(f)
+            h = steps.reshape((-1,) + (1,) * (f.ndim - 1))
+            np.cumsum(h * (f[1:] + f[:-1]) / 2.0, axis=0, out=out[1:])
+            return out
 
         gaps = []       # per iteration: sup gaps of w, pi and sb
         converged = False

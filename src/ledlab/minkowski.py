@@ -106,16 +106,6 @@ class FourVector:
             return FourVector((METRIC @ self.c) @ other.m)
         raise TypeError(type(other))
 
-    def norm2(self) -> float:
-        """Minkowski square v.v (negative for timelike vectors)."""
-        return inner(self, self)
-
-    def classify(self, tol: float = DEFAULT_TOL) -> str:
-        n2 = self.norm2()
-        if abs(n2) <= tol:
-            return "lightlike"
-        return "timelike" if n2 < 0 else "spacelike"
-
     def __repr__(self):
         return f"FourVector({self.c.tolist()})"
 
@@ -135,10 +125,6 @@ class Rank2Tensor:
             raise ValueError(f"unknown symmetry tag {symmetry!r}")
         object.__setattr__(self, "m", arr)
         object.__setattr__(self, "symmetry", symmetry)
-
-    @staticmethod
-    def zero() -> "Rank2Tensor":
-        return Rank2Tensor(np.zeros((4, 4)), symmetry="general")
 
     @property
     def operator(self) -> np.ndarray:
@@ -167,13 +153,6 @@ class Rank2Tensor:
 
     def __neg__(self) -> "Rank2Tensor":
         return Rank2Tensor(-self.m, symmetry=self.symmetry)
-
-    def check_symmetry(self, tol: float = 0.0) -> bool:
-        if self.symmetry == "symmetric":
-            return bool(np.all(np.abs(self.m - self.m.T) <= tol))
-        if self.symmetry == "antisymmetric":
-            return bool(np.all(np.abs(self.m + self.m.T) <= tol))
-        return True
 
     def __repr__(self):
         return f"Rank2Tensor({self.m.tolist()}, symmetry={self.symmetry!r})"
@@ -250,10 +229,10 @@ def dual_tensor(w: FourVector, u: FourVector) -> Rank2Tensor:
 # Lorentz boosts (components of one global frame expressed in another)
 # ---------------------------------------------------------------------------
 
-def boost_matrix(v3, c: float = 1.0) -> np.ndarray:
-    """Boost taking e0 to the four-velocity of a frame moving with v3."""
-    v = np.asarray(v3, dtype=float)
-    beta = v / c
+def boost_matrix(v3) -> np.ndarray:
+    """Boost taking e0 to the four-velocity of a frame moving with v3, in
+    units of c."""
+    beta = np.asarray(v3, dtype=float)
     b2 = float(beta @ beta)
     if b2 >= 1.0:
         raise ValueError("superluminal boost velocity")

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
+
+from .roots import bracketed_root
 
 ALPHA_DEFAULT = 1.0 / 137.036
 ANOMALY_DEFAULT = 0.001159652
@@ -184,7 +185,7 @@ def eta_of_mb(m_b: float, k: PhysicalConstants = NATURAL) -> float:
         hi *= 16.0
         if hi > 1e300:
             raise RuntimeError("bracketing failed")
-    return brentq(f, lo, hi, rtol=1e-15, xtol=1e-300)
+    return bracketed_root(f, lo, hi, xtol=1e-300, rtol=1e-15)
 
 
 def observables(R: float, k: PhysicalConstants = NATURAL) -> RenormPoint:

@@ -28,11 +28,10 @@ def oracle_gyro_mass(fm, omega, c=1.0):
         return 0.5 * quad(g, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
 
     if fm.kind == "shell":
-        return fm.spread_total * angular(fm.R)
-    rho = fm.spread_total * 3.0 / (4.0 * np.pi * fm.R**3)
-    val = quad(lambda r: angular(r) * rho * 4.0 * np.pi * r**2, 0.0, fm.R,
-               epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-    return val + fm.total * fm.point_fraction
+        return fm.total * angular(fm.R)
+    rho = fm.total * 3.0 / (4.0 * np.pi * fm.R**3)
+    return quad(lambda r: angular(r) * rho * 4.0 * np.pi * r**2, 0.0, fm.R,
+                epsabs=1e-12, epsrel=1e-12, limit=200)[0]
 
 
 def oracle_spin(fm, omega, c=1.0):
@@ -43,8 +42,8 @@ def oracle_spin(fm, omega, c=1.0):
         return 0.5 * quad(g, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
 
     if fm.kind == "shell":
-        return fm.spread_total * fm.R**2 * omega * angular(fm.R)
-    rho = fm.spread_total * 3.0 / (4.0 * np.pi * fm.R**3)
+        return fm.total * fm.R**2 * omega * angular(fm.R)
+    rho = fm.total * 3.0 / (4.0 * np.pi * fm.R**3)
     return omega * quad(lambda r: angular(r) * rho * 4.0 * np.pi * r**4,
                         0.0, fm.R, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
 
@@ -57,27 +56,6 @@ class TestProfiles:
     def test_moments(self):
         assert SHELL.moment(2) == pytest.approx(1.0)
         assert VOLUME.moment(2) == pytest.approx(0.6)
-
-    def test_point_fraction_allowed_below_one(self):
-        p = DensityProfile.shell(2.0, 1.0, point_fraction=0.5)
-        assert p.moment(0) == pytest.approx(2.0)
-        assert p.moment(2) == pytest.approx(1.0)  # only the spread part
-
-    def test_full_point_mass_rejected(self):
-        with pytest.raises(ValueError):
-            DensityProfile.shell(1.0, 1.0, point_fraction=1.0)
-
-    def test_custom_table_roundtrip(self, tmp_path):
-        r = np.linspace(0.0, 1.0, 400)
-        f = np.exp(-((r / 0.4) ** 2))
-        p = DensityProfile.from_table(r, f)
-        expect = np.trapezoid(f * 4 * np.pi * r**2, r)
-        assert p.total == pytest.approx(expect, rel=1e-12)
-        path = tmp_path / "prof.txt"
-        np.savetxt(path, np.column_stack([r, f]))
-        p2 = DensityProfile.load_table(path)
-        assert p2.total == pytest.approx(p.total, rel=1e-10)
-        assert p2.moment(2) == pytest.approx(p.moment(2), rel=1e-8)
 
     def test_radial_rule_integrates_totals(self):
         for p in (SHELL, VOLUME):
@@ -157,7 +135,7 @@ class TestMaclaurin:
         m0, ib = maclaurin_fit(SHELL)
         assert m0 == pytest.approx(1.0, rel=1e-8)
         assert ib == pytest.approx(2.0 / 3.0, rel=1e-4)
-        assert ib == pytest.approx(SHELL.moment_of_inertia(), rel=1e-4)
+        assert ib == pytest.approx(GyrationCurve(SHELL).inertia, rel=1e-4)
 
     def test_volume(self):
         m0, ib = maclaurin_fit(VOLUME)
@@ -169,7 +147,7 @@ class TestMaclaurin:
         rho = 3.0 / (4.0 * np.pi)
         oracle = (2.0 / 3.0) * quad(
             lambda r: r**2 * rho * 4 * np.pi * r**2, 0, 1)[0]
-        assert VOLUME.moment_of_inertia() == pytest.approx(oracle, rel=1e-12)
+        assert GyrationCurve(VOLUME).inertia == pytest.approx(oracle, rel=1e-12)
 
 
 class TestBareSpin:
@@ -269,7 +247,7 @@ class TestMinkowskiInertia:
         assert SHELL.moment(2) == pytest.approx(1.0)
         assert GyrationCurve(SHELL).spin_moment(0.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert GyrationCurve(SHELL).spin_moment(0.0) == pytest.approx(
-            SHELL.moment_of_inertia(), rel=1e-12)
+            (2.0 / 3.0) * SHELL.moment(2), rel=1e-12)
 
     def test_contraction_reproduces_spin(self):
         # the space block I_perp (1 - n n) + I_par n n maps w = |w| n to I_par w

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,6 +6,8 @@ from scipy.integrate import quad
 from ledlab.bare_particle import DensityProfile
 from ledlab.fields import (
     NumericalFailure,
+    _p4,
+    _q1,
     StationaryState,
     field_energy,
     field_spin,
@@ -46,6 +49,23 @@ def ball_rule(edges, n_r=48):
 
 
 class TestStationaryPotentials:
+    def test_shell_steps_take_the_midpoint_value_on_the_surface(self):
+        # enclosed, _p4 and _q1 of a shell, each the three-way np.where
+        # written out, bit for bit, on both sides of the 1e-12 R band
+        fe = DensityProfile.shell(-1.3, 0.7)
+        R, band = fe.R, 1e-12 * fe.R
+        r = R + band * np.array([-1e9, -2.0, -0.5, 0.0, 0.5, 2.0, 1e9])
+
+        def where(inside, outside, mid):
+            return np.where(r < R - band, inside, np.where(r > R + band, outside, mid))
+
+        p4 = fe.total / (4.0 * np.pi * R**2) * R**4
+        q1 = fe.total / (4.0 * np.pi * R**2) * R
+        np.testing.assert_array_equal(fe.enclosed(r), where(0.0, fe.total, 0.5 * fe.total))
+        np.testing.assert_array_equal(_p4(fe, r), where(0.0, p4, 0.5 * p4))
+        np.testing.assert_array_equal(_q1(fe, r), where(q1, 0.0, 0.5 * q1))
+        assert np.count_nonzero(_q1(fe, r) == 0.5 * q1) == 3
+
     def test_shell_coulomb_exterior(self):
         st = stationary_state(FE_SHELL, [0, 0, 0.5])
         assert st.phi(2.0)[0] == pytest.approx(-0.5, rel=1e-14)
@@ -92,11 +112,6 @@ class TestStationaryPotentials:
     def test_superluminal_rejected(self):
         with pytest.raises(ValueError):
             stationary_state(FE_SHELL, [0, 0, 1.5])
-
-    def test_point_charge_rejected(self):
-        bad = DensityProfile.shell(-1.0, 1.0, point_fraction=0.3)
-        with pytest.raises(ValueError):
-            stationary_state(bad, [0, 0, 0.1])
 
 
 class TestMagneticMoment:
@@ -152,6 +167,21 @@ class TestFieldEnergy:
         mu2 = float(st.mu @ st.mu)
         tail = 1.0 / (2 * rb) + mu2 / (3 * rb**3)
         assert field_energy(st) == pytest.approx(inner + tail, rel=1e-8)
+
+    @pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
+    def test_volume_closed_form_against_mpmath(self, x):
+        # (1/8 pi) int (|E|^2 + |B|^2) of the state's own radial fields,
+        # integrated by mpmath over [0, R] and [R, inf)
+        st = stationary_state(FE_VOL, [0, 0, x])
+
+        def dens(r):
+            r = np.array([float(r)])
+            a, ap = st.alpha(r), st.alpha_prime(r)
+            b2 = x**2 * (4 * a**2 + (8 * r / 3) * a * ap + (2 / 3) * r**2 * ap**2)
+            return 0.5 * float(((st.e_radial(r) ** 2 + b2) * r**2)[0])
+
+        got = float(mp.quad(dens, [0, 1, mp.inf]))
+        assert field_energy(st) == pytest.approx(got, rel=1e-13)
 
     def test_radial_grid_matches_closed_form(self):
         # (1/8 pi) int (|E|^2 + |B|^2) from the vector fields: Gauss nodes

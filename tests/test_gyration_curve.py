@@ -15,9 +15,13 @@ MASS = 2.0
 SHELL = DensityProfile.shell(MASS, 1.0)
 VOLUME = DensityProfile.volume(MASS, 1.0)
 # on a unit shell (m = R = c = 1) sigma' = m R^2 (beta K)' is (beta K)' at beta = omega
-UNIT_SLOPE = GyrationCurve(DensityProfile.shell(1.0, 1.0)).slope
+UNIT_CURVE = GyrationCurve(DensityProfile.shell(1.0, 1.0))
 EDGE_BETAS = [0.01, 0.1, 0.29, np.nextafter(SERIES_BELOW, 0.0), SERIES_BELOW,
               0.3000001, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-10]
+
+
+def unit_slope(beta):
+    return UNIT_CURVE.sigma_slope(beta)[1]
 
 
 def beta_k(x):
@@ -40,9 +44,9 @@ class TestKernels:
     @pytest.mark.parametrize("beta", EDGE_BETAS)
     def test_slope_against_mpmath_derivative(self, beta):
         expect = mp.diff(beta_k, mp.mpf(float(beta)))
-        assert UNIT_SLOPE(beta) == pytest.approx(float(expect), rel=1e-13)
+        assert unit_slope(beta) == pytest.approx(float(expect), rel=1e-13)
 
-    @pytest.mark.parametrize("kernel", [spin_kernel, UNIT_SLOPE], ids=["spin_kernel", "slope"])
+    @pytest.mark.parametrize("kernel", [spin_kernel, unit_slope], ids=["spin_kernel", "slope"])
     def test_continuous_across_series_switch(self, kernel):
         below = np.nextafter(SERIES_BELOW, 0.0)
         above = np.nextafter(SERIES_BELOW, 1.0)
@@ -52,7 +56,7 @@ class TestKernels:
 
     def test_mixed_array_matches_elementwise(self):
         betas = np.array([0.05, 0.35, 0.0, 0.8, 0.299])
-        for kernel in (spin_kernel, UNIT_SLOPE):
+        for kernel in (spin_kernel, unit_slope):
             each = np.array([kernel(np.array([b]))[0] for b in betas])
             np.testing.assert_allclose(kernel(betas), each, rtol=1e-15)
 
@@ -60,7 +64,7 @@ class TestKernels:
         # the first terms 2/3 + (4/15) b^2 and 2/3 + (4/5) b^2
         b = 1e-4
         assert spin_kernel(b)[0] == pytest.approx(2 / 3 + 4 / 15 * b**2, rel=1e-16)
-        assert UNIT_SLOPE(b) == pytest.approx(2 / 3 + 4 / 5 * b**2, rel=1e-16)
+        assert unit_slope(b) == pytest.approx(2 / 3 + 4 / 5 * b**2, rel=1e-16)
 
 
 class TestCurve:
@@ -74,7 +78,7 @@ class TestCurve:
         sigma = MASS * c * fm.R * beta_k(x)
         dsigma = MASS * fm.R**2 * mp.diff(beta_k, x)
         assert curve.sigma(omega) == pytest.approx(float(sigma), rel=1e-13)
-        assert curve.slope(omega) == pytest.approx(float(dsigma), rel=1e-13)
+        assert curve.sigma_slope(omega)[1] == pytest.approx(float(dsigma), rel=1e-13)
 
     def test_mass_closed_form(self):
         curve = GyrationCurve(SHELL)
@@ -87,16 +91,16 @@ class TestCurve:
         for w in (0.2, 0.5, 0.9):
             h = 1e-5 * w
             fd = (curve.sigma(w + h) - curve.sigma(w - h)) / (2 * h)
-            assert curve.slope(w) == pytest.approx(fd, rel=1e-8)
+            assert curve.sigma_slope(w)[1] == pytest.approx(fd, rel=1e-8)
 
     def test_sigma_bounded_below_by_inertia_line(self):
         # convexity start: sigma(w) >= I w, equality at rest
         for fm in (SHELL, VOLUME):
             curve = GyrationCurve(fm)
-            assert curve.inertia == pytest.approx(fm.moment_of_inertia(), rel=1e-14)
+            assert curve.inertia == pytest.approx((2.0 / 3.0) * fm.moment(2), rel=1e-14)
             w = np.linspace(0.0, 0.99, 40)
             assert np.all(curve.sigma(w) >= curve.inertia * w)
-            assert np.all(np.diff(curve.slope(w)) > 0)
+            assert np.all(np.diff(curve.sigma_slope(w)[1]) > 0)
 
 
 class TestInverse:
@@ -113,7 +117,7 @@ class TestInverse:
         assert 0.99 < w < 1.0
         # sigma is log-steep at the edge: |sigma' w| eps bounds the residual
         assert curve.sigma(w) == pytest.approx(10.0, abs=16 * np.finfo(float).eps
-                                               * w * curve.slope(w))
+                                               * w * curve.sigma_slope(w)[1])
 
     def test_volume_supremum_rejected(self):
         curve = GyrationCurve(VOLUME)
@@ -157,7 +161,8 @@ class TestInverse:
         cold = curve.omega(s)[0]
         w = curve.invert(s, guess * curve.omega_cap)
         assert w == pytest.approx(cold, rel=1e-14, abs=0.0)
-        assert abs(curve.sigma(w) - s) <= 16 * np.finfo(float).eps * w * curve.slope(w)
+        slope = curve.sigma_slope(w)[1]
+        assert abs(curve.sigma(w) - s) <= 16 * np.finfo(float).eps * w * slope
 
     def test_bisection_fallback(self, monkeypatch):
         # one Newton step cannot reach the residual test; bisection can

@@ -23,6 +23,7 @@ from ledlab.gyrodynamics import CFLError, GyroEvolutionState, GyroSolver
 
 DATA = Path(__file__).parent / "data"
 MASS = 2.0
+EPS = np.finfo(float).eps
 FE = DensityProfile.shell(-1.0, 1.0)
 FM = DensityProfile.shell(MASS, 1.0)
 
@@ -212,14 +213,24 @@ class TestStepper:
 
     @pytest.mark.parametrize("kind, r_max", [("shell", 10.0), ("volume", 37.0)])
     def test_stationary_bands_match_node_loop(self, kind, r_max):
+        # the flux-form solve against solve_banded on the node-loop bands,
+        # and its componentwise backward error on those bands
         fe = getattr(DensityProfile, kind)(-1.0, 1.0)
         fm = getattr(DensityProfile, kind)(MASS, 1.0)
         s = GyroSolver(fe, fm, r_max=r_max)
         rhs = -(4.0 * np.pi / s.c) * s.fe_nodes
         rhs[-1] = 0.0
-        ref = solve_banded((1, 1), node_loop_bands(s), rhs)
-        omega = np.array([0.0, 0.0, 1.0])
-        np.testing.assert_array_equal(s.stationary_profile(omega)[:, 2], ref)
+        bands = node_loop_bands(s)
+        ref = solve_banded((1, 1), bands, rhs)
+        got = s.stationary_profile(np.array([0.0, 0.0, 1.0]))[:, 2]
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        upper, diag, lower = bands
+        terms = np.zeros((3, s.n))
+        terms[0] = diag * got
+        terms[1, :-1] = upper[1:] * got[1:]
+        terms[2, 1:] = lower[:-1] * got[:-1]
+        resid = np.abs(terms.sum(axis=0) - rhs)
+        assert np.max(resid / (np.abs(terms).sum(axis=0) + np.abs(rhs))) <= 4.0 * EPS
 
     def test_torque_on_tilted_axis_matches_node_sum(self, solver):
         state = tilted_state(solver)
@@ -335,9 +346,17 @@ class TestRelaxRun:
         head_ref, ref = load(DATA / "gyro_sim_shell_h1_p05_timeseries.csv")
         head, new = load(tmp_path / "timeseries.csv")
         assert head == head_ref and new.shape == ref.shape
+        # The outgoing wave reaches the audit sphere at 4 R only at 3 R/c,
+        # after this horizon, so the recorded flux is round-off (max 5.1e-19)
+        # and a difference from it is noise against noise: the new flux must
+        # stay at that round-off level instead.
+        j_flux = head.index("flux")
+        floor = np.max(np.abs(ref[:, j_flux]))
+        assert np.max(np.abs(new[:, j_flux])) <= 4.0 * floor
         for j, name in enumerate(head):
-            tol = 1e-12 * np.max(np.abs(ref[:, j]))
-            assert np.max(np.abs(new[:, j] - ref[:, j])) <= tol, name
+            if j != j_flux:
+                scale = np.max(np.abs(ref[:, j]))
+                assert np.max(np.abs(new[:, j] - ref[:, j])) <= 1e-12 * scale, name
 
     def test_unperturbed_run_has_nothing_to_fit_or_normalize(self, tmp_path):
         # --perturb 1 starts on the discrete stationary state

@@ -38,7 +38,6 @@ class TestInner:
     def test_lightlike(self):
         v = FourVector([1.0, 1.0, 0.0, 0.0])
         assert inner(v, v) == 0.0
-        assert v.classify() == "lightlike"
 
     @given(vec4, vec4)
     @settings(deadline=None, max_examples=60)
@@ -173,7 +172,7 @@ class TestDual:
         np.testing.assert_allclose(w.c, [0.0, 0.0, 0.0, om], atol=1e-14)
 
     def test_zero_tensor(self):
-        np.testing.assert_allclose(dual_vector(Rank2Tensor.zero(), E[0]).c, 0.0)
+        np.testing.assert_allclose(dual_vector(Rank2Tensor(np.zeros((4, 4))), E[0]).c, 0.0)
 
     def test_angular_velocity_action(self):
         # Om . x = -(0, w cross x) in the rest frame
@@ -192,7 +191,7 @@ class TestDual:
             w = FourVector(lam @ [0.0, *rng.normal(size=3)])
             om = dual_tensor(w, u)
             # omega is antisymmetric, space-space, and dual back to w
-            assert om.check_symmetry(0.0)
+            assert om.symmetry == "antisymmetric" and np.array_equal(om.m, -om.m.T)
             np.testing.assert_allclose(om.dot(u).c, 0.0, atol=1e-12)
             np.testing.assert_allclose(om.dot(w).c, 0.0, atol=1e-12)
             back = dual_vector(om, u)

@@ -208,6 +208,7 @@ def cmd_gyro_sim(args) -> int:
                    [[i, *gaps] for i, gaps
                     in enumerate(zip(res.gaps_w, res.gaps_pi, res.gaps_sb))])
         written.append(path)
+        peak = np.max([res.gaps_w, res.gaps_pi, res.gaps_sb], axis=0)
     else:
         traj, fit = solver.run_to_stationary(
             state, horizon=args.horizon * args.radius / args.c)
@@ -232,6 +233,10 @@ def cmd_gyro_sim(args) -> int:
         written.append(apath)
     for p in written:
         print(p)
+    if args.mode == "picard" and not (np.all(np.isfinite(peak)) and peak[-1] < peak[0]):
+        print(f"numerical failure: Picard did not contract, max gap {peak[0]:.3g} at "
+              f"iteration 0 and {peak[-1]:.3g} at iteration {len(peak) - 1}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -290,7 +290,7 @@ def field_tensor(e3, b3) -> Rank2Tensor:
     m[0, 1:] = e3
     m[1:, 0] = -e3
     m[1:, 1:] = np.einsum("ijk,k->ij", _EIJK, b3)
-    return Rank2Tensor(m, symmetry="antisymmetric")
+    return Rank2Tensor(m)
 
 
 def stress_energy(e3, b3) -> Rank2Tensor:
@@ -303,5 +303,5 @@ def stress_energy(e3, b3) -> Rank2Tensor:
     ff = f.dot(f)
     tr = trace(ff)
     m = (ff.m - 0.25 * tr * METRIC) / (4.0 * np.pi)
-    return Rank2Tensor(m, symmetry="symmetric")
+    return Rank2Tensor(m)
 

@@ -174,7 +174,7 @@ def minkowski_torque(snapshot: FieldSnapshot, fe: DensityProfile,
     fu = _f_dot_vec(e, b, u.c - x4 @ om.operator.T)
     proj = METRIC + np.outer(u.c, u.c)  # space projector, then act through g
     m = (w[:, None] * x4).T @ fu @ (proj @ METRIC).T
-    return Rank2Tensor(m - m.T, symmetry="antisymmetric")
+    return Rank2Tensor(m - m.T)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def nodvik_mass(snapshot: FieldSnapshot, fe: DensityProfile,
     Coulomb + dipole self-field).
     """
     w, x4, e, b, om = _slice(snapshot, fe, u, omega3, omega_tensor, c)
-    return Rank2Tensor(-_spin_orbit(w, x4, e, b, om), symmetry="symmetric")
+    return Rank2Tensor(-_spin_orbit(w, x4, e, b, om))
 
 
 @dataclass(frozen=True)
@@ -221,10 +221,10 @@ def pseudo_inertia(snapshot: FieldSnapshot, fe: DensityProfile,
     e_dot, b_dot = snapshot.eb_dot(x4[:, 1:])
     om_dot = gyration_tensor(omega_dot3, u, c)
 
-    bare = Rank2Tensor(m_gyro * METRIC, symmetry="symmetric")
+    bare = Rank2Tensor(m_gyro * METRIC)
 
     # term 2: -int [x(x)x, [F, Om]_+]_+ f_e
-    t2 = Rank2Tensor(-_spin_orbit(w, x4, e, b, om), symmetry="symmetric")
+    t2 = Rank2Tensor(-_spin_orbit(w, x4, e, b, om))
 
     # term 3: slice derivative of x(x)x (x.Om.F.u) f_e
     uu = np.broadcast_to(u.c, x4.shape)
@@ -233,12 +233,12 @@ def pseudo_inertia(snapshot: FieldSnapshot, fe: DensityProfile,
     s_dot = _inner_nodes(x_om, _f_dot_vec(e_dot, b_dot, uu))
     ws = (w * _inner_nodes(x_om, fu)) @ x4
     t3 = Rank2Tensor(np.outer(u.c, ws) + np.outer(ws, u.c)
-                     + ((w * s_dot)[:, None] * x4).T @ x4, symmetry="symmetric")
+                     + ((w * s_dot)[:, None] * x4).T @ x4)
 
     # term 4: -int (F.u) (x) x f_e  (not symmetrizable)
-    t4 = Rank2Tensor(-(w[:, None] * fu).T @ x4, symmetry="general")
+    t4 = Rank2Tensor(-(w[:, None] * fu).T @ x4)
 
-    m_tilde = Rank2Tensor(bare.m + t2.m + t3.m + t4.m, symmetry="general")
+    m_tilde = Rank2Tensor(bare.m + t2.m + t3.m + t4.m)
 
     # f~ = -m_gyro_dot u + int (F.U + (x.Om.F_dot.u + x.[F, Om_dot]_+.u) x) f_e
     g2 = w @ _f_dot_vec(e, b, u.c - x4 @ om.operator.T)

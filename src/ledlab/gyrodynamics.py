@@ -30,7 +30,8 @@ system by successive integration and is compared against the stepper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,8 +139,12 @@ class GyroSolver:
     `m` nodes: m is the index of the last nonzero `fe_nodes` entry plus one,
     fixed here from the charge profile.  Every coupling weight vanishes
     beyond it, so the source of the wave equation and the field-spin sums
-    touch only w[..., :m, :], and a step costs one laplacian of the grid
-    plus work on m nodes.  The outer node must lie outside the support.
+    touch only w[..., :m, :].  The outer node must lie outside the support.
+
+    A grid cut short errs one node further inward per step, so `run` steps
+    only the k = min(n, i_audit + n_steps + 2) nodes that its records
+    depend on (see there).  A step of `run` costs one laplacian of those k
+    nodes plus work on m nodes.
     """
 
     def __init__(self, fe: DensityProfile, fm: DensityProfile, c: float = 1.0,
@@ -404,15 +409,39 @@ class GyroSolver:
                      * np.dot(pi[i_audit], 2.0 * w[i_audit] + ra * wp))
 
     # -- drivers -------------------------------------------------------------
+    def _window(self, k: int) -> GyroSolver:
+        """A shallow copy of the solver on the leading k nodes: node k-1 is
+        its outer node, where the outgoing law applies."""
+        win = copy.copy(self)
+        win.n, win.r, win.fe_nodes = k, self.r[:k], self.fe_nodes[:k]
+        win._r_half4, win._flux_coef = self._r_half4[:k - 1], self._flux_coef[:k - 1]
+        win._lap_den = self._lap_den[:k - 2]
+        return win
+
     def run(self, state: GyroEvolutionState, horizon: float, dt: float = None) -> Trajectory:
         """Step over the horizon, recording every step; the energy audit
-        sphere sits at min(0.8 r_max, 4 R)."""
+        sphere sits at min(0.8 r_max, 4 R).
+
+        The records read w[:i_audit + 2], pi[:i_audit + 1] and the m support
+        nodes.  A grid cut at k nodes errs one node further inward per step
+        (the kick, the drift and the carried lap each reach one neighbour):
+        after t steps w is exact below k - t, pi and lap below k - t - 1.
+        So the run steps only the leading min(n, i_audit + n_steps + 2)
+        nodes, the domain of dependence of its records, and they equal the
+        full grid's bit for bit.
+        """
         if dt is None:
             dt = self.cfl_dt()
         r_audit = min(0.8 * self.r[-1], 4.0 * self.fe.R)
         i_audit = int(round(r_audit / self.dr))
         i_audit = min(max(i_audit, int(round(self.fe.R / self.dr)) + 1), self.n - 2)
         n_steps = int(np.ceil(horizon / dt))
+        k = min(self.n, i_audit + n_steps + 2)
+        win = self
+        if k < self.n:
+            win = self._window(k)
+            state = replace(state, w=state.w[:k], pi=state.pi[:k],
+                            lap=None if state.lap is None else state.lap[:k])
 
         rec_t, rec_om, rec_sb, rec_se, rec_wb, rec_wf, rec_fl = [], [], [], [], [], [], []
 
@@ -427,7 +456,7 @@ class GyroSolver:
 
         record(state)
         for _ in range(n_steps):
-            state = self.step(state, dt)
+            state = win.step(state, dt)
             record(state)
 
         return Trajectory(np.array(rec_t), np.array(rec_om), np.array(rec_sb),

@@ -15,7 +15,7 @@ after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,19 +112,15 @@ class FourVector:
 
 @dataclass(frozen=True)
 class Rank2Tensor:
-    """Contravariant components T^{mu nu}; optional symmetry tag."""
+    """Contravariant components T^{mu nu}."""
 
     m: np.ndarray
-    symmetry: str | None = field(default=None)
 
-    def __init__(self, m, symmetry: str | None = None):
+    def __init__(self, m):
         arr = _frozen(m)
         if arr.shape != (4, 4):
             raise ValueError("Rank2Tensor needs a 4x4 component matrix")
-        if symmetry not in (None, "symmetric", "antisymmetric", "general"):
-            raise ValueError(f"unknown symmetry tag {symmetry!r}")
         object.__setattr__(self, "m", arr)
-        object.__setattr__(self, "symmetry", symmetry)
 
     @property
     def operator(self) -> np.ndarray:
@@ -139,27 +135,25 @@ class Rank2Tensor:
         raise TypeError(type(other))
 
     def __add__(self, other: "Rank2Tensor") -> "Rank2Tensor":
-        sym = self.symmetry if self.symmetry == other.symmetry else None
-        return Rank2Tensor(self.m + other.m, symmetry=sym)
+        return Rank2Tensor(self.m + other.m)
 
     def __sub__(self, other: "Rank2Tensor") -> "Rank2Tensor":
-        sym = self.symmetry if self.symmetry == other.symmetry else None
-        return Rank2Tensor(self.m - other.m, symmetry=sym)
+        return Rank2Tensor(self.m - other.m)
 
     def __mul__(self, s: float) -> "Rank2Tensor":
-        return Rank2Tensor(self.m * s, symmetry=self.symmetry)
+        return Rank2Tensor(self.m * s)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Rank2Tensor":
-        return Rank2Tensor(-self.m, symmetry=self.symmetry)
+        return Rank2Tensor(-self.m)
 
     def __repr__(self):
-        return f"Rank2Tensor({self.m.tolist()}, symmetry={self.symmetry!r})"
+        return f"Rank2Tensor({self.m.tolist()})"
 
 
 #: the metric as a tensor value (acts as identity on four-vectors)
-METRIC_TENSOR = Rank2Tensor(METRIC, symmetry="symmetric")
+METRIC_TENSOR = Rank2Tensor(METRIC)
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +167,13 @@ def inner(a: FourVector, b: FourVector) -> float:
 
 def outer(a: FourVector, b: FourVector) -> Rank2Tensor:
     """Tensor product a (x) b with (a (x) b) . c = a (b . c)."""
-    return Rank2Tensor(np.outer(a.c, b.c), symmetry="general")
+    return Rank2Tensor(np.outer(a.c, b.c))
 
 
 def wedge_up(a: FourVector, b: FourVector) -> Rank2Tensor:
     """Exterior product a (x) b - b (x) a, antisymmetric."""
     m = np.outer(a.c, b.c)
-    return Rank2Tensor(m - m.T, symmetry="antisymmetric")
+    return Rank2Tensor(m - m.T)
 
 
 def trace(t: Rank2Tensor) -> float:
@@ -189,10 +183,7 @@ def trace(t: Rank2Tensor) -> float:
 
 def anticommutator(a: Rank2Tensor, b: Rank2Tensor) -> Rank2Tensor:
     """A . B + B . A with the metric-contracted matrix action."""
-    sym = None
-    if a.symmetry == "antisymmetric" and b.symmetry == "antisymmetric":
-        sym = "symmetric"
-    return Rank2Tensor(a.operator @ b.m + b.operator @ a.m, symmetry=sym)
+    return Rank2Tensor(a.operator @ b.m + b.operator @ a.m)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +213,7 @@ def dual_tensor(w: FourVector, u: FourVector) -> Rank2Tensor:
     w_low = METRIC @ w.c
     u_low = METRIC @ u.c
     m = np.einsum("abcd,c,d->ab", LEVI_CIVITA, w_low, u_low)
-    return Rank2Tensor(m, symmetry="antisymmetric")
+    return Rank2Tensor(m)
 
 
 # ---------------------------------------------------------------------------

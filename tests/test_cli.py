@@ -187,6 +187,18 @@ def test_picard_gaps_has_every_state_variable(tmp_path):
                                                                res.gaps_sb]))
 
 
+@pytest.mark.parametrize("horizon, iters, code", [("0.05", "4", cli.EXIT_OK),
+                                                   ("1", "40", cli.EXIT_NUMERICAL)])
+def test_picard_exits_3_unless_its_gaps_contract(tmp_path, capsys, horizon, iters, code):
+    argv = ["gyro-sim", "--mode", "picard", "--horizon", horizon, "--picard-iters", iters,
+            "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == code
+    gaps = np.array(_rows(tmp_path / "picard_gaps.csv")[1:], dtype=float)[:, 1:]
+    assert len(gaps) == int(iters) and np.all(np.isfinite(gaps))
+    assert (gaps[-1].max() < gaps[0].max()) == (code == cli.EXIT_OK)
+    assert ("did not contract" in capsys.readouterr().err) == (code != cli.EXIT_OK)
+
+
 @pytest.mark.parametrize("argv, code", [
     (["no-such-command"], cli.EXIT_USAGE),
     (["renorm-flow", "--mb-grid", "log:0.5:2.0:4"], cli.EXIT_DOMAIN),

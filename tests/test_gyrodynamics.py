@@ -313,6 +313,46 @@ class TestSupportStepper:
         for key, value in ref.items():
             np.testing.assert_array_equal(getattr(traj, key), value, err_msg=key)
 
+    @pytest.mark.parametrize("tilted", [False, True])
+    @pytest.mark.parametrize("n_steps", [1, 2, 78, 79, 80])
+    def test_run_matches_the_full_grid_stepper_at_the_window_edge(self, tilted, n_steps):
+        """On n = 161 nodes with i_audit = 80 the run steps the leading
+        min(n, n_steps + 82) nodes.  78, 79 and 80 steps put that width at
+        n - 1, n and n + 1.  The error of a window too narrow shrinks like
+        (c dt / dr)^t at the edge of its cone, below round-off after many
+        steps, so 1 and 2 steps are where a width one node short shows."""
+        fe, fm = DensityProfile.volume(-1.0, 1.0), DensityProfile.volume(MASS, 1.0)
+        s = GyroSolver(fe, fm, r_max=8.0)
+        assert s.n == 161
+        state = tilted_state(s) if tilted else s.make_state(np.array([0.0, 0.0, 0.3]), 0.5)
+        horizon = (n_steps - 0.5) * s.cfl_dt()
+        traj = s.run(state, horizon)
+        ref = full_grid_run(s, state, horizon)
+        assert len(traj.t) == n_steps + 1 and traj.r_audit == s.r[80]
+        for key, value in ref.items():
+            np.testing.assert_array_equal(getattr(traj, key), value, err_msg=key)
+
+    @pytest.mark.parametrize("grid", ["solver", "volume_far"])
+    def test_run_steps_the_domain_of_dependence(self, grid, request, monkeypatch):
+        if grid == "solver":
+            s = request.getfixturevalue("solver")
+        else:
+            s = GyroSolver(DensityProfile.volume(-1.0, 1.0), DensityProfile.volume(MASS, 1.0),
+                           r_max=200.0)
+        widths = []
+        laplacian = GyroSolver.laplacian
+
+        def counted(self, w):
+            widths.append(w.shape[-2])
+            return laplacian(self, w)
+
+        monkeypatch.setattr(GyroSolver, "laplacian", counted)
+        traj = s.run(s.make_state(np.array([0.0, 0.0, 0.3]), 0.5), 1.0)
+        i_audit, n_steps = int(round(traj.r_audit / s.dr)), len(traj.t) - 1
+        k = min(s.n, i_audit + n_steps + 2)
+        assert (k == s.n) == (grid == "solver")
+        assert widths == [k] * (n_steps + 1)
+
     def test_run_calls_laplacian_once_per_step_and_once_more(self, solver, monkeypatch):
         calls = []
         laplacian = GyroSolver.laplacian

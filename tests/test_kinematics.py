@@ -85,7 +85,7 @@ class TestFermiWalker:
         a = FourVector(proj)
         t = wedge_up(a, u)
         np.testing.assert_allclose(t.dot(u).c, -a.c, atol=1e-12)
-        assert np.all(np.abs(t.m + t.m.T) <= 1e-15) and t.symmetry == "antisymmetric"
+        np.testing.assert_array_equal(t.m, -t.m.T)
 
     def test_annihilates_orthogonal_complement(self):
         t = wedge_up(FourVector.basis(1), E0)

@@ -10,34 +10,37 @@ into a radial integral against closed-form angular kernels:
 
 with beta = omega r / c the equatorial speed at radius r.  The gyrational
 mass, bare spin and the spin -> angular-velocity inversion are built from
-these.  For a surface (shell) density the radial
-integral collapses to the closed forms used by the renormalization flow.
+these, in closed form for both profiles (the gyration curve).  With
+B = omega R / c, A = artanh B = (2 B^3 K + B) / (1 + B^2),
+u = (1 - B)(1 + B) and m the total mass:
 
-Gyration curve.  On a radial rule (r_k, w_k) the bare spin magnitude and
-its slope are
+    shell  sigma = m R^2 omega K,  sigma' = 2 m R^2 (1 - K u) / (u (1 + B^2)),
+           M = m A / B = m (1 + 2 B^2 K) / (1 + B^2);
+    ball   sigma = 3 m c R J / B^4 = 3 m R^2 omega j,  sigma' = 3 m R^2 (K - 4 j),
+           J = int_0^B b^4 K db = [(B^2 + 3)(B^2 - 1) A + 3 B - B^3] / 8 = B^5 j,
+           M = (3 m / B^3) [(B^2 - 1) A + B] / 2 = 3 m (1 + 4 B^2 j) / (3 + B^2).
 
-    sigma(omega)    = sum_k w_k r_k^2 omega K(beta_k),
-    d sigma/d omega = sum_k w_k r_k^2 (beta K)'(beta_k),
-    (beta K)'(beta) = 2 (1 - K u) / (u (1 + beta^2)),  u = (1 - beta)(1 + beta),
-
-an identity with no cancellation on [0, 1), so one kernel pass gives both.
-Below beta = 0.3, where the closed form of K cancels catastrophically, K
-is summed from its even series, whose coefficients of beta^(2k-2), k >= 1,
-are 2k/(4k^2 - 1); those of (beta K)' are 2k/(2k + 1).  All are positive,
-so beta K is increasing and convex on [0, 1); for a density w_k >= 0 so is
-sigma on [0, c/R), and K >= K(0) = 2/3 gives sigma(omega) >= I omega with
-I = (2/3) sum_k w_k r_k^2.  Newton's first iterate for sigma(omega) = s
-therefore lies at or above the root: cold it is min(s/I, omega_cap), warm
-the tangent step from any guess in [0, omega_cap], which convexity puts at
-or above the root, clamped to omega_cap.  Each later tangent step of an
-increasing convex function lands between the root and the previous
-iterate: the iterates decrease monotonically onto the root, with no
-bracket.  GyrationCurve does this once per mass profile; every spin map
-here calls it.
+Three forms cancel.  K's closed form does below SERIES_BELOW = 0.5, where
+its even series takes over, with coefficients a_k = 2k/(4k^2 - 1) of
+B^(2k-2), k >= 1; j = [2 - K u (3 + B^2)] / (4 B^2 (1 + B^2)) does below
+BALL_SERIES_BELOW = 0.75, where its series, coefficients a_k / (2k + 3),
+takes over; K - 4 j cancels at most fivefold.  So one spin_kernel pass
+gives sigma and sigma' of either profile.  All a_k are positive, so B K
+is increasing and convex on [0, 1), and so is the ball's sigma, a sum of
+shells of radius x R and mass 3 m x^2 dx; K >= K(0) = 2/3 gives
+sigma(omega) >= I omega with I = (2/3) int r^2 dm.  Newton's first
+iterate for sigma(omega) = s therefore lies at or above the root: cold it
+is min(s/I, omega_cap), warm the tangent step from any guess in
+[0, omega_cap], which convexity puts at or above the root, clamped to
+omega_cap.  Each later tangent step of an increasing convex function
+lands between the root and the previous iterate: the iterates decrease
+monotonically onto the root, with no bracket.  GyrationCurve does this
+on Python floats, once per mass profile; every spin map here calls it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -135,44 +138,55 @@ class DensityProfile:
 
 
 # ---------------------------------------------------------------------------
-# angular kernels of rigid relativistic rotation
+# the angular kernel of rigid relativistic rotation
 # ---------------------------------------------------------------------------
 
-SERIES_BELOW = 0.3   # below this beta the kernel is summed from its series
-_K = np.arange(1, 18)
-_EXPONENTS = (_K - 1).astype(float)
-_SPIN_SERIES = 2.0 * _K / (4.0 * _K**2 - 1.0)    # K(beta)
+# below these beta K and the ball's moment j come from their series: there
+# the closed forms' rounding would reach the residual floor of `invert`
+SERIES_BELOW = 0.5
+BALL_SERIES_BELOW = 0.75
+# Horner coefficients, highest power of beta^2 first: K = sum a_k beta^(2k-2)
+# with a_k = 2k/(4k^2 - 1), and j = sum a_k beta^(2k-2)/(2k + 3); 28 and 58
+# terms reach round-off at the two switch points
+_K_SERIES = tuple(2.0 * k / (4.0 * k * k - 1.0) for k in range(28, 0, -1))
+_J_SERIES = tuple(2.0 * k / ((4.0 * k * k - 1.0) * (2 * k + 3)) for k in range(58, 0, -1))
 
 
-def gamma_kernel(beta):
-    """Spherical average of the Lorentz factor: artanh(beta)/beta."""
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    out = np.ones_like(beta)
-    nz = beta > 0
-    out[nz] = np.arctanh(beta[nz]) / beta[nz]
+def _horner(coefs, x: float) -> float:
+    out = 0.0
+    for a in coefs:
+        out = out * x + a
     return out
 
 
-def _spin_closed(b):
-    return ((1.0 + b**2) / (2.0 * b**3)) * np.arctanh(b) - 1.0 / (2.0 * b**2)
+def _kernel(beta: float) -> float:
+    b2 = beta * beta
+    if b2 < SERIES_BELOW * SERIES_BELOW:
+        return _horner(_K_SERIES, b2)
+    return ((1.0 + b2) / (2.0 * b2 * beta)) * math.atanh(beta) - 1.0 / (2.0 * b2)
 
 
-def spin_kernel(beta):
-    """Spherical average K(beta) of gamma sin^2(theta).
+def spin_kernel(beta: float) -> np.float64:
+    """Spherical average K(beta) of gamma sin^2(theta) at one float beta.
 
     Closed form ((1+b^2)/(2 b^3)) artanh b - 1/(2 b^2); evaluated by its
     even power series 2/3 + (4/15) b^2 + ... below SERIES_BELOW, where the
-    closed form cancels catastrophically.
+    closed form cancels.  Every sigma pass of a
+    GyrationCurve makes one call, so a count of calls is a count of passes.
     """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    small = beta < SERIES_BELOW
-    if not small.any():
-        return _spin_closed(beta)
-    if small.all():
-        return np.power.outer(beta * beta, _EXPONENTS) @ _SPIN_SERIES
-    out = _spin_closed(np.where(small, SERIES_BELOW, beta))
-    out[small] = np.power.outer(beta[small] ** 2, _EXPONENTS) @ _SPIN_SERIES
-    return out
+    return np.float64(_kernel(beta))
+
+
+def _ball_moment(beta: float, k: float = None) -> float:
+    """j = J/beta^5 of the ball: its series below BALL_SERIES_BELOW, else
+    from K(beta), given as k or evaluated here."""
+    b2 = beta * beta
+    if b2 < BALL_SERIES_BELOW * BALL_SERIES_BELOW:
+        return _horner(_J_SERIES, b2)
+    if k is None:
+        k = _kernel(beta)
+    u = (1.0 - beta) * (1.0 + beta)
+    return (2.0 - k * u * (3.0 + b2)) / (4.0 * b2 * (1.0 + b2))
 
 
 # ---------------------------------------------------------------------------
@@ -184,72 +198,53 @@ _EPS = np.finfo(float).eps
 
 
 class GyrationCurve:
-    """sigma = |s_b|, d sigma/d omega and M as functions of |omega|, and
-    the inverse |s_b| -> |omega|, for one mass profile.
+    """sigma = |s_b|, d sigma/d omega and M as functions of one float
+    |omega|, and the inverse |s_b| -> |omega|, for one mass profile, in
+    the closed forms of the module docstring.
 
-    Built once per profile on its radial rule.  `omega_cap` (units of
-    c/R) bounds the inverse: |s| >= sigma(cap) is rejected, or clipped
-    to the cap with saturate=True.  The default cap is the
-    double-precision edge of the light cone.
+    `omega_cap` (units of c/R) bounds the inverse: |s| >= sigma(cap) is
+    rejected.  The default cap is the double-precision edge of the light
+    cone.
     """
 
     def __init__(self, fm: DensityProfile, c: float = 1.0,
                  omega_cap: float = 1.0 - 1e-14):
-        r, w = fm.radial_rule()
-        if np.any(w < 0):
+        if fm.total < 0:
             raise ValueError("a gyration curve needs a nonnegative mass density")
         self.fm = fm
-        self.c = c
-        self._r_c = r / c
-        self._w = w
-        self._wr2 = w * r**2
-        self.inertia = (2.0 / 3.0) * float(np.sum(self._wr2))
+        self._ball = fm.kind == "volume"
+        self._R_c = fm.R / c
+        self._mR2 = fm.total * fm.R**2
+        self.inertia = (2.0 / 3.0) * fm.moment(2)
         self.omega_cap = omega_cap * c / fm.R
 
     @cached_property
     def sigma_cap(self) -> float:
-        return float(self.sigma(self.omega_cap))
+        return self.sigma(self.omega_cap)
 
-    def _beta(self, omega):
-        return np.multiply.outer(np.abs(omega), self._r_c)
+    def sigma_slope(self, omega: float) -> tuple:
+        """(sigma, d sigma/d omega) from one spin_kernel pass; sigma is odd
+        here, so Newton returns from an iterate rounded below zero."""
+        b = omega * self._R_c
+        k = float(spin_kernel(b))
+        if self._ball:
+            j = _ball_moment(b, k)
+            return 3.0 * self._mR2 * omega * j, 3.0 * self._mR2 * (k - 4.0 * j)
+        u = (1.0 - b) * (1.0 + b)
+        return self._mR2 * omega * k, self._mR2 * 2.0 * (1.0 - k * u) / (u * (1.0 + b * b))
 
-    def spin_moment(self, omega):
-        """Axial moment sum_k w_k r_k^2 K(beta_k) = sigma / |omega|."""
-        beta = self._beta(omega)
-        return spin_kernel(beta.ravel()).reshape(beta.shape) @ self._wr2
+    def sigma(self, omega: float) -> float:
+        """|s_b|(|omega|)."""
+        return self.sigma_slope(omega)[0]
 
-    def sigma(self, omega):
-        """|s_b|(|omega|), with the shape of omega."""
-        return np.abs(omega) * self.spin_moment(omega)
-
-    def sigma_slope(self, omega):
-        """(sigma, d sigma/d omega) from one spin_kernel pass, the slope
-        sum_k w_k r_k^2 (beta K)'(beta_k); sigma is odd here, so Newton
-        returns from an iterate rounded below zero."""
-        beta = self._beta(omega)
-        k = spin_kernel(beta.ravel()).reshape(beta.shape)
-        u = (1.0 - beta) * (1.0 + beta)
-        dk = 2.0 * (1.0 - k * u) / (u * (1.0 + beta * beta))
-        return omega * (k @ self._wr2), dk @ self._wr2
-
-    def mass(self, omega):
-        """Gyrational mass sum_k w_k artanh(beta_k)/beta_k."""
-        beta = self._beta(omega)
-        return gamma_kernel(beta.ravel()).reshape(beta.shape) @ self._w
-
-    def _admit(self, s, saturate=False):
-        """(s, mask of s >= sigma_cap): such s raise ValueError, or are clipped
-        with saturate=True; a NaN raises FloatingPointError."""
-        over = s >= self.sigma_cap
-        if over.any():
-            if not saturate:
-                raise ValueError(
-                    f"|s| = {s.max():g} reaches the gyrational bound "
-                    f"{self.sigma_cap:g} at omega R / c = {self.omega_cap * self.fm.R / self.c:g}")
-            s = np.minimum(s, self.sigma_cap)
-        if np.isnan(s).any():
-            raise FloatingPointError("spin magnitude is not finite")
-        return s, over
+    def mass(self, omega: float) -> float:
+        """Gyrational mass M(|omega|); not a sigma pass, so no spin_kernel
+        call."""
+        b = omega * self._R_c
+        b2 = b * b
+        if self._ball:
+            return 3.0 * self.fm.total * (1.0 + 4.0 * b2 * _ball_moment(b)) / (3.0 + b2)
+        return self.fm.total * (1.0 + 2.0 * b2 * _kernel(b)) / (1.0 + b2)
 
     @staticmethod
     def _accepts(f, s, w, df):
@@ -261,50 +256,36 @@ class GyrationCurve:
     def invert(self, s: float, start: float = None) -> float:
         """|omega| with sigma(|omega|) = s for one float s: Newton on floats,
         cold or from `start`, any guess in [0, cap] (module docstring), with
-        each iterate clamped to the cap and bisection if `_accepts` fails."""
-        if not s < self.sigma_cap:      # at the cap, or NaN: _admit raises
-            self._admit(np.array([s]))
+        each iterate clamped to the cap and bisection if `_accepts` fails.
+        s >= sigma_cap raises ValueError, a NaN FloatingPointError."""
+        if not s < self.sigma_cap:
+            if s != s:
+                raise FloatingPointError("spin magnitude is not finite")
+            raise ValueError(
+                f"|s| = {s:g} reaches the gyrational bound {self.sigma_cap:g} "
+                f"at omega R / c = {self.omega_cap * self._R_c:g}")
         cap = self.omega_cap
         w = min(s / self.inertia, cap) if start is None else float(start)
         for _ in range(NEWTON_MAX):
-            sig, df = map(float, self.sigma_slope(w))
+            sig, df = self.sigma_slope(w)
             f = sig - s
             step = f / df
             w = min(w - step, cap)
             if abs(step) <= 1e-13 * w:
                 break
         if not self._accepts(f, s, w, df):
-            w = float(self._bisect(s))
+            w = self._bisect(s)
         return w
 
-    def omega(self, smag, saturate: bool = False) -> np.ndarray:
-        """|omega| with sigma(|omega|) = smag, elementwise (1-d result): `invert`
-        from a cold start; saturate=True gives the cap for |s| >= sigma_cap."""
-        s, over = self._admit(np.atleast_1d(np.asarray(smag, dtype=float)), saturate)
-        w = np.minimum(s / self.inertia, self.omega_cap)
-        for _ in range(NEWTON_MAX):
-            sig, df = self.sigma_slope(w)
-            f = sig - s
-            step = f / df
-            w = np.minimum(w - step, self.omega_cap)
-            if (np.abs(step) <= 1e-13 * w).all():
-                break
-        bad = ~self._accepts(f, s, w, df)
-        if bad.any():
-            w[bad] = self._bisect(s[bad])
-        if saturate:
-            w[over] = self.omega_cap
-        return w
-
-    def _bisect(self, s):
-        lo = np.zeros_like(s)
-        hi = np.full_like(s, self.omega_cap)
+    def _bisect(self, s: float) -> float:
+        lo, hi = 0.0, self.omega_cap
         for _ in range(1100):   # enough halvings for any double root
             mid = 0.5 * (lo + hi)
-            high = self.sigma(mid) > s
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-            if np.all(hi - lo <= 2.0 * _EPS * hi):
+            if self.sigma(mid) > s:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= 2.0 * _EPS * hi:
                 break
         return 0.5 * (lo + hi)
 
@@ -327,14 +308,14 @@ def gyrational_mass(fm: DensityProfile, omega: float, c: float = 1.0) -> float:
     """
     omega = abs(float(omega))
     _check_subluminal(fm, omega, c)
-    return float(GyrationCurve(fm, c).mass(omega))
+    return GyrationCurve(fm, c).mass(omega)
 
 
 def spin_magnitude(fm: DensityProfile, omega: float, c: float = 1.0) -> float:
     """|s_b|(|omega|): int r^2 <gamma sin^2> f 4 pi r^2 dr * omega."""
     omega = abs(float(omega))
     _check_subluminal(fm, omega, c)
-    return float(GyrationCurve(fm, c).sigma(omega))
+    return GyrationCurve(fm, c).sigma(omega)
 
 
 def bare_spin(fm: DensityProfile, omega3, c: float = 1.0) -> np.ndarray:

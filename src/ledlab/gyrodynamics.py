@@ -31,6 +31,7 @@ system by successive integration and is compared against the stepper.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,6 +93,7 @@ class RelaxationFit:
 ROUNDOFF_MULTIPLE = 1000.0
 _EPS = np.finfo(float).eps
 OMEGA_CAP = 0.999       # omega R / c bound of the solver's spin inversion
+RECORD_BLOCK = 256      # time rows per pass of GyroSolver.run's field diagnostics
 
 
 @dataclass
@@ -112,6 +114,11 @@ class CFLError(ValueError):
 
 
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a 3-vector, same bits, a third of the time."""
+    return math.sqrt(v.dot(v))
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,8 +150,10 @@ class GyroSolver:
 
     A grid cut short errs one node further inward per step, so `run` steps
     only the k = min(n, i_audit + n_steps + 2) nodes that its records
-    depend on (see there).  A step of `run` costs one laplacian of those k
-    nodes plus work on m nodes.
+    depend on (see there).  A step costs one laplacian of those k nodes,
+    work on the m support nodes and two float spin inversions of about
+    three kernel passes each; `run` copies the slices that its records
+    read and evaluates them once per RECORD_BLOCK steps.
     """
 
     def __init__(self, fe: DensityProfile, fm: DensityProfile, c: float = 1.0,
@@ -245,17 +254,19 @@ class GyroSolver:
     def omega_of_sb(self, sb: np.ndarray, start: float = None) -> np.ndarray:
         """omega parallel to sb on the gyration curve; `start` is a guess of
         |omega| in [0, cap] that warm-starts the inversion."""
-        smag = float(np.linalg.norm(sb))
+        smag = _norm(sb)
         if smag == 0.0:
             return np.zeros(3)
         return self.curve.invert(smag, start) * sb / smag
 
     def omega_many(self, sb: np.ndarray) -> np.ndarray:
-        """Vectorized spin inversion along a time series (nt, 3), saturated
-        at the admissibility cap for transient iterates (the physical
-        stepper keeps the hard error)."""
+        """Spin inversion along a time series (nt, 3), one `invert` per row,
+        saturated at the admissibility cap for transient iterates (the
+        physical stepper keeps the hard error)."""
+        curve = self.curve
         smag = np.linalg.norm(sb, axis=-1)
-        wmag = self.curve.omega(smag, saturate=True)
+        wmag = np.array([curve.omega_cap if s >= curve.sigma_cap else curve.invert(s)
+                         for s in smag.tolist()])
         out = np.zeros_like(sb)
         pos = smag > 0
         out[pos] = sb[pos] * (wmag[pos] / smag[pos])[:, None]
@@ -358,7 +369,7 @@ class GyroSolver:
 
         # predictor for the half-step gyration vector
         s_half = state.sb + h * self.torque(w0, pi, state.omega)
-        om_half = self.omega_of_sb(s_half, np.linalg.norm(state.omega))
+        om_half = self.omega_of_sb(s_half, _norm(state.omega))
         source = self._source(om_half)
 
         lap = state.lap if state.lap is not None else self._wave(w0)
@@ -374,12 +385,13 @@ class GyroSolver:
         w_mid = 0.5 * (w0[:m] + w[:m])
         sb = state.sb + (dt * _cross(om_half, self.field_spin_support(w_mid))
                          - self.field_spin_support(w[:m] - w0[:m]))
-        omega = self.omega_of_sb(sb, np.linalg.norm(om_half))
+        omega = self.omega_of_sb(sb, _norm(om_half))
         return GyroEvolutionState(w, pi, sb, omega, state.t + dt, lap)
 
     # -- diagnostics ------------------------------------------------------------
-    def dynamic_energy_inside(self, w: np.ndarray, pi: np.ndarray, i_audit: int) -> float:
-        """Dynamic-sector field energy inside r[i_audit].
+    def dynamic_energy_inside(self, w: np.ndarray, pi: np.ndarray, i_audit: int):
+        """Dynamic-sector field energy inside r[i_audit]; w and pi are
+        (..., k, 3) with any leading (time) axes and k > i_audit nodes.
 
         The Coulomb part is constant in time and excluded; the E cross
         term vanishes exactly by the angular reduction.  The magnetic
@@ -387,26 +399,28 @@ class GyroSolver:
 
             (1/3) int r^4 |w'|^2 dr + (2/3) r^3 |w|^2 |_boundary
 
-        on the staggered cells of the conservative operator, so that the
-        discrete balance against the stepper telescopes.
+        on the staggered cells below r[i_audit], plus the continuum boundary
+        term, while poynting_flux takes a centred w' there: not one
+        summation by parts, so the balance against the stepper does not
+        telescope and the audit defect carries a grid error at any dt.
         """
-        r = self.r
-        dr = self.dr
-        e_part = np.sum(np.sum(pi[1:i_audit + 1]**2, axis=1)
-                        * r[1:i_audit + 1]**4) * dr / (3.0 * self.c**2)
-        grad = (w[1:i_audit + 1] - w[:i_audit]) / dr
-        b_part = (np.sum(self._r_half4[:i_audit] * np.sum(grad**2, axis=1)) * dr / 3.0
-                  + (2.0 / 3.0) * r[i_audit]**3 * float(w[i_audit] @ w[i_audit]))
-        return float(e_part + b_part)
+        r, dr, a = self.r, self.dr, i_audit
+        e_part = np.sum(np.sum(pi[..., 1:a + 1, :]**2, axis=-1) * r[1:a + 1]**4,
+                        axis=-1) * dr / (3.0 * self.c**2)
+        grad = (w[..., 1:a + 1, :] - w[..., :a, :]) / dr
+        b_part = (np.sum(self._r_half4[:a] * np.sum(grad**2, axis=-1), axis=-1) * dr / 3.0
+                  + (2.0 / 3.0) * r[a]**3 * np.sum(w[..., a, :]**2, axis=-1))
+        return e_part + b_part
 
-    def poynting_flux(self, w: np.ndarray, pi: np.ndarray, i_audit: int) -> float:
+    def poynting_flux(self, w: np.ndarray, pi: np.ndarray, i_audit: int):
         """Outward Poynting flux through the sphere r[i_audit]:
-        -(2/3) r^3 pi . (2w + r w'), with w' on the staggered cell."""
-        r = self.r
-        ra = r[i_audit]
-        wp = (w[i_audit + 1] - w[i_audit - 1]) / (2.0 * self.dr)
-        return float(-(2.0 / 3.0) * ra**3
-                     * np.dot(pi[i_audit], 2.0 * w[i_audit] + ra * wp))
+        -(2/3) r^3 pi . (2w + r w'), with the centred w' (w_{a+1} -
+        w_{a-1}) / 2 dr; w and pi are (..., k, 3) with any leading axes."""
+        a = i_audit
+        ra = self.r[a]
+        wp = (w[..., a + 1, :] - w[..., a - 1, :]) / (2.0 * self.dr)
+        return -(2.0 / 3.0) * ra**3 * np.sum(pi[..., a, :] * (2.0 * w[..., a, :] + ra * wp),
+                                             axis=-1)
 
     # -- drivers -------------------------------------------------------------
     def _window(self, k: int) -> GyroSolver:
@@ -428,7 +442,9 @@ class GyroSolver:
         after t steps w is exact below k - t, pi and lap below k - t - 1.
         So the run steps only the leading min(n, i_audit + n_steps + 2)
         nodes, the domain of dependence of its records, and they equal the
-        full grid's bit for bit.
+        full grid's bit for bit.  s_e, the energy inside r_audit and the
+        flux are evaluated over the time axis of each RECORD_BLOCK steps,
+        row by row equal to one state's call, in memory flat in the horizon.
         """
         if dt is None:
             dt = self.cfl_dt()
@@ -443,25 +459,25 @@ class GyroSolver:
             state = replace(state, w=state.w[:k], pi=state.pi[:k],
                             lap=None if state.lap is None else state.lap[:k])
 
-        rec_t, rec_om, rec_sb, rec_se, rec_wb, rec_wf, rec_fl = [], [], [], [], [], [], []
-
-        def record(s):
-            rec_t.append(s.t)
-            rec_om.append(s.omega)
-            rec_sb.append(s.sb)
-            rec_se.append(self.field_spin_support(s.w))
-            rec_wb.append(self.curve.mass(np.linalg.norm(s.omega)) * self.c**2)
-            rec_wf.append(self.dynamic_energy_inside(s.w, s.pi, i_audit))
-            rec_fl.append(self.poynting_flux(s.w, s.pi, i_audit))
-
-        record(state)
-        for _ in range(n_steps):
-            state = win.step(state, dt)
-            record(state)
-
-        return Trajectory(np.array(rec_t), np.array(rec_om), np.array(rec_sb),
-                          np.array(rec_se), np.array(rec_wb), np.array(rec_wf),
-                          np.array(rec_fl), self.r[i_audit])
+        nt = n_steps + 1
+        t, w_field, flux = np.empty(nt), np.empty(nt), np.empty(nt)
+        omega, sb, se = np.empty((nt, 3)), np.empty((nt, 3)), np.empty((nt, 3))
+        block = min(nt, RECORD_BLOCK)
+        w_rec = np.empty((block, i_audit + 2, 3))
+        pi_rec = np.empty((block, i_audit + 1, 3))
+        for i in range(nt):
+            if i:
+                state = win.step(state, dt)
+            t[i], omega[i], sb[i] = state.t, state.omega, state.sb
+            j = i % block
+            w_rec[j], pi_rec[j] = state.w[:i_audit + 2], state.pi[:i_audit + 1]
+            if j == block - 1 or i == nt - 1:
+                rows, w_blk, pi_blk = slice(i - j, i + 1), w_rec[:j + 1], pi_rec[:j + 1]
+                se[rows] = self.field_spin_support(w_blk)
+                w_field[rows] = self.dynamic_energy_inside(w_blk, pi_blk, i_audit)
+                flux[rows] = self.poynting_flux(w_blk, pi_blk, i_audit)
+        W_b = np.array([self.curve.mass(_norm(om)) for om in omega]) * self.c**2
+        return Trajectory(t, omega, sb, se, W_b, w_field, flux, self.r[i_audit])
 
     def predicted_equilibrium(self, state: GyroEvolutionState) -> float:
         """|omega| of the stationary state conserving s_b + s_e.

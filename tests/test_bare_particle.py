@@ -6,10 +6,8 @@ from ledlab.bare_particle import (
     DensityProfile,
     GyrationCurve,
     bare_spin,
-    gamma_kernel,
     gyrational_mass,
     omega_from_spin,
-    spin_kernel,
     spin_magnitude,
 )
 
@@ -106,11 +104,11 @@ class TestGyrationalMass:
     def test_volume_mass_bounded(self):
         # continuous profiles keep a finite gyrational-energy limit
         near = gyrational_mass(VOLUME, 1.0 - 1e-10)
-        # exact limit 3 int_0^1 artanh(s) s ds = 3/2; the fixed-order rule
-        # resolves the edge log-singularity to a few 1e-4 only
+        # exact limit 3 int_0^1 artanh(s) s ds = 3/2; the closed form at B sits
+        # below it by about (1 - B^2)(artanh B - 1) = 2.2e-9 relative
         limit = quad(lambda s: 3.0 * s * np.arctanh(s), 0, 1, epsabs=1e-13)[0]
         assert limit == pytest.approx(1.5, rel=1e-12)
-        assert near == pytest.approx(limit, rel=5e-4)
+        assert near == pytest.approx(limit, rel=1e-8)
         assert near < 2.0
 
     def test_monotone_convex(self):
@@ -207,7 +205,8 @@ class TestOmegaFromSpin:
 
     def test_monotone_inverse(self):
         smags = np.linspace(0.01, 3.0, 25)
-        ws = GyrationCurve(SHELL).omega(smags)
+        curve = GyrationCurve(SHELL)
+        ws = [curve.invert(s) for s in smags]
         assert np.all(np.diff(ws) > 0)
 
     def test_shell_accepts_large_spin(self):
@@ -224,35 +223,37 @@ class TestOmegaFromSpin:
         with pytest.raises(ValueError):
             omega_from_spin(VOLUME, [0, 0, 10.0])
 
-    def test_vectorized_matches_scalar(self):
-        smags = np.array([0.05, 0.4, 1.3])
-        ws = GyrationCurve(SHELL).omega(smags)
-        for s, w in zip(smags, ws):
+    def test_curve_inverse_matches_omega_from_spin(self):
+        curve = GyrationCurve(SHELL)
+        for s in (0.05, 0.4, 1.3):
+            w = curve.invert(s)
             expect = np.linalg.norm(omega_from_spin(SHELL, [0, 0, s]))
             assert w == pytest.approx(expect, rel=1e-10)
 
-    def test_vectorized_spin_matches_scalar(self):
-        ws = np.array([0.1, 0.4, 0.85])
-        vals = GyrationCurve(SHELL).sigma(ws)
-        for w, v in zip(ws, vals):
-            assert v == pytest.approx(spin_magnitude(SHELL, w), rel=1e-12)
+    def test_curve_sigma_matches_spin_magnitude(self):
+        curve = GyrationCurve(SHELL)
+        for w in (0.1, 0.4, 0.85):
+            assert curve.sigma(w) == pytest.approx(spin_magnitude(SHELL, w), rel=1e-12)
 
 
 class TestMinkowskiInertia:
     """The rest-frame Minkowski inertia int (||x||^2 g - x (x) x) gamma f:
-    time-time entry int r^2 gamma f, axial entry GyrationCurve.spin_moment."""
+    time-time entry int r^2 gamma f, axial entry sigma / |omega| of the
+    GyrationCurve, which is d sigma / d omega at rest."""
 
     def test_static_shell_blocks(self):
         # int r^2 f = m R^2; axial block (2/3) m R^2, the moment of inertia
         assert SHELL.moment(2) == pytest.approx(1.0)
-        assert GyrationCurve(SHELL).spin_moment(0.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert GyrationCurve(SHELL).spin_moment(0.0) == pytest.approx(
+        at_rest = GyrationCurve(SHELL).sigma_slope(0.0)[1]
+        assert at_rest == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert at_rest == pytest.approx(
             (2.0 / 3.0) * SHELL.moment(2), rel=1e-12)
 
     def test_contraction_reproduces_spin(self):
         # the space block I_perp (1 - n n) + I_par n n maps w = |w| n to I_par w
         w3 = np.array([0.1, 0.2, 0.4])
-        i_par = GyrationCurve(SHELL).spin_moment(np.linalg.norm(w3))
+        mag = np.linalg.norm(w3)
+        i_par = GyrationCurve(SHELL).sigma(mag) / mag
         np.testing.assert_allclose(bare_spin(SHELL, w3), i_par * w3, rtol=1e-12)
 
     def test_component_oracle(self):
@@ -265,7 +266,7 @@ class TestMinkowskiInertia:
         gam = lambda mu: 1.0 / np.sqrt(1.0 - w**2 * (1.0 - mu**2))
         i_par = angular(lambda mu: (1 - mu**2) * gam(mu))        # zz kernel
         i_time = angular(gam)
-        assert GyrationCurve(SHELL).spin_moment(w) == pytest.approx(i_par, rel=1e-10)
+        assert GyrationCurve(SHELL).sigma(w) / w == pytest.approx(i_par, rel=1e-10)
         assert gyrational_mass(SHELL, w) == pytest.approx(i_time, rel=1e-10)
 
     def test_superluminal_rejected(self):
@@ -280,13 +281,13 @@ class TestGyrationCurveSamples:
 
     def test_monotone_and_convex(self):
         curve = GyrationCurve(SHELL)
-        assert np.all(np.diff(curve.mass(self.GRID)) > 0)
+        assert np.all(np.diff([curve.mass(w) for w in self.GRID]) > 0)
         assert curve.mass(0.0) == pytest.approx(1.0, rel=1e-10)
 
     def test_inverse_consistency(self):
         curve = GyrationCurve(SHELL)
         s = spin_magnitude(SHELL, 0.45)
-        approx = float(np.interp(s, curve.sigma(self.GRID), self.GRID))
-        exact = float(curve.omega(s)[0])
+        approx = float(np.interp(s, [curve.sigma(w) for w in self.GRID], self.GRID))
+        exact = curve.invert(s)
         assert approx == pytest.approx(exact, rel=1e-5)
         assert exact == pytest.approx(0.45, rel=1e-10)

@@ -1,7 +1,7 @@
 """Oracle tests of the gyration curve: closed forms evaluated in mpmath,
 branch continuity of the kernel and of the slope, inversion round trips,
-the warm-started inverse against the cold one, and the inverse's cap,
-saturation and fallback paths."""
+the warm-started inverse against the cold one, and the inverse's cap and
+fallback paths."""
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ledlab import bare_particle
-from ledlab.bare_particle import SERIES_BELOW, DensityProfile, GyrationCurve, spin_kernel
+from ledlab.bare_particle import (
+    BALL_SERIES_BELOW,
+    SERIES_BELOW,
+    DensityProfile,
+    GyrationCurve,
+    spin_kernel,
+)
+from ledlab.gyrodynamics import OMEGA_CAP
 
 MASS = 2.0
 SHELL = DensityProfile.shell(MASS, 1.0)
@@ -20,8 +27,15 @@ EDGE_BETAS = [0.01, 0.1, 0.29, np.nextafter(SERIES_BELOW, 0.0), SERIES_BELOW,
               0.3000001, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-10]
 
 
+UNIT_BALL = GyrationCurve(DensityProfile.volume(1.0, 1.0))
+
+
 def unit_slope(beta):
     return UNIT_CURVE.sigma_slope(beta)[1]
+
+
+def unit_ball_slope(beta):
+    return UNIT_BALL.sigma_slope(beta)[1]
 
 
 def beta_k(x):
@@ -39,31 +53,40 @@ class TestKernels:
     @pytest.mark.parametrize("beta", EDGE_BETAS)
     def test_spin_kernel_against_mpmath(self, beta):
         x = mp.mpf(float(beta))
-        assert spin_kernel(beta)[0] == pytest.approx(float(beta_k(x) / x), rel=1e-14)
+        assert spin_kernel(beta) == pytest.approx(float(beta_k(x) / x), rel=1e-14)
 
     @pytest.mark.parametrize("beta", EDGE_BETAS)
     def test_slope_against_mpmath_derivative(self, beta):
         expect = mp.diff(beta_k, mp.mpf(float(beta)))
         assert unit_slope(beta) == pytest.approx(float(expect), rel=1e-13)
 
-    @pytest.mark.parametrize("kernel", [spin_kernel, unit_slope], ids=["spin_kernel", "slope"])
-    def test_continuous_across_series_switch(self, kernel):
-        below = np.nextafter(SERIES_BELOW, 0.0)
-        above = np.nextafter(SERIES_BELOW, 1.0)
-        vals = kernel(np.array([below, SERIES_BELOW, above]))
+    @pytest.mark.parametrize("kernel, switch", [
+        (spin_kernel, SERIES_BELOW), (unit_slope, SERIES_BELOW),
+        (UNIT_BALL.sigma, BALL_SERIES_BELOW), (unit_ball_slope, BALL_SERIES_BELOW),
+        (UNIT_BALL.mass, BALL_SERIES_BELOW)],
+        ids=["spin_kernel", "slope", "ball_sigma", "ball_slope", "ball_mass"])
+    def test_continuous_across_series_switch(self, kernel, switch):
+        vals = [kernel(b) for b in (np.nextafter(switch, 0.0), switch, np.nextafter(switch, 1.0))]
         assert vals[1] == pytest.approx(vals[0], rel=1e-14)
         assert vals[2] == pytest.approx(vals[1], rel=1e-14)
 
-    def test_mixed_array_matches_elementwise(self):
-        betas = np.array([0.05, 0.35, 0.0, 0.8, 0.299])
-        for kernel in (spin_kernel, unit_slope):
-            each = np.array([kernel(np.array([b]))[0] for b in betas])
-            np.testing.assert_allclose(kernel(betas), each, rtol=1e-15)
+    def test_even_kernel_odd_sigma(self):
+        # Newton may step to an iterate rounded below zero: sigma is odd
+        # there and its slope even, so the next step returns; one float
+        # beta per kernel call, as a size-1 numpy value
+        for b in (0.05, 0.35, 0.0, 0.8, 0.299, 0.65):
+            k = spin_kernel(b)
+            assert isinstance(k, np.float64) and k.size == 1
+            assert spin_kernel(-b) == k
+            for curve in (UNIT_CURVE, UNIT_BALL):
+                sig, slope = curve.sigma_slope(b)
+                assert curve.sigma_slope(-b) == (-sig, slope)
+                assert curve.mass(-b) == curve.mass(b)
 
     def test_series_coefficients(self):
         # the first terms 2/3 + (4/15) b^2 and 2/3 + (4/5) b^2
         b = 1e-4
-        assert spin_kernel(b)[0] == pytest.approx(2 / 3 + 4 / 15 * b**2, rel=1e-16)
+        assert spin_kernel(b) == pytest.approx(2 / 3 + 4 / 15 * b**2, rel=1e-16)
         assert unit_slope(b) == pytest.approx(2 / 3 + 4 / 5 * b**2, rel=1e-16)
 
 
@@ -82,9 +105,9 @@ class TestCurve:
 
     def test_mass_closed_form(self):
         curve = GyrationCurve(SHELL)
-        w = np.array([0.0, 0.2, 0.7])
+        w = [0.0, 0.2, 0.7]
         expect = [MASS, MASS * np.arctanh(0.2) / 0.2, MASS * np.arctanh(0.7) / 0.7]
-        np.testing.assert_allclose(curve.mass(w), expect, rtol=1e-15)
+        np.testing.assert_allclose([curve.mass(x) for x in w], expect, rtol=1e-15)
 
     def test_slope_matches_difference_quotient_on_volume(self):
         curve = GyrationCurve(VOLUME)
@@ -99,8 +122,57 @@ class TestCurve:
             curve = GyrationCurve(fm)
             assert curve.inertia == pytest.approx((2.0 / 3.0) * fm.moment(2), rel=1e-14)
             w = np.linspace(0.0, 0.99, 40)
-            assert np.all(curve.sigma(w) >= curve.inertia * w)
-            assert np.all(np.diff(curve.sigma_slope(w)[1]) > 0)
+            assert all(curve.sigma(x) >= curve.inertia * x for x in w)
+            assert np.all(np.diff([curve.sigma_slope(x)[1] for x in w]) > 0)
+
+
+def closed_forms(kind, B):
+    """(sigma, d sigma/d omega, M) of a unit-radius profile of mass MASS at
+    c = 1 and omega = B, from artanh in 50-digit mpmath: the shell from K,
+    (B K)' and A/B, the ball from J = int_0^B b^4 K db in its own closed
+    form, with J' = B^4 K."""
+    with mp.workdps(50):
+        B = mp.mpf(B)
+        if B == 0:
+            return 0, MASS * (mp.mpf(2) / 3 if kind == "shell" else mp.mpf(2) / 5), MASS
+        A = mp.atanh(B)
+        K = ((1 + B**2) * A - B) / (2 * B**3)
+        if kind == "shell":
+            dBK = ((2 * B * A + (1 + B**2) / (1 - B**2) - 1) * 2 * B**2
+                   - ((1 + B**2) * A - B) * 4 * B) / (4 * B**4)
+            return MASS * B * K, MASS * dBK, MASS * A / B
+        J = ((B**2 + 3) * (B**2 - 1) * A + 3 * B - B**3) / 8
+        return (3 * MASS * J / B**4, 3 * MASS * (K - 4 * J / B**5),
+                3 * MASS * ((B**2 - 1) * A + B) / (2 * B**3))
+
+
+ORACLE_BETAS = sorted(
+    [float(b) for b in np.linspace(0.0, OMEGA_CAP, 101)]
+    + [sw + d for sw in (SERIES_BELOW, BALL_SERIES_BELOW) for d in (-1e-6, 1e-6)]
+    + [0.999, 1.0 - 1e-14])
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("fm", [SHELL, VOLUME], ids=["shell", "volume"])
+    def test_against_mpmath(self, fm):
+        # sigma, sigma' and M to 1e-13 on [0, OMEGA_CAP], beside each series
+        # switch and at the edge of the light cone; M, whose differences the
+        # energy audit reads, to 2e-15, below the 64-node Gauss rule's error
+        # of up to 3e-15 that the closed forms replaced
+        curve = GyrationCurve(fm)
+        for b in ORACLE_BETAS:
+            got = (*curve.sigma_slope(b), curve.mass(b))
+            for name, x, ref, rel in zip(("sigma", "slope", "mass"), got,
+                                         closed_forms(fm.kind, b), (1e-13, 1e-13, 2e-15)):
+                assert x == pytest.approx(float(ref), rel=rel, abs=0.0), (name, b)
+
+    @pytest.mark.parametrize("fm", [SHELL, VOLUME], ids=["shell", "volume"])
+    def test_at_rest(self, fm):
+        curve = GyrationCurve(fm)
+        sigma, slope = curve.sigma_slope(0.0)
+        assert sigma == 0.0
+        assert slope == pytest.approx(curve.inertia, rel=1e-15)
+        assert curve.mass(0.0) == pytest.approx(MASS, rel=1e-15)
 
 
 class TestInverse:
@@ -108,12 +180,12 @@ class TestInverse:
     def test_round_trip(self, fm):
         curve = GyrationCurve(fm)
         w = np.array([0.0, 1e-8, 0.05, 0.29, 0.31, 0.6, 0.9, 0.99])
-        back = curve.omega(curve.sigma(w))
+        back = [curve.invert(curve.sigma(x)) for x in w]
         np.testing.assert_allclose(back, w, rtol=1e-13, atol=0.0)
 
     def test_shell_large_spin(self):
         curve = GyrationCurve(SHELL)
-        w = curve.omega(10.0)[0]
+        w = curve.invert(10.0)
         assert 0.99 < w < 1.0
         # sigma is log-steep at the edge: |sigma' w| eps bounds the residual
         assert curve.sigma(w) == pytest.approx(10.0, abs=16 * np.finfo(float).eps
@@ -122,16 +194,15 @@ class TestInverse:
     def test_volume_supremum_rejected(self):
         curve = GyrationCurve(VOLUME)
         with pytest.raises(ValueError, match="gyrational bound"):
-            curve.omega([0.1, 10.0])
+            curve.invert(10.0)
 
-    def test_saturate_clips_to_cap(self):
+    def test_cap_rejects(self):
         curve = GyrationCurve(SHELL, omega_cap=0.999)
-        s = np.array([0.2, curve.sigma_cap, 5.0 * curve.sigma_cap])
-        with pytest.raises(ValueError):
-            curve.omega(s)
-        w = curve.omega(s, saturate=True)
-        assert w[1] == w[2] == curve.omega_cap == 0.999
-        assert curve.sigma(w[0]) == pytest.approx(0.2, rel=1e-14)
+        assert curve.omega_cap == 0.999
+        for s in (curve.sigma_cap, 5.0 * curve.sigma_cap):
+            with pytest.raises(ValueError):
+                curve.invert(s)
+        assert curve.sigma(curve.invert(0.2)) == pytest.approx(0.2, rel=1e-14)
 
     def test_newton_kernel_calls(self, monkeypatch):
         # the start s / I lies a few per cent above the root at beta ~ 0.3,
@@ -145,7 +216,7 @@ class TestInverse:
         for w in np.linspace(0.2, 0.4, 9):
             s = curve.sigma(w)
             calls.clear()
-            assert curve.omega(s)[0] == pytest.approx(w, rel=1e-14)
+            assert curve.invert(s) == pytest.approx(w, rel=1e-14)
             assert len(calls) <= 5
 
     @pytest.mark.parametrize("fm", [SHELL, VOLUME], ids=["shell", "volume"])
@@ -158,7 +229,7 @@ class TestInverse:
         # bound cannot hold for any method.
         curve = GyrationCurve(fm)
         s = frac * curve.sigma_cap
-        cold = curve.omega(s)[0]
+        cold = curve.invert(s)
         w = curve.invert(s, guess * curve.omega_cap)
         assert w == pytest.approx(cold, rel=1e-14, abs=0.0)
         slope = curve.sigma_slope(w)[1]
@@ -169,10 +240,10 @@ class TestInverse:
         monkeypatch.setattr(bare_particle, "NEWTON_MAX", 1)
         curve = GyrationCurve(VOLUME)
         w = np.array([0.1, 0.5, 0.95])
-        np.testing.assert_allclose(curve.omega(curve.sigma(w)), w, rtol=1e-14)
+        np.testing.assert_allclose([curve.invert(curve.sigma(x)) for x in w], w, rtol=1e-14)
 
     def test_rejects_what_newton_cannot_invert(self):
         with pytest.raises(FloatingPointError):
-            GyrationCurve(SHELL).omega([0.2, np.nan])
+            GyrationCurve(SHELL).invert(np.nan)
         with pytest.raises(ValueError, match="nonnegative"):
             GyrationCurve(DensityProfile.shell(-1.0, 1.0))

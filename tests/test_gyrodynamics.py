@@ -3,9 +3,10 @@ gyration curve along a run, the support-spin invariant, the discrete
 stationary fixed point, the CFL guard, the stationary operator bands, the
 spin coupling on a tilted axis against node-by-node sums, the laplacian
 against a node loop, the support-sliced stepper against a full-grid one,
-Picard against the stepper, round-off verdicts of the relax run, a
-recorded relax time series, and the kernel passes and rejections of the
-warm-started spin inversion."""
+Picard against the stepper, the run's batched records against each
+state's diagnostics, round-off verdicts of the relax run, a recorded
+relax time series, and the kernel passes, rejections and saturation of
+the warm-started spin inversion."""
 
 import csv
 import dataclasses
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from ledlab import bare_particle, cli
+from ledlab import bare_particle, cli, gyrodynamics
 from ledlab.bare_particle import DensityProfile
 from ledlab.gyrodynamics import CFLError, GyroEvolutionState, GyroSolver
 
@@ -211,6 +212,13 @@ class TestStepper:
         np.testing.assert_allclose(om[1], [0.0, 0.6 * 0.999, 0.8 * 0.999], rtol=1e-15)
         assert np.linalg.norm(om[0]) == pytest.approx(solver.omega_of_sb(sb[0])[2], rel=1e-15)
 
+    def test_omega_many_saturates_from_the_cap_up(self, solver):
+        cap = solver.curve.sigma_cap
+        sb = np.array([[0.0, 0.0, 0.2], [0.0, 0.0, cap], [0.0, 0.0, 5.0 * cap]])
+        om = solver.omega_many(sb)
+        np.testing.assert_allclose(om[1:, 2], solver.curve.omega_cap, rtol=1e-15)
+        assert solver.curve.sigma(om[0, 2]) == pytest.approx(0.2, rel=1e-14)
+
     @pytest.mark.parametrize("kind, r_max", [("shell", 10.0), ("volume", 37.0)])
     def test_stationary_bands_match_node_loop(self, kind, r_max):
         # the flux-form solve against solve_banded on the node-loop bands,
@@ -352,6 +360,35 @@ class TestSupportStepper:
         k = min(s.n, i_audit + n_steps + 2)
         assert (k == s.n) == (grid == "solver")
         assert widths == [k] * (n_steps + 1)
+
+    @pytest.mark.parametrize("kind", ["shell", "volume"])
+    @pytest.mark.parametrize("r_max", [4.0, 200.0], ids=["full_grid", "windowed"])
+    def test_batched_records_match_each_state(self, kind, r_max):
+        """300 steps span two diagnostics blocks; each column of the run
+        against the diagnostics of the full-grid stepper's state, one at
+        a time."""
+        fe = getattr(DensityProfile, kind)(-1.0, 1.0)
+        s = GyroSolver(fe, getattr(DensityProfile, kind)(MASS, 1.0), r_max=r_max)
+        state = tilted_state(s)
+        dt = s.cfl_dt()
+        traj = s.run(state, 299.5 * dt)
+        i_audit = int(round(traj.r_audit / s.dr))
+        assert len(traj.t) == 301 > gyrodynamics.RECORD_BLOCK
+        assert (i_audit + 302 < s.n) == (r_max == 200.0)
+        rows = []
+        for i in range(len(traj.t)):
+            if i:
+                state = s.step(state, dt)
+            rows.append((state.t, state.omega, state.sb, s.field_spin_support(state.w),
+                         s.curve.mass(np.linalg.norm(state.omega)) * s.c**2,
+                         s.dynamic_energy_inside(state.w, state.pi, i_audit),
+                         s.poynting_flux(state.w, state.pi, i_audit)))
+        for key, ref in zip(("t", "omega", "sb", "se", "W_b", "W_field_inside", "flux"),
+                            map(np.array, zip(*rows))):
+            got = getattr(traj, key)
+            assert got.shape == ref.shape and np.ptp(ref) > 0, key
+            np.testing.assert_allclose(got, ref, rtol=0.0,
+                                       atol=1e-14 * np.max(np.abs(ref)), err_msg=key)
 
     def test_run_calls_laplacian_once_per_step_and_once_more(self, solver, monkeypatch):
         calls = []

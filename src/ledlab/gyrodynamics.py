@@ -446,6 +446,8 @@ class GyroSolver:
         flux are evaluated over the time axis of each RECORD_BLOCK steps,
         row by row equal to one state's call, in memory flat in the horizon.
         """
+        if not horizon > 0:
+            raise ValueError(f"horizon must be positive, got {horizon:g}")
         if dt is None:
             dt = self.cfl_dt()
         r_audit = min(0.8 * self.r[-1], 4.0 * self.fe.R)
@@ -589,7 +591,17 @@ class GyroSolver:
         iterates; in the contraction regime the tail gaps shrink
         geometrically, after a transient whose length scales with
         horizon * c / dr (the norm of the discrete spatial operator).
+
+        One iteration costs one _accel over the (nt+1, n, 3) history (with
+        one omega_many, torque and _outgoing) and three trapezoid running
+        sums, formed in place in the array they return.  The running sum
+        adds row k-1 into row k, one row at a time: np.cumsum along the
+        leading axis gives the same bits 4-6 times slower.
         """
+        if not horizon > 0:
+            raise ValueError(f"Picard horizon must be positive, got {horizon:g}")
+        if n_max < 1:
+            raise ValueError(f"Picard needs at least one iteration, got n_max = {n_max}")
         if dt is None:
             dt = self.cfl_dt()
         nt = int(np.ceil(horizon / dt))
@@ -601,12 +613,25 @@ class GyroSolver:
 
         steps = np.diff(times)
 
-        def cumint(f):
-            """Trapezoid integral from t = 0 over the time grid (axis 0)."""
-            out = np.zeros_like(f)
-            h = steps.reshape((-1,) + (1,) * (f.ndim - 1))
-            np.cumsum(h * (f[1:] + f[:-1]) / 2.0, axis=0, out=out[1:])
+        def integrate(x0, f):
+            """x0 plus the trapezoid integral of f from t = 0 over the time
+            grid (axis 0); row 0 is x0 + 0.0, so -0.0 becomes +0.0.  The sum
+            so far is each add's first operand, as in np.cumsum: of two NaNs
+            the add keeps the first."""
+            out = np.empty_like(f)
+            inc = out[1:]
+            np.add(f[1:], f[:-1], out=inc)
+            inc *= steps.reshape((-1,) + (1,) * (f.ndim - 1))
+            inc /= 2.0
+            for k in range(1, nt):
+                np.add(inc[k - 1], inc[k], out=inc[k])
+            np.add(x0, 0.0, out=out[0])
+            np.add(x0, inc, out=inc)
             return out
+
+        def gap(x, y):
+            d = np.subtract(x, y)
+            return float(np.abs(d, out=d).max())
 
         gaps = []       # per iteration: sup gaps of w, pi and sb
         converged = False
@@ -618,9 +643,9 @@ class GyroSolver:
             rhs_pi[:, -1] = a * pi[:, -1] + b / rn2
             rhs_sb = self.torque(w, pi, omega)
 
-            new = (state.w[None] + cumint(pi), state.pi[None] + cumint(rhs_pi),
-                   state.sb[None] + cumint(rhs_sb))
-            gaps.append([float(np.max(np.abs(x - y))) for x, y in zip(new, (w, pi, sb))])
+            new = (integrate(state.w, pi), integrate(state.pi, rhs_pi),
+                   integrate(state.sb, rhs_sb))
+            gaps.append([gap(x, y) for x, y in zip(new, (w, pi, sb))])
             w, pi, sb = new
             if stop_gap > 0 and len(gaps) >= 2 and max(gaps[-1] + gaps[-2]) < stop_gap:
                 converged = True

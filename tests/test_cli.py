@@ -159,6 +159,7 @@ def test_admissibility_report_matches_the_pinned_file(tmp_path, capsys):
     ["renorm-flow", "--report"],
     ["gyro-sim", "--horizon", "1", "--perturb", "0.5"],
     ["admissibility", "--scenario", "curlE-uniform-B-nodvik"],
+    ["gyro-sim", "--mode", "picard", "--horizon", "0.05", "--picard-iters", "4"],
 ])
 def test_rerun_is_byte_identical(tmp_path, capsys, argv):
     first, second = tmp_path / "first", tmp_path / "second"
@@ -203,10 +204,22 @@ def test_picard_exits_3_unless_its_gaps_contract(tmp_path, capsys, horizon, iter
     (["no-such-command"], cli.EXIT_USAGE),
     (["renorm-flow", "--mb-grid", "log:0.5:2.0:4"], cli.EXIT_DOMAIN),
     (["gyro-sim", "--omega-over-c", "1.5", "--horizon", "0.1"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--horizon", "0"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--horizon", "-1"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--mode", "picard", "--horizon", "0"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--mode", "picard", "--horizon", "-1"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--mode", "picard", "--horizon", "0.05", "--picard-iters", "0"],
+     cli.EXIT_DOMAIN),
+    (["gyro-sim", "--mode", "picard", "--horizon", "0.05", "--picard-iters", "-2"],
+     cli.EXIT_DOMAIN),
     (["selfcheck"], cli.EXIT_OK),
 ])
 def test_exit_codes(tmp_path, capsys, argv, code):
-    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == code
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out-dir", str(out)]) == code
+    assert "internal error" not in capsys.readouterr().err
+    if code == cli.EXIT_DOMAIN:
+        assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command, flag", [("admissibility", "--data-file"),

@@ -3,10 +3,10 @@ gyration curve along a run, the support-spin invariant, the discrete
 stationary fixed point, the CFL guard, the stationary operator bands, the
 spin coupling on a tilted axis against node-by-node sums, the laplacian
 against a node loop, the support-sliced stepper against a full-grid one,
-Picard against the stepper, the run's batched records against each
-state's diagnostics, round-off verdicts of the relax run, a recorded
-relax time series, and the kernel passes, rejections and saturation of
-the warm-started spin inversion."""
+Picard against the stepper and bit for bit against a cumsum sweep, the
+run's batched records against each state's diagnostics, round-off
+verdicts of the relax run, a recorded relax time series, and the kernel
+passes, rejections and saturation of the warm-started spin inversion."""
 
 import csv
 import dataclasses
@@ -402,6 +402,116 @@ class TestSupportStepper:
         traj = solver.run(solver.make_state(np.array([0.0, 0.0, 0.3]), 0.5), 1.0)
         steps = len(traj.t) - 1
         assert steps >= 10 and len(calls) == steps + 1
+
+
+def cumsum_picard(s, state, n_max, horizon, stop_gap=0.0):
+    """The Picard sweep with np.cumsum over the time axis and fresh
+    temporaries: the trapezoid integral from t = 0 as a zero row plus a
+    cumulative sum of h (f[1:] + f[:-1]) / 2, added to the initial data."""
+    dt = s.cfl_dt()
+    nt = int(np.ceil(horizon / dt))
+    times = np.linspace(0.0, nt * dt, nt + 1)
+    w, pi, sb = (np.repeat(x[None], nt + 1, axis=0) for x in (state.w, state.pi, state.sb))
+    steps = np.diff(times)
+
+    def cumint(f):
+        out = np.zeros_like(f)
+        h = steps.reshape((-1,) + (1,) * (f.ndim - 1))
+        np.cumsum(h * (f[1:] + f[:-1]) / 2.0, axis=0, out=out[1:])
+        return out
+
+    gaps, converged = [], False
+    rn2 = s.r[-1] ** 2
+    for _ in range(n_max):
+        omega = s.omega_many(sb)
+        rhs_pi = s._accel(w, omega)
+        a, b = s._outgoing(w, pi)
+        rhs_pi[:, -1] = a * pi[:, -1] + b / rn2
+        rhs_sb = s.torque(w, pi, omega)
+        new = (state.w[None] + cumint(pi), state.pi[None] + cumint(rhs_pi),
+               state.sb[None] + cumint(rhs_sb))
+        gaps.append([float(np.max(np.abs(x - y))) for x, y in zip(new, (w, pi, sb))])
+        w, pi, sb = new
+        if stop_gap > 0 and len(gaps) >= 2 and max(gaps[-1] + gaps[-2]) < stop_gap:
+            converged = True
+            break
+    gaps_w, gaps_pi, gaps_sb = np.array(gaps).T
+    return dict(times=times, gaps_w=gaps_w, gaps_pi=gaps_pi, gaps_sb=gaps_sb,
+                n_iter=len(gaps), w=w, pi=pi, sb=sb, converged=converged)
+
+
+def picard_case(name):
+    """(solver, state, picard_iterate arguments) of one oracle case."""
+    shell = GyroSolver(FE, FM)                       # the gyro-sim default grid
+    cli_state = shell.make_state(np.array([0.0, 0.0, 0.3]))
+    if name == "converging_shell":
+        s = GyroSolver(FE, FM, r_max=40.0)
+        return s, s.make_state(np.array([0.0, 0.0, 0.3]), 0.5), dict(
+            n_max=80, horizon=0.15, stop_gap=1e-12)
+    if name == "tilted_volume":
+        s = GyroSolver(DensityProfile.volume(-1.0, 1.0), DensityProfile.volume(MASS, 1.0))
+        return s, tilted_state(s), dict(n_max=80, horizon=0.15, stop_gap=1e-12)
+    if name == "two_rows":
+        return shell, cli_state, dict(n_max=3, horizon=0.5 * shell.cfl_dt())
+    if name == "diverging":
+        return shell, cli_state, dict(n_max=40, horizon=1.0)
+    # a rate that is not finite outside the support: inf and NaNs of both
+    # signs run through the field sums while s_b stays finite
+    pi = cli_state.pi.copy()
+    pi[-10] = [np.inf, -np.inf, np.nan]
+    return shell, dataclasses.replace(cli_state, pi=pi), dict(n_max=4, horizon=0.1)
+
+
+class TestPicardSweep:
+    @pytest.mark.parametrize("name", ["converging_shell", "tilted_volume", "two_rows",
+                                      "diverging", "non_finite"])
+    def test_matches_the_cumsum_sweep_bit_for_bit(self, name):
+        s, state, kwargs = picard_case(name)
+        with np.errstate(all="ignore"):
+            ref = cumsum_picard(s, state, **kwargs)
+            res = s.picard_iterate(state, **kwargs)
+        for key, value in ref.items():
+            got = getattr(res, key)
+            if isinstance(value, np.ndarray):
+                assert got.shape == value.shape, key
+                assert got.tobytes() == value.tobytes(), key
+            else:
+                assert got == value, key
+        gaps = np.array([res.gaps_w, res.gaps_pi, res.gaps_sb])
+        if name == "converging_shell":
+            assert res.converged and res.n_iter < kwargs["n_max"]
+        if name == "two_rows":
+            assert len(res.times) == 2
+        if name == "diverging":
+            assert np.all(np.isfinite(gaps)) and gaps[:, -1].max() > 1e10 * gaps[:, 0].max()
+        if name == "non_finite":
+            nan = res.w[np.isnan(res.w)]
+            assert np.signbit(nan).any() and not np.signbit(nan).all()
+            assert np.isinf(res.pi).any() and np.all(np.isfinite(res.sb))
+
+    def test_leaves_the_state_alone_and_returns_fresh_arrays(self):
+        s = GyroSolver(FE, FM)
+        state = tilted_state(s)
+        before = [x.copy() for x in (state.w, state.pi, state.sb)]
+        res = s.picard_iterate(state, n_max=3, horizon=0.1)
+        for x, y in zip((state.w, state.pi, state.sb), before):
+            assert x.tobytes() == y.tobytes()
+        for out in (res.w, res.pi, res.sb):
+            for x in (state.w, state.pi, state.sb, state.omega):
+                assert not np.shares_memory(out, x)
+        assert not np.shares_memory(res.w, res.pi)
+
+    @pytest.mark.parametrize("kwargs, word", [
+        (dict(n_max=4, horizon=0.0), "horizon"),
+        (dict(n_max=4, horizon=-0.5), "horizon"),
+        (dict(n_max=4, horizon=float("nan")), "horizon"),
+        (dict(n_max=0, horizon=0.1), "n_max"),
+        (dict(n_max=-2, horizon=0.1), "n_max"),
+    ])
+    def test_rejects_a_horizon_or_iteration_count_that_is_not_positive(self, solver, kwargs,
+                                                                         word):
+        with pytest.raises(ValueError, match=word):
+            solver.picard_iterate(solver.make_state(np.array([0.0, 0.0, 0.3])), **kwargs)
 
 
 def _gyro_sim(tmp_path, *flags):

@@ -1,10 +1,9 @@
 """ledlab: Lorentz electrodynamics of a spinning extended charge.
 
 Library layers:
-  minkowski      flat-spacetime four-vector / rank-2 tensor algebra
   bare_particle  gyrational mass, bare spin, spin inversion
   fields         stationary bound states and field functionals
-  forces         Minkowski force/torque, Nodvik mass, pseudo-inertia
+  forces         rest-frame Minkowski force/torque, Nodvik mass, pseudo-inertia
   gyrodynamics   fixed-center field-particle evolution and Picard iteration
   renormflow     stationary renormalization flow to vanishing bare mass
   roots          bracketed scalar root (Brent's method)
@@ -12,17 +11,6 @@ Library layers:
   cli            command-line front end
 """
 
-from .minkowski import (
-    FourVector,
-    Rank2Tensor,
-    METRIC_TENSOR,
-    inner,
-    outer,
-    wedge_up,
-    trace,
-    dual_vector,
-    dual_tensor,
-)
 from .bare_particle import (
     DensityProfile,
     GyrationCurve,
@@ -36,9 +24,10 @@ from .fields import (
     magnetic_moment,
     field_energy,
     field_spin,
-    stress_energy,
 )
 from .forces import (
+    FourVector,
+    Rank2Tensor,
     FieldSnapshot,
     minkowski_force,
     force_dot_u,

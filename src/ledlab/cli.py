@@ -191,6 +191,13 @@ def cmd_stationary(args) -> int:
 def cmd_gyro_sim(args) -> int:
     from .gyrodynamics import GyroSolver
 
+    if args.cells_per_radius < 1:
+        raise ValueError(f"--cells-per-radius must be at least 1, got {args.cells_per_radius}")
+    if not args.c > 0.0:   # NaN fails this too
+        raise ValueError(f"--c must be positive, got {args.c:g}")
+    if args.mode == "picard" and args.picard_iters < 2:
+        raise ValueError(f"--picard-iters must be at least 2, got {args.picard_iters}: a run "
+                         f"contracts when its last gap is below its first")
     fe = _profile(args.profile, -args.charge, args.radius)
     fm = _profile(args.profile, args.mass, args.radius)
     solver = GyroSolver(fe, fm, c=args.c, dr=args.radius / args.cells_per_radius,
@@ -280,25 +287,15 @@ def cmd_admissibility(args) -> int:
 
 def cmd_selfcheck(args) -> int:
     """Fast internal identity battery; exit 3 on any numerical failure."""
-    from . import minkowski as mk
     from . import renormflow as rf
     from .bare_particle import DensityProfile, bare_spin, gyrational_mass, omega_from_spin
-    from .fields import field_spin, field_energy, stationary_state, stress_energy
+    from .fields import field_spin, field_energy, stationary_state
 
     checks = []
 
     def check(name, ok):
         checks.append((name, bool(ok)))
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
-
-    g = mk.METRIC_TENSOR
-    check("trace(metric) == 4", abs(mk.trace(g) - 4.0) < 1e-14)
-    rng = np.random.default_rng(7)
-    a = mk.FourVector(rng.normal(size=4))
-    b = mk.FourVector(rng.normal(size=4))
-    check("antisymmetric trace vanishes", abs(mk.trace(mk.wedge_up(a, b))) < 1e-12)
-    check("metric acts as identity",
-          np.allclose(g.dot(a).c, a.c, atol=1e-15))
 
     fe = DensityProfile.shell(-1.0, 1.0)
     fm = DensityProfile.shell(1.0, 1.0)
@@ -317,9 +314,6 @@ def cmd_selfcheck(args) -> int:
               abs(np.linalg.norm(sf) - (2.0 / 9.0) * 0.5) < 1e-8)
     except Exception:
         check("field spin representations agree", False)
-
-    t = stress_energy(rng.normal(size=3), rng.normal(size=3))
-    check("stress-energy traceless", abs(mk.trace(t)) < 1e-12)
 
     k = rf.PhysicalConstants(include_anomaly=False)
     lc = rf.limit_constants(k)

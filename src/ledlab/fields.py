@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bare_particle import DensityProfile
-from .minkowski import METRIC, Rank2Tensor, trace
 
 
 class NumericalFailure(RuntimeError):
@@ -267,41 +266,3 @@ def field_spin(st: StationaryState, check_tol: float = 1e-4) -> np.ndarray:
         raise NumericalFailure(
             f"field spin representations disagree: relative gap {rel:.3e}")
     return s_pot
-
-
-# ---------------------------------------------------------------------------
-# electromagnetic field tensor and stress-energy
-# ---------------------------------------------------------------------------
-
-_EIJK = np.zeros((3, 3, 3))
-_EIJK[0, 1, 2] = _EIJK[1, 2, 0] = _EIJK[2, 0, 1] = 1.0
-_EIJK[0, 2, 1] = _EIJK[2, 1, 0] = _EIJK[1, 0, 2] = -1.0
-
-
-def field_tensor(e3, b3) -> Rank2Tensor:
-    """Faraday tensor with F^{0i} = E_i and F^{ij} = eps_{ijk} B_k.
-
-    Convention fixed so that F . U with U = (1, v/c) has space part
-    E + (v/c) x B and time part E . v/c.
-    """
-    e3 = np.asarray(e3, dtype=float)
-    b3 = np.asarray(b3, dtype=float)
-    m = np.zeros((4, 4))
-    m[0, 1:] = e3
-    m[1:, 0] = -e3
-    m[1:, 1:] = np.einsum("ijk,k->ij", _EIJK, b3)
-    return Rank2Tensor(m)
-
-
-def stress_energy(e3, b3) -> Rank2Tensor:
-    """(1/4 pi)(F.F - (1/4) tr(F.F) g): symmetric and traceless.
-
-    The operator's time-time entry (its action on the frame time axis) is
-    the energy density (|E|^2 + |B|^2)/8 pi.
-    """
-    f = field_tensor(e3, b3)
-    ff = f.dot(f)
-    tr = trace(ff)
-    m = (ff.m - 0.25 * tr * METRIC) / (4.0 * np.pi)
-    return Rank2Tensor(m)
-

@@ -1,10 +1,11 @@
 """Minkowski force, torque and mass-tensor assembly from a field snapshot.
 
-All simultaneity-slice integrals delta(u.x) reduce to 3-d integrals over
-the charge support in the instantaneous rest frame; a product quadrature
-rule over the profile supplies nodes and weights.  Field snapshots are
-pairs of callables (E, B) over space points in the frame of evaluation;
-a static lab field may be evaluated on a tilted slice for general u.
+Every slice is the rest-frame slice.  The assemblies work in the
+particle's instantaneous rest frame, u = e0, where the simultaneity slice
+delta(u.x) through the centre is x^0 = 0 and its integrals are 3-d
+integrals over the charge support; a product quadrature rule over the
+profile supplies nodes and weights.  Field snapshots are pairs of
+callables (E, B) over space points of that frame.
 
 The pseudo-inertia tensor multiplying u_dot in the quasi-explicit
 worldline equation is assembled term by term:
@@ -20,10 +21,10 @@ self-field with radial E.  Terms 2 and 4 are small against M_b g for
 electron-matched stationary data, which is what makes the worldline
 equation invertible.
 
-Every node integral is built from four-vectors.  Dots contract through g
-and F is antisymmetric, so v.F = -F.v.  The anticommutator of two
-antisymmetric tensors is symmetric, hence term 2 is symmetric by
-construction:
+Every node integral is built from four-vectors: contravariant components,
+signature (-,+,+,+).  Dots contract through g and F is antisymmetric, so
+v.F = -F.v.  The anticommutator of two antisymmetric tensors is
+symmetric, hence term 2 is symmetric by construction:
 
     sum_k w_k [x(x)x, [F_k, Om]_+]_+ = M + M^T,
     M = sum_k w_k x_k (x) ((x_k.F_k).Om + (x_k.Om).F_k).
@@ -36,10 +37,46 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bare_particle import DensityProfile
-from .minkowski import (DEFAULT_TOL, METRIC, FourVector, Rank2Tensor, boost_matrix,
-                        dual_tensor, inner)
 
-_E0 = FourVector.basis(0)
+#: metric components g_{mu nu} = g^{mu nu} = diag(-1, +1, +1, +1)
+METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
+METRIC.flags.writeable = False
+
+_E0 = np.array([1.0, 0.0, 0.0, 0.0])     # u, the rest-frame four-velocity
+_SPACE = np.diag([0.0, 1.0, 1.0, 1.0])   # projector onto the space of u, through g
+
+
+def _frozen(a, shape) -> np.ndarray:
+    out = np.array(a, dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"expected components of shape {shape}, got {out.shape}")
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
+class FourVector:
+    """Contravariant components c^mu, read-only."""
+
+    c: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "c", _frozen(self.c, (4,)))
+
+
+@dataclass(frozen=True)
+class Rank2Tensor:
+    """Contravariant components T^{mu nu}, read-only."""
+
+    m: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", _frozen(self.m, (4, 4)))
+
+    @property
+    def operator(self) -> np.ndarray:
+        """Matrix of the left action on contravariant components, T @ g."""
+        return self.m @ METRIC
 
 
 @dataclass(frozen=True)
@@ -75,37 +112,32 @@ def stationary_snapshot(st) -> FieldSnapshot:
 # slice quadrature and per-node four-vectors
 # ---------------------------------------------------------------------------
 
-def gyration_tensor(omega3, u: FourVector, c: float = 1.0) -> Rank2Tensor:
-    """Gyration tensor dual to the angular velocity omega3 in the u frame.
+def gyration_tensor(omega3, c: float = 1.0) -> Rank2Tensor:
+    """Gyration tensor of the angular velocity omega3.
 
-    Normalized so that Omega . x = -(0, omega x x)/c in the rest frame;
-    the element four-velocity of a rigidly gyrating charge is then
-    U = u - Omega . x with space part (omega x x)/c.
+    Its space block is -[omega/c]x and every other entry is zero, so
+    Omega . x = -(0, omega x x)/c; the element four-velocity of a rigidly
+    gyrating charge is then U = e0 - Omega . x with space part
+    (omega x x)/c.
     """
-    w4 = FourVector([0.0, *(np.asarray(omega3, dtype=float) / c)])
-    # w must be expressed orthogonal to u; for u = e0 this is automatic
-    if abs(inner(w4, u)) > DEFAULT_TOL * max(1.0, float(np.max(np.abs(w4.c)))):
-        raise ValueError("omega3 must live in the space slice of u")
-    return dual_tensor(w4, u)
+    wx, wy, wz = np.asarray(omega3, dtype=float) / c
+    return Rank2Tensor(np.array([[0.0, 0.0, 0.0, 0.0],
+                                 [0.0, 0.0, wz, -wy],
+                                 [0.0, -wz, 0.0, wx],
+                                 [0.0, wy, -wx, 0.0]]))
 
 
-def _slice(snapshot: FieldSnapshot, fe: DensityProfile, u: FourVector,
-           omega3, omega_tensor, c):
-    """Quadrature on the simultaneity slice of u through the centre.
+def _slice(snapshot: FieldSnapshot, fe: DensityProfile, omega3, c):
+    """Quadrature on the rest-frame slice through the centre.
 
     Returns (w, x4, e, b, om): weights carrying the measure f_e d^3 xi,
-    the slice four-vectors x4 (body nodes boosted along u), E and B at
-    their space parts, and the gyration tensor (omega_tensor, or the one
-    dual to omega3 in the u frame).
+    the slice four-vectors x4 = (0, xi), E and B at the nodes, and the
+    gyration tensor of omega3.
     """
     xi, w = fe.support_rule()
     x4 = np.concatenate([np.zeros((len(xi), 1)), xi], axis=1)
-    if not np.allclose(u.c, _E0.c):
-        x4 = x4 @ boost_matrix(u.space / u.time).T
     e, b = snapshot.eb(x4[:, 1:])
-    om = omega_tensor
-    if om is None:
-        om = gyration_tensor(np.zeros(3) if omega3 is None else omega3, u, c)
+    om = gyration_tensor(np.zeros(3) if omega3 is None else omega3, c)
     return w, x4, e, b, om
 
 
@@ -142,38 +174,35 @@ def _spin_orbit(w, x4, e, b, om: Rank2Tensor):
 # force and torque
 # ---------------------------------------------------------------------------
 
-def minkowski_force(snapshot: FieldSnapshot, fe: DensityProfile,
-                    u: FourVector = _E0, omega3=None, omega_tensor=None,
+def minkowski_force(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None,
                     c: float = 1.0) -> FourVector:
     """Abraham-Lorentz type Minkowski force int F.U f_e over the slice,
-    with element velocity U = u - Om.x."""
-    w, x4, e, b, om = _slice(snapshot, fe, u, omega3, omega_tensor, c)
-    return FourVector(w @ _f_dot_vec(e, b, u.c - x4 @ om.operator.T))
+    with element velocity U = e0 - Om.x."""
+    w, x4, e, b, om = _slice(snapshot, fe, omega3, c)
+    return FourVector(w @ _f_dot_vec(e, b, _E0 - x4 @ om.operator.T))
 
 
-def force_dot_u(snapshot: FieldSnapshot, fe: DensityProfile,
-                u: FourVector = _E0, omega3=None, omega_tensor=None,
+def force_dot_u(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None,
                 c: float = 1.0):
-    """f.u evaluated two ways: directly and from the gyration coupling.
+    """f.u = -f^0 evaluated two ways: from minkowski_force and from the
+    gyration coupling.
 
     Both vanish identically for a particle without spin; for Omega != 0
     they agree to quadrature tolerance.  Returns (direct, coupling).
     """
-    w, x4, e, b, om = _slice(snapshot, fe, u, omega3, omega_tensor, c)
-    direct = inner(FourVector(w @ _f_dot_vec(e, b, u.c - x4 @ om.operator.T)), u)
-    fu = _f_dot_vec(e, b, np.broadcast_to(u.c, x4.shape))
+    direct = -float(minkowski_force(snapshot, fe, omega3, c).c[0])
+    w, x4, e, b, om = _slice(snapshot, fe, omega3, c)
+    fu = _f_dot_vec(e, b, np.broadcast_to(_E0, x4.shape))
     coupling = -float(w @ _inner_nodes(_row_dot(x4, om), fu))
     return direct, coupling
 
 
-def minkowski_torque(snapshot: FieldSnapshot, fe: DensityProfile,
-                     u: FourVector = _E0, omega3=None, omega_tensor=None,
+def minkowski_torque(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None,
                      c: float = 1.0) -> Rank2Tensor:
     """Minkowski torque int x ^ (F.U)_perp f_e; antisymmetric, t.u = 0."""
-    w, x4, e, b, om = _slice(snapshot, fe, u, omega3, omega_tensor, c)
-    fu = _f_dot_vec(e, b, u.c - x4 @ om.operator.T)
-    proj = METRIC + np.outer(u.c, u.c)  # space projector, then act through g
-    m = (w[:, None] * x4).T @ fu @ (proj @ METRIC).T
+    w, x4, e, b, om = _slice(snapshot, fe, omega3, c)
+    fu = _f_dot_vec(e, b, _E0 - x4 @ om.operator.T)
+    m = (w[:, None] * x4).T @ fu @ _SPACE
     return Rank2Tensor(m - m.T)
 
 
@@ -181,8 +210,7 @@ def minkowski_torque(snapshot: FieldSnapshot, fe: DensityProfile,
 # Nodvik spin-orbit mass and the pseudo-inertia tensor
 # ---------------------------------------------------------------------------
 
-def nodvik_mass(snapshot: FieldSnapshot, fe: DensityProfile,
-                u: FourVector = _E0, omega3=None, omega_tensor=None,
+def nodvik_mass(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None,
                 c: float = 1.0) -> Rank2Tensor:
     """Symmetric Nodvik spin-orbit mass tensor.
 
@@ -190,7 +218,7 @@ def nodvik_mass(snapshot: FieldSnapshot, fe: DensityProfile,
     expected to carry the reduced field (total minus the co-moving
     Coulomb + dipole self-field).
     """
-    w, x4, e, b, om = _slice(snapshot, fe, u, omega3, omega_tensor, c)
+    w, x4, e, b, om = _slice(snapshot, fe, omega3, c)
     return Rank2Tensor(-_spin_orbit(w, x4, e, b, om))
 
 
@@ -209,17 +237,16 @@ class PseudoInertia:
 def pseudo_inertia(snapshot: FieldSnapshot, fe: DensityProfile,
                    omega3, m_gyro: float, omega_dot3=(0.0, 0.0, 0.0),
                    m_gyro_dot: float = 0.0, c: float = 1.0) -> PseudoInertia:
-    """Assemble M~ and f~ in the instantaneous rest frame (u = e0).
+    """Assemble M~ and f~.
 
     m_gyro is the bare gyrational mass at the current gyration speed;
     the snapshot must carry the field and (if nonzero) its Lorentz-time
     derivative.  omega_dot3 and m_gyro_dot feed the effective-force terms
     that involve the gyration rate of change.
     """
-    u = _E0
-    w, x4, e, b, om = _slice(snapshot, fe, u, omega3, None, c)
+    w, x4, e, b, om = _slice(snapshot, fe, omega3, c)
     e_dot, b_dot = snapshot.eb_dot(x4[:, 1:])
-    om_dot = gyration_tensor(omega_dot3, u, c)
+    om_dot = gyration_tensor(omega_dot3, c)
 
     bare = Rank2Tensor(m_gyro * METRIC)
 
@@ -227,12 +254,12 @@ def pseudo_inertia(snapshot: FieldSnapshot, fe: DensityProfile,
     t2 = Rank2Tensor(-_spin_orbit(w, x4, e, b, om))
 
     # term 3: slice derivative of x(x)x (x.Om.F.u) f_e
-    uu = np.broadcast_to(u.c, x4.shape)
+    uu = np.broadcast_to(_E0, x4.shape)
     fu = _f_dot_vec(e, b, uu)
     x_om = _row_dot(x4, om)
     s_dot = _inner_nodes(x_om, _f_dot_vec(e_dot, b_dot, uu))
     ws = (w * _inner_nodes(x_om, fu)) @ x4
-    t3 = Rank2Tensor(np.outer(u.c, ws) + np.outer(ws, u.c)
+    t3 = Rank2Tensor(np.outer(_E0, ws) + np.outer(ws, _E0)
                      + ((w * s_dot)[:, None] * x4).T @ x4)
 
     # term 4: -int (F.u) (x) x f_e  (not symmetrizable)
@@ -241,10 +268,9 @@ def pseudo_inertia(snapshot: FieldSnapshot, fe: DensityProfile,
     m_tilde = Rank2Tensor(bare.m + t2.m + t3.m + t4.m)
 
     # f~ = -m_gyro_dot u + int (F.U + (x.Om.F_dot.u + x.[F, Om_dot]_+.u) x) f_e
-    g2 = w @ _f_dot_vec(e, b, u.c - x4 @ om.operator.T)
-    s4 = _x_anticommutator(x4, e, b, om_dot) @ METRIC @ u.c
+    g2 = w @ _f_dot_vec(e, b, _E0 - x4 @ om.operator.T)
+    s4 = _x_anticommutator(x4, e, b, om_dot) @ METRIC @ _E0
     g34 = (w * (s_dot + s4)) @ x4
-    f_tilde = FourVector(-m_gyro_dot * u.c + g2 + g34)
+    f_tilde = FourVector(-m_gyro_dot * _E0 + g2 + g34)
 
     return PseudoInertia(m_tilde, f_tilde, bare, t2, t3, t4)
-

@@ -213,6 +213,15 @@ def test_picard_exits_3_unless_its_gaps_contract(tmp_path, capsys, horizon, iter
     (["gyro-sim", "--mode", "picard", "--horizon", "0.05", "--picard-iters", "-2"],
      cli.EXIT_DOMAIN),
     (["selfcheck"], cli.EXIT_OK),
+    (["gyro-sim", "--mode", "picard", "--horizon", "0.05", "--picard-iters", "1"],
+     cli.EXIT_DOMAIN),
+    (["gyro-sim", "--mode", "picard", "--horizon", "0.05", "--picard-iters", "2"], cli.EXIT_OK),
+    (["gyro-sim", "--cells-per-radius", "0"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--cells-per-radius", "-5"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--c", "0"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--c", "-1"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--c", "nan"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--mode", "picard", "--c", "0"], cli.EXIT_DOMAIN),
 ])
 def test_exit_codes(tmp_path, capsys, argv, code):
     out = tmp_path / "out"
@@ -220,6 +229,22 @@ def test_exit_codes(tmp_path, capsys, argv, code):
     assert "internal error" not in capsys.readouterr().err
     if code == cli.EXIT_DOMAIN:
         assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--cells-per-radius", "0"], "--cells-per-radius"),
+    (["--cells-per-radius", "-5"], "--cells-per-radius"),
+    (["--c", "0"], "--c must be positive"),
+    (["--c", "-1"], "--c must be positive"),
+    (["--c", "nan"], "--c must be positive"),
+    (["--mode", "picard", "--picard-iters", "1"], "--picard-iters must be at least 2"),
+    (["--mode", "picard", "--picard-iters", "0"], "--picard-iters must be at least 2"),
+    (["--mode", "picard", "--picard-iters", "-2"], "--picard-iters must be at least 2"),
+    (["--mode", "picard", "--cells-per-radius", "0"], "--cells-per-radius"),
+])
+def test_gyro_sim_refusal_names_the_flag(tmp_path, capsys, argv, flag):
+    assert cli.main(["gyro-sim", *argv, "--out-dir", str(tmp_path)]) == cli.EXIT_DOMAIN
+    assert f"error: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag", [("admissibility", "--data-file"),

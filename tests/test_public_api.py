@@ -5,7 +5,9 @@ must be reachable from `cli.main` or from perfbench/: a name is reached
 when the source of a reached definition uses it as an identifier, and
 every word of perfbench's sources (its code and its traced layer names)
 is a starting point.  Tests do not count.  The one exception is ORACLES,
-functions kept only as independent checks of code that does run.  Every
+functions kept only as independent checks of code that does run.  A name
+that perfbench's words reach and `cli.main` does not must be reached from
+BENCHMARK_ONLY, the listed names that only the benchmark runs.  Every
 public method of a public class must be used, as an identifier, in
 src/ledlab, or in perfbench/ as an identifier or a word of a string
 constant; ORACLE_METHODS are the exceptions, methods kept only as
@@ -35,10 +37,17 @@ ORACLES = (
     "mb_of_R",
     "omega_of_R",
     "observables",
-    # the inverse of dual_tensor, which forces.gyration_tensor calls
-    "dual_vector",
-    # the node-by-node Nodvik mass against forces.nodvik_mass
-    "anticommutator",
+)
+
+BENCHMARK_ONLY = (
+    # perfbench's lib-mix quadrature: the stationary self-field as a snapshot,
+    # and its pseudo-inertia, Minkowski torque and Nodvik mass
+    "stationary_snapshot",
+    "pseudo_inertia",
+    "minkowski_torque",
+    "nodvik_mass",
+    # a traced layer of perfbench/layers.py; no workload calls it
+    "minkowski_force",
 )
 
 ORACLE_METHODS = (
@@ -93,11 +102,14 @@ def reached(uses, roots):
     return seen
 
 
+def perfbench_words():
+    return {name for path in (ROOT / "perfbench").glob("*.py")
+            for name in re.findall(r"\w+", path.read_text())}
+
+
 def runtime_reached(uses):
     """Definitions reachable from cli.main or from perfbench's words."""
-    roots = {name for path in (ROOT / "perfbench").glob("*.py")
-             for name in re.findall(r"\w+", path.read_text())}
-    return reached(uses, roots | {"main"})
+    return reached(uses, perfbench_words() | {"main"})
 
 
 def test_every_top_level_name_is_reached_or_an_oracle():
@@ -113,6 +125,23 @@ def test_every_oracle_is_defined_and_reached_by_no_run():
     assert not set(ORACLES) - defined, "ORACLES names undefined functions"
     runtime = {name for _, name in runtime_reached(uses)}
     assert not set(ORACLES) & runtime, "ORACLES names functions a run reaches"
+
+
+def test_every_name_only_perfbench_reaches_is_benchmark_only():
+    uses = top_level_uses()
+    only_bench = runtime_reached(uses) - reached(uses, {"main"})
+    unlisted = sorted(f"{module}.{name}"
+                      for module, name in only_bench - reached(uses, BENCHMARK_ONLY))
+    assert not unlisted, "names only perfbench reaches, not in BENCHMARK_ONLY:\n" + "\n".join(unlisted)
+
+
+def test_every_benchmark_only_name_is_defined_and_reached_by_perfbench_alone():
+    uses = top_level_uses()
+    assert not set(BENCHMARK_ONLY) - {name for _, name in uses}, \
+        "BENCHMARK_ONLY names undefined functions"
+    assert set(BENCHMARK_ONLY) <= perfbench_words(), "BENCHMARK_ONLY names words perfbench lacks"
+    from_main = {name for _, name in reached(uses, {"main"})}
+    assert not set(BENCHMARK_ONLY) & from_main, "BENCHMARK_ONLY names functions cli.main reaches"
 
 
 def public_methods():

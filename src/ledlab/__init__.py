@@ -41,9 +41,6 @@ from .renormflow import (
     RenormPoint,
     omega_of_R,
     mb_of_R,
-    R_of_mb,
-    observables,
-    observables_from_mb,
     flow_sweep,
     limit_constants,
 )

@@ -10,13 +10,14 @@ averages <g> = (-e)^{-1} int g f_e d^3x the constraints read
                   c <x cross E> + omega x <x x.B> = 0
   Abraham no-spin c <E> + qdot x <B> = 0
 
-with t_E = int x cross E f_e and sigma_B = int x (x.B) f_e.  Each model
-is classified by assembling the constraints as one linear system in the
-unknown (qdot, omega): inconsistent when no solution exists, consistent
-when the data impose no restriction, conditionally consistent when a
-lower-dimensional admissible family remains.  The emitted family is the
-minimum-norm particular solution plus a nullspace basis; substituting any
-member back into the constraints gives residuals at solver tolerance.
+with t_E = int x cross E f_e and sigma_B = int x (x.B) f_e, in units with
+c = 1.  Each model is classified by assembling the constraints as one
+linear system in the unknown (qdot, omega): inconsistent when no solution
+exists, consistent when the data impose no restriction, conditionally
+consistent when a lower-dimensional admissible family remains.  The
+emitted family is the minimum-norm particular solution plus a nullspace
+basis; substituting any member back into the constraints gives residuals
+at solver tolerance.
 """
 
 from __future__ import annotations
@@ -135,8 +136,7 @@ class ConstraintReport:
 
 
 def _classify(a_rows: np.ndarray, b_rows: np.ndarray, scale: float,
-              zero_tol: float, model: str, moments: Moments,
-              active: np.ndarray) -> ConstraintReport:
+              model: str, moments: Moments, active: np.ndarray) -> ConstraintReport:
     """Solve A y = b in the least-squares sense and classify.
 
     `active` masks which unknowns the model owns (Nodvik: omega only;
@@ -144,7 +144,7 @@ def _classify(a_rows: np.ndarray, b_rows: np.ndarray, scale: float,
     """
     n_active = int(np.count_nonzero(active))
     a = a_rows[:, active]
-    thresh = max(zero_tol * max(scale, 1e-300), 1e-13 * max(scale, 1e-300))
+    thresh = max(ZERO_TOL * max(scale, 1e-300), 1e-13 * max(scale, 1e-300))
 
     if a.size and np.linalg.norm(a) > 0:
         y_act, *_ = np.linalg.lstsq(a, b_rows, rcond=None)
@@ -179,8 +179,7 @@ def _classify(a_rows: np.ndarray, b_rows: np.ndarray, scale: float,
                             basis, resid, desc)
 
 
-def nodvik_check(data: InitialData, zero_tol: float = ZERO_TOL,
-                 c: float = 1.0) -> ConstraintReport:
+def nodvik_check(data: InitialData) -> ConstraintReport:
     """Point-mass-limit torque constraint t_E + (1/c) omega x sigma_B = 0.
 
     sigma_B = 0 requires t_E = 0 (omega then free); sigma_B != 0 requires
@@ -189,15 +188,14 @@ def nodvik_check(data: InitialData, zero_tol: float = ZERO_TOL,
     """
     m = field_moments(data)
     a = np.zeros((3, 6))
-    a[:, 3:] = -_cross_matrix(m.sigma_b) / c
+    a[:, 3:] = -_cross_matrix(m.sigma_b)
     b = -m.torque_e
-    scale = abs(data.fe.total) * m.radius * max(m.e_scale, m.b_scale * m.radius / c, 1e-300)
-    return _classify(a, b, scale, zero_tol, "nodvik", m,
+    scale = abs(data.fe.total) * m.radius * max(m.e_scale, m.b_scale * m.radius, 1e-300)
+    return _classify(a, b, scale, "nodvik", m,
                      np.array([False] * 3 + [True] * 3))
 
 
-def abraham_spin_check(data: InitialData, zero_tol: float = ZERO_TOL,
-                       c: float = 1.0) -> ConstraintReport:
+def abraham_spin_check(data: InitialData) -> ConstraintReport:
     """Purely electromagnetic model with spin: both degenerate equations."""
     m = field_moments(data)
     a = np.zeros((6, 6))
@@ -205,29 +203,27 @@ def abraham_spin_check(data: InitialData, zero_tol: float = ZERO_TOL,
     # c <E> + qdot x <B> - M . omega = 0
     a[:3, :3] = -_cross_matrix(m.mean_b)
     a[:3, 3:] = -m.xb_traceless
-    b[:3] = -c * m.mean_e
+    b[:3] = -m.mean_e
     # c <x cross E> + omega x <x x.B> = 0
     a[3:, 3:] = -_cross_matrix(m.mean_x_xb)
-    b[3:] = -c * m.mean_x_cross_e
-    scale = max(c * m.e_scale, m.b_scale * max(1.0, m.radius))
-    return _classify(a, b, scale, zero_tol, "abraham_spin", m,
+    b[3:] = -m.mean_x_cross_e
+    scale = max(m.e_scale, m.b_scale * max(1.0, m.radius))
+    return _classify(a, b, scale, "abraham_spin", m,
                      np.array([True] * 6))
 
 
-def abraham_nospin_check(data: InitialData, zero_tol: float = ZERO_TOL,
-                         c: float = 1.0) -> ConstraintReport:
+def abraham_nospin_check(data: InitialData) -> ConstraintReport:
     """Spinless Abraham constraint c <E> + qdot x <B> = 0 at the instant."""
     m = field_moments(data)
     a = np.zeros((3, 6))
     a[:, :3] = -_cross_matrix(m.mean_b)
-    b = -c * m.mean_e
-    scale = max(c * m.e_scale, m.b_scale)
-    return _classify(a, b, scale, zero_tol, "abraham_nospin", m,
+    b = -m.mean_e
+    scale = max(m.e_scale, m.b_scale)
+    return _classify(a, b, scale, "abraham_nospin", m,
                      np.array([True] * 3 + [False] * 3))
 
 
-def constraint_residuals(data: InitialData, model: str, qdot0, omega0,
-                         c: float = 1.0) -> float:
+def constraint_residuals(data: InitialData, model: str, qdot0, omega0) -> float:
     """Residual norm of the defining constraint equations at (qdot0, omega0).
 
     Evaluated from the field moments exactly as the equations are written,
@@ -237,17 +233,17 @@ def constraint_residuals(data: InitialData, model: str, qdot0, omega0,
     qdot0 = np.asarray(qdot0, dtype=float)
     omega0 = np.asarray(omega0, dtype=float)
     if model == "nodvik":
-        r = m.torque_e + np.cross(omega0, m.sigma_b) / c
+        r = m.torque_e + np.cross(omega0, m.sigma_b)
         scale = abs(data.fe.total) * m.radius * max(m.e_scale, m.b_scale, 1e-300)
         return float(np.linalg.norm(r)) / scale
     if model == "abraham_spin":
-        r1 = c * m.mean_e + np.cross(qdot0, m.mean_b) - m.xb_traceless @ omega0
-        r2 = c * m.mean_x_cross_e + np.cross(omega0, m.mean_x_xb)
-        scale = max(c * m.e_scale, m.b_scale * max(1.0, m.radius), 1e-300)
+        r1 = m.mean_e + np.cross(qdot0, m.mean_b) - m.xb_traceless @ omega0
+        r2 = m.mean_x_cross_e + np.cross(omega0, m.mean_x_xb)
+        scale = max(m.e_scale, m.b_scale * max(1.0, m.radius), 1e-300)
         return float(np.sqrt(np.linalg.norm(r1)**2 + np.linalg.norm(r2)**2)) / scale
     if model == "abraham_nospin":
-        r = c * m.mean_e + np.cross(qdot0, m.mean_b)
-        scale = max(c * m.e_scale, m.b_scale, 1e-300)
+        r = m.mean_e + np.cross(qdot0, m.mean_b)
+        scale = max(m.e_scale, m.b_scale, 1e-300)
         return float(np.linalg.norm(r)) / scale
     raise ValueError(f"unknown model {model!r}")
 
@@ -292,11 +288,12 @@ SCENARIOS = {
 }
 
 
-def build_scenario(name: str, fe: DensityProfile = None) -> tuple:
+def build_scenario(name: str) -> tuple:
     """Resolve 'scenario-model' names like 'uniform-E-coulomb-nodvik'.
 
-    Returns (InitialData, model).  The scenario part indexes SCENARIOS;
-    the model suffix selects the classifier.
+    Returns (InitialData, model) on the unit shell of charge -1.  The
+    scenario part indexes SCENARIOS; the model suffix selects the
+    classifier.
     """
     models = ("nodvik", "abraham-nospin", "abraham")
     model = None
@@ -309,14 +306,12 @@ def build_scenario(name: str, fe: DensityProfile = None) -> tuple:
             break
     if model is None or base not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}")
-    if fe is None:
-        fe = DensityProfile.shell(-1.0, 1.0)
-    return make_initial_data(fe, **SCENARIOS[base]), model
+    return make_initial_data(DensityProfile.shell(-1.0, 1.0), **SCENARIOS[base]), model
 
 
 CHECKS = {"nodvik": nodvik_check, "abraham_spin": abraham_spin_check,
           "abraham_nospin": abraham_nospin_check}
 
 
-def run_check(data: InitialData, model: str, **kw) -> ConstraintReport:
-    return CHECKS[model](data, **kw)
+def run_check(data: InitialData, model: str) -> ConstraintReport:
+    return CHECKS[model](data)

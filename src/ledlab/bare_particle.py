@@ -311,13 +311,6 @@ def gyrational_mass(fm: DensityProfile, omega: float, c: float = 1.0) -> float:
     return GyrationCurve(fm, c).mass(omega)
 
 
-def spin_magnitude(fm: DensityProfile, omega: float, c: float = 1.0) -> float:
-    """|s_b|(|omega|): int r^2 <gamma sin^2> f 4 pi r^2 dr * omega."""
-    omega = abs(float(omega))
-    _check_subluminal(fm, omega, c)
-    return GyrationCurve(fm, c).sigma(omega)
-
-
 def bare_spin(fm: DensityProfile, omega3, c: float = 1.0) -> np.ndarray:
     """Bare spin three-vector int x cross (w cross x) gamma f d^3x.
 
@@ -328,7 +321,8 @@ def bare_spin(fm: DensityProfile, omega3, c: float = 1.0) -> np.ndarray:
     mag = float(np.linalg.norm(omega3))
     if mag == 0.0:
         return np.zeros(3)
-    return spin_magnitude(fm, mag, c) * omega3 / mag
+    _check_subluminal(fm, mag, c)
+    return GyrationCurve(fm, c).sigma(mag) * omega3 / mag
 
 
 def omega_from_spin(fm: DensityProfile, s3, c: float = 1.0) -> np.ndarray:

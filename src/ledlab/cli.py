@@ -126,14 +126,14 @@ def _entry(spec, key, ok, expected, default=None):
     return value
 
 
-def _profile(kind, total, radius):
-    from .bare_particle import DensityProfile
-
-    if kind == "shell":
-        return DensityProfile.shell(total, radius)
-    if kind == "volume":
-        return DensityProfile.volume(total, radius)
-    raise ValueError(f"unknown profile {kind!r}")
+def _check_flags(args, positive=(), finite=()):
+    """Each flag of `positive` must be positive and finite, each of `finite`
+    finite (NaN is neither); anything else is a domain error naming it."""
+    for flag in positive + finite:
+        value = getattr(args, flag.replace("-", "_"))
+        if not _finite(value) or (flag in positive and value <= 0):
+            need = "positive and finite" if flag in positive else "finite"
+            raise ValueError(f"--{flag} must be {need}, got {value:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +150,8 @@ def cmd_renorm_flow(args) -> int:
     lo, hi, n = float(spec[1]), float(spec[2]), int(spec[3])
     if not (0.0 < lo < hi < 1.0):
         raise ValueError("mb grid must lie strictly inside (0, 1) m_e")
+    if n < 1:
+        raise ValueError(f"--mb-grid needs at least one point, got N = {n}")
     grid = np.geomspace(lo, hi, n) * k.m_e
     rows = rf.flow_sweep(grid, k)
 
@@ -169,10 +171,14 @@ def cmd_renorm_flow(args) -> int:
 
 
 def cmd_stationary(args) -> int:
+    from .bare_particle import DensityProfile
     from .fields import stationary_state
 
+    _check_flags(args, positive=("radius", "c", "r-max-over-R"), finite=("omega-over-c",))
+    if args.n_radial < 2:
+        raise ValueError(f"--n-radial must be at least 2, got {args.n_radial}")
     omega = args.omega_over_c * args.c / args.radius
-    fe = _profile(args.profile, -args.charge, args.radius)
+    fe = DensityProfile(args.profile, -args.charge, args.radius)
     st = stationary_state(fe, [0.0, 0.0, omega], c=args.c)
 
     out = _out_dir(args)
@@ -189,17 +195,16 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_gyro_sim(args) -> int:
+    from .bare_particle import DensityProfile
     from .gyrodynamics import GyroSolver
 
-    if args.cells_per_radius < 1:
-        raise ValueError(f"--cells-per-radius must be at least 1, got {args.cells_per_radius}")
-    if not args.c > 0.0:   # NaN fails this too
-        raise ValueError(f"--c must be positive, got {args.c:g}")
+    _check_flags(args, positive=("cells-per-radius", "c", "radius", "r-max-over-R", "mass"),
+                 finite=("omega-over-c", "perturb"))
     if args.mode == "picard" and args.picard_iters < 2:
         raise ValueError(f"--picard-iters must be at least 2, got {args.picard_iters}: a run "
                          f"contracts when its last gap is below its first")
-    fe = _profile(args.profile, -args.charge, args.radius)
-    fm = _profile(args.profile, args.mass, args.radius)
+    fe = DensityProfile(args.profile, -args.charge, args.radius)
+    fm = DensityProfile(args.profile, args.mass, args.radius)
     solver = GyroSolver(fe, fm, c=args.c, dr=args.radius / args.cells_per_radius,
                         r_max=args.r_max_over_R * args.radius)
     omega0 = np.array([0.0, 0.0, args.omega_over_c * args.c / args.radius])
@@ -232,11 +237,8 @@ def cmd_gyro_sim(args) -> int:
                             "window": list(fit.window),
                             "converged": fit.converged, "note": fit.note})
         written.append(fpath)
-        audit = solver.energy_audit(traj)
         apath = os.path.join(out, "energy_audit.json")
-        _write_json(apath, {"radiated": audit["radiated"],
-                            "cumulative_defect": audit["cumulative_defect"],
-                            "normalized_defect": audit["normalized_defect"]})
+        _write_json(apath, solver.energy_audit(traj))
         written.append(apath)
     for p in written:
         print(p)
@@ -249,6 +251,7 @@ def cmd_gyro_sim(args) -> int:
 
 def cmd_admissibility(args) -> int:
     from . import admissibility as adm
+    from .bare_particle import DensityProfile
 
     if args.data_file:
         with _open_input(args.data_file) as fh:
@@ -259,8 +262,8 @@ def cmd_admissibility(args) -> int:
                 raise ValueError(f"malformed data file: unknown key {unknown[0]!r} "
                                  f"(known: {', '.join(_DATA_FILE_KEYS)})")
             prof = _entry(spec, "profile", lambda x: isinstance(x, dict), "an object")
-            fe = _profile(prof.get("kind", "shell"),
-                          *(float(_entry(prof, k, _finite, "a finite number")) for k in ("total", "R")))
+            fe = DensityProfile(prof.get("kind", "shell"),
+                                *(float(_entry(prof, k, _finite, "a finite number")) for k in ("total", "R")))
             model = _entry(spec, "model", lambda x: isinstance(x, str) and x in adm.CHECKS,
                            f"one of {', '.join(adm.CHECKS)}")
             kwargs = dict(

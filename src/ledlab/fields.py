@@ -49,25 +49,6 @@ def _q1(fe: DensityProfile, r):
     return rho * (fe.R**2 - np.minimum(r, fe.R) ** 2) / 2.0
 
 
-def toroidal_alpha(fe: DensityProfile, r) -> np.ndarray:
-    """Radial coefficient of the stationary vector potential A = alpha (w x x)."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(r)
-    pos = r > 0
-    out[pos] = (4.0 * np.pi / 3.0) * (_p4(fe, r[pos]) / r[pos] ** 3 + _q1(fe, r[pos]))
-    out[~pos] = (4.0 * np.pi / 3.0) * _q1(fe, np.zeros(1))[0]
-    return out
-
-
-def toroidal_alpha_prime(fe: DensityProfile, r) -> np.ndarray:
-    """d alpha / dr = -(4 pi) r^-4 int_0^r f s^4 ds."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.zeros_like(r)
-    pos = r > 0
-    out[pos] = -4.0 * np.pi * _p4(fe, r[pos]) / r[pos] ** 4
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the stationary bound state
 # ---------------------------------------------------------------------------
@@ -92,29 +73,30 @@ class StationaryState:
         object.__setattr__(self, "omega3", om)
 
     # radial scalar models ------------------------------------------------
-    def q_enclosed(self, r):
-        return self.fe.enclosed(r)
-
-    def phi(self, r):
-        """Electrostatic potential q_enc(r)/r + 4 pi int_r^R f s ds."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = 4.0 * np.pi * _q1(self.fe, r)
-        pos = r > 0
-        out[pos] += self.q_enclosed(r[pos]) / r[pos]
-        return out
-
     def e_radial(self, r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.zeros_like(r)
         pos = r > 0
-        out[pos] = self.q_enclosed(r[pos]) / r[pos] ** 2
+        out[pos] = self.fe.enclosed(r[pos]) / r[pos] ** 2
         return out
 
     def alpha(self, r):
-        return toroidal_alpha(self.fe, r) / self.c
+        """Radial coefficient of the stationary vector potential A = alpha (w x x)."""
+        fe = self.fe
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        out = np.empty_like(r)
+        pos = r > 0
+        out[pos] = (4.0 * np.pi / 3.0) * (_p4(fe, r[pos]) / r[pos] ** 3 + _q1(fe, r[pos]))
+        out[~pos] = (4.0 * np.pi / 3.0) * _q1(fe, np.zeros(1))[0]
+        return out / self.c
 
     def alpha_prime(self, r):
-        return toroidal_alpha_prime(self.fe, r) / self.c
+        """d alpha / dr = -(4 pi / c) r^-4 int_0^r f s^4 ds."""
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        out = np.zeros_like(r)
+        pos = r > 0
+        out[pos] = -4.0 * np.pi * _p4(self.fe, r[pos]) / r[pos] ** 4
+        return out / self.c
 
     # vector fields --------------------------------------------------------
     def A(self, x) -> np.ndarray:
@@ -144,20 +126,6 @@ class StationaryState:
         out -= (ap * r * (xhat @ self.omega3))[:, None] * xhat
         return out
 
-    # derived moments --------------------------------------------------------
-    @property
-    def mu(self) -> np.ndarray:
-        """Magnetic dipole moment (1/2c) int x cross (w cross x) f d^3x."""
-        return magnetic_moment(self.fe, self.omega3, self.c)
-
-    @property
-    def W_f(self) -> float:
-        return field_energy(self)
-
-    @property
-    def s_f(self) -> np.ndarray:
-        return field_spin(self)
-
     def profile_table(self, r) -> dict:
         """Radial field profiles for export: E_r and the l=1 mode data."""
         r = np.asarray(r, dtype=float)
@@ -176,9 +144,9 @@ class StationaryState:
         return {
             "R": self.fe.R,
             "omega": list(self.omega3),
-            "mu": list(self.mu),
-            "W_f": self.W_f,
-            "s_f": list(self.s_f),
+            "mu": list(magnetic_moment(self.fe, self.omega3, self.c)),
+            "W_f": field_energy(self),
+            "s_f": list(field_spin(self)),
         }
 
 

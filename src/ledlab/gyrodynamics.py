@@ -556,23 +556,19 @@ class GyroSolver:
         return traj, fit
 
     def energy_audit(self, traj: Trajectory) -> dict:
-        """Residual of d/dt [W_b + W_field(<r_audit)] + flux(r_audit).
+        """Energy balance of W_tot = W_b + W_field(<r_audit) against the
+        flux through r_audit.
 
-        Returns the centered-difference residual series and the cumulative
-        defect |Delta W_tot + int flux dt|, normalized by the radiated
-        energy int flux dt.  A radiated energy within ROUNDOFF_MULTIPLE
-        machine epsilons of max |W_tot| is round-off, and the normalized
-        defect is then None.
+        Returns the radiated energy int flux dt and the cumulative defect
+        Delta W_tot + int flux dt, also normalized by the radiated energy.
+        A radiated energy within ROUNDOFF_MULTIPLE machine epsilons of
+        max |W_tot| is round-off, and the normalized defect is then None.
         """
-        t = traj.t
         wtot = traj.W_b + traj.W_field_inside
-        radiated = float(np.trapezoid(traj.flux, t))
-        resid = np.gradient(wtot, t) + traj.flux
+        radiated = float(np.trapezoid(traj.flux, traj.t))
         defect = float((wtot[-1] - wtot[0]) + radiated)
         resolved = abs(radiated) > ROUNDOFF_MULTIPLE * _EPS * np.max(np.abs(wtot))
         return {
-            "t": t,
-            "residual": resid,
             "radiated": radiated,
             "cumulative_defect": defect,
             "normalized_defect": abs(defect) / abs(radiated) if resolved else None,

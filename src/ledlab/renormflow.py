@@ -32,25 +32,23 @@ import numpy as np
 
 from .roots import bracketed_root
 
-ALPHA_DEFAULT = 1.0 / 137.036
-ANOMALY_DEFAULT = 0.001159652
-
 
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Unit system and electron data for the flow.
 
-    Natural units by default: hbar = m_e = c = 1 and e = sqrt(alpha).
-    The magnetic-moment anomaly is a toggle; with it off mu_e equals the
-    Bohr magneton exactly.
+    Natural units: hbar = m_e = c = 1 and e = sqrt(alpha).  The one field
+    toggles the magnetic-moment anomaly; with it off mu_e equals the Bohr
+    magneton exactly.
     """
 
-    alpha: float = ALPHA_DEFAULT
-    anomaly: float = ANOMALY_DEFAULT
     include_anomaly: bool = True
-    hbar: float = 1.0
-    m_e: float = 1.0
-    c: float = 1.0
+
+    alpha = 1.0 / 137.036
+    anomaly = 0.001159652
+    hbar = 1.0
+    m_e = 1.0
+    c = 1.0
 
     @property
     def e(self) -> float:
@@ -94,13 +92,6 @@ class RenormPoint:
     s_f: float
     s: float
     g: float
-    mu: float
-    eta: float
-
-    @property
-    def x(self) -> float:
-        """Equatorial speed omega R / c."""
-        return float(np.tanh(self.eta))
 
     def as_row(self, k: PhysicalConstants) -> dict:
         return {
@@ -163,7 +154,7 @@ def flow_point(eta: float, k: PhysicalConstants = NATURAL) -> RenormPoint:
     s = s_b + s_f
     g = 2.0 * k.m_e * k.c * k.mu_e / (k.e * s)
     return RenormPoint(R=R, omegaE=omega, m_b=m_b, W_b=w_b, W_f=w_f,
-                       s_b=s_b, s_f=s_f, s=s, g=g, mu=k.mu_e, eta=eta)
+                       s_b=s_b, s_f=s_f, s=s, g=g)
 
 
 def eta_of_mb(m_b: float, k: PhysicalConstants = NATURAL) -> float:
@@ -188,38 +179,12 @@ def eta_of_mb(m_b: float, k: PhysicalConstants = NATURAL) -> float:
     return bracketed_root(f, lo, hi, xtol=1e-300, rtol=1e-15)
 
 
-def observables(R: float, k: PhysicalConstants = NATURAL) -> RenormPoint:
-    """Flow observables at radius R (R-parametrized interior evaluation)."""
-    x = k.R_endpoint / R
-    if x >= 1.0:
-        raise ValueError(
-            f"R = {R:g} is outside the flow domain (R must exceed {k.R_endpoint:g})")
-    return flow_point(float(np.arctanh(x)), k)
-
-
-def observables_from_mb(m_b: float, k: PhysicalConstants = NATURAL) -> RenormPoint:
-    """Flow observables at bare mass m_b (endpoint-capable parametrization)."""
-    return flow_point(eta_of_mb(m_b, k), k)
-
-
-def R_of_mb(m_b: float, k: PhysicalConstants = NATURAL) -> float:
-    """Radius along the flow for a given bare mass.
-
-    Round-trips mb_of_R wherever R - R_endpoint is representable; for
-    m_b below about 5e-2 m_e the exact radius collapses onto the endpoint
-    in double precision (the offset is exp(-2 eta) R0).
-    """
-    if m_b >= k.m_e:
-        raise ValueError("no finite radius: m_b must be below m_e")
-    return flow_point(eta_of_mb(m_b, k), k).R
-
-
 def flow_sweep(mb_grid, k: PhysicalConstants = NATURAL) -> list:
     """Table of RenormPoint rows over a bare-mass grid within (0, m_e)."""
     mb_grid = np.asarray(mb_grid, dtype=float)
     if np.any(mb_grid <= 0) or np.any(mb_grid >= k.m_e):
         raise ValueError("grid must lie strictly inside (0, m_e)")
-    return [observables_from_mb(float(mb), k) for mb in mb_grid]
+    return [flow_point(eta_of_mb(float(mb), k), k) for mb in mb_grid]
 
 
 # ---------------------------------------------------------------------------

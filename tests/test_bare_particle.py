@@ -8,7 +8,6 @@ from ledlab.bare_particle import (
     bare_spin,
     gyrational_mass,
     omega_from_spin,
-    spin_magnitude,
 )
 
 SHELL = DensityProfile.shell(1.0, 1.0)
@@ -160,12 +159,12 @@ class TestBareSpin:
 
     @pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_shell_vs_quadrature(self, x):
-        assert spin_magnitude(SHELL, x) == pytest.approx(
+        assert GyrationCurve(SHELL).sigma(x) == pytest.approx(
             oracle_spin(SHELL, x), rel=1e-10)
 
     @pytest.mark.parametrize("x", [0.3, 0.8])
     def test_volume_vs_quadrature(self, x):
-        assert spin_magnitude(VOLUME, x) == pytest.approx(
+        assert GyrationCurve(VOLUME).sigma(x) == pytest.approx(
             oracle_spin(VOLUME, x), rel=1e-8)
 
     def test_small_omega_series(self):
@@ -176,7 +175,7 @@ class TestBareSpin:
         closed = ((1 + 1 / w**2) / 2 * sp.atanh(w) - 1 / (2 * w))
         series = sp.series(closed, w, 0, 11).removeO()
         for x in (1e-3, 1e-2, 0.05):
-            assert spin_magnitude(SHELL, x) == pytest.approx(
+            assert GyrationCurve(SHELL).sigma(x) == pytest.approx(
                 float(series.subs(w, x)), rel=1e-10)
 
     def test_direction_isotropy(self):
@@ -217,7 +216,7 @@ class TestOmegaFromSpin:
         assert 0 < np.linalg.norm(w) < 1.0
         # sigma is log-steep at the edge, so the spin round trip is only
         # conditioned to ~|sigma'| * eps_machine
-        assert spin_magnitude(SHELL, np.linalg.norm(w)) == pytest.approx(10.0, rel=1e-5)
+        assert GyrationCurve(SHELL).sigma(np.linalg.norm(w)) == pytest.approx(10.0, rel=1e-5)
 
     def test_volume_supremum_rejected(self):
         with pytest.raises(ValueError):
@@ -229,11 +228,6 @@ class TestOmegaFromSpin:
             w = curve.invert(s)
             expect = np.linalg.norm(omega_from_spin(SHELL, [0, 0, s]))
             assert w == pytest.approx(expect, rel=1e-10)
-
-    def test_curve_sigma_matches_spin_magnitude(self):
-        curve = GyrationCurve(SHELL)
-        for w in (0.1, 0.4, 0.85):
-            assert curve.sigma(w) == pytest.approx(spin_magnitude(SHELL, w), rel=1e-12)
 
 
 class TestMinkowskiInertia:
@@ -286,7 +280,7 @@ class TestGyrationCurveSamples:
 
     def test_inverse_consistency(self):
         curve = GyrationCurve(SHELL)
-        s = spin_magnitude(SHELL, 0.45)
+        s = GyrationCurve(SHELL).sigma(0.45)
         approx = float(np.interp(s, [curve.sigma(w) for w in self.GRID], self.GRID))
         exact = curve.invert(s)
         assert approx == pytest.approx(exact, rel=1e-5)

@@ -71,12 +71,15 @@ def test_config_rejects_what_the_command_line_rejects(tmp_path, capsys, command,
 def test_data_file_rejects_unknown_profile_kind(tmp_path, capsys):
     spec = {"profile": {"kind": "shel", "total": -1.0, "R": 1.0}, "model": "nodvik"}
     path = tmp_path / "data.json"
-    path.write_text(json.dumps(spec))
     out = tmp_path / "out"
     argv = ["admissibility", "--data-file", str(path), "--out-dir", str(out)]
-    assert cli.main(argv) == cli.EXIT_DOMAIN
-    assert "'shel'" in capsys.readouterr().err
-    assert not (out / "admissibility_report.json").exists()
+    for kind in ("shel", "cube"):
+        spec["profile"]["kind"] = kind
+        path.write_text(json.dumps(spec))
+        assert cli.main(argv) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert repr(kind) in err and "internal error" not in err
+        assert not (out / "admissibility_report.json").exists()
     spec["profile"]["kind"] = "volume"
     path.write_text(json.dumps(spec))
     assert cli.main(argv) == cli.EXIT_OK
@@ -222,6 +225,21 @@ def test_picard_exits_3_unless_its_gaps_contract(tmp_path, capsys, horizon, iter
     (["gyro-sim", "--c", "-1"], cli.EXIT_DOMAIN),
     (["gyro-sim", "--c", "nan"], cli.EXIT_DOMAIN),
     (["gyro-sim", "--mode", "picard", "--c", "0"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--omega-over-c", "nan"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--perturb", "nan"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--radius", "nan"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--r-max-over-R", "nan"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--mass", "0"], cli.EXIT_DOMAIN),
+    (["stationary", "--radius", "0"], cli.EXIT_DOMAIN),
+    (["stationary", "--c", "0"], cli.EXIT_DOMAIN),
+    (["stationary", "--r-max-over-R", "-1"], cli.EXIT_DOMAIN),
+    (["stationary", "--n-radial", "0"], cli.EXIT_DOMAIN),
+    (["stationary", "--n-radial", "1"], cli.EXIT_DOMAIN),
+    (["stationary", "--omega-over-c", "nan"], cli.EXIT_DOMAIN),
+    (["stationary", "--n-radial", "2"], cli.EXIT_OK),
+    (["renorm-flow", "--mb-grid", "log:0.1:0.5:0"], cli.EXIT_DOMAIN),
+    (["renorm-flow", "--mb-grid", "log:0.1:0.5:-3"], cli.EXIT_DOMAIN),
+    (["renorm-flow", "--mb-grid", "log:0.1:0.5:1"], cli.EXIT_OK),
 ])
 def test_exit_codes(tmp_path, capsys, argv, code):
     out = tmp_path / "out"
@@ -241,9 +259,29 @@ def test_exit_codes(tmp_path, capsys, argv, code):
     (["--mode", "picard", "--picard-iters", "0"], "--picard-iters must be at least 2"),
     (["--mode", "picard", "--picard-iters", "-2"], "--picard-iters must be at least 2"),
     (["--mode", "picard", "--cells-per-radius", "0"], "--cells-per-radius"),
+    (["--omega-over-c", "nan"], "--omega-over-c must be finite"),
+    (["--perturb", "nan"], "--perturb must be finite"),
+    (["--radius", "nan"], "--radius must be positive"),
+    (["--r-max-over-R", "nan"], "--r-max-over-R must be positive"),
+    (["--mass", "0"], "--mass must be positive"),
 ])
 def test_gyro_sim_refusal_names_the_flag(tmp_path, capsys, argv, flag):
     assert cli.main(["gyro-sim", *argv, "--out-dir", str(tmp_path)]) == cli.EXIT_DOMAIN
+    assert f"error: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["stationary", "--radius", "0"], "--radius must be positive"),
+    (["stationary", "--radius", "inf"], "--radius must be positive and finite"),
+    (["stationary", "--c", "0"], "--c must be positive"),
+    (["stationary", "--r-max-over-R", "-1"], "--r-max-over-R must be positive"),
+    (["stationary", "--n-radial", "1"], "--n-radial must be at least 2"),
+    (["stationary", "--omega-over-c", "nan"], "--omega-over-c must be finite"),
+    (["renorm-flow", "--mb-grid", "log:0.1:0.5:0"], "--mb-grid needs at least one point"),
+    (["renorm-flow", "--mb-grid", "log:0.1:0.5:-3"], "--mb-grid needs at least one point"),
+])
+def test_stationary_and_flow_refusal_names_the_flag(tmp_path, capsys, argv, flag):
+    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == cli.EXIT_DOMAIN
     assert f"error: {flag}" in capsys.readouterr().err
 
 

@@ -15,7 +15,6 @@ from ledlab.fields import (
     field_spin_poynting,
     magnetic_moment,
     stationary_state,
-    toroidal_alpha,
 )
 
 FE_SHELL = DensityProfile.shell(-1.0, 1.0)
@@ -63,22 +62,6 @@ class TestStationaryPotentials:
         np.testing.assert_array_equal(_q1(fe, r), where(q1, 0.0, 0.5 * q1))
         assert np.count_nonzero(_q1(fe, r) == 0.5 * q1) == 3
 
-    def test_shell_coulomb_exterior(self):
-        st = stationary_state(FE_SHELL, [0, 0, 0.5])
-        assert st.phi(2.0)[0] == pytest.approx(-0.5, rel=1e-14)
-
-    def test_shell_coulomb_interior_constant(self):
-        st = stationary_state(FE_SHELL, [0, 0, 0.5])
-        np.testing.assert_allclose(st.phi(np.array([0.1, 0.5, 0.9])), -1.0,
-                                   rtol=1e-13)
-
-    def test_volume_potential_oracle(self):
-        # classic uniform ball: phi = q(3 - r^2/R^2)/(2R) inside
-        st = stationary_state(FE_VOL, [0, 0, 0.0])
-        r = np.array([0.0, 0.4, 1.0, 2.5])
-        expect = np.where(r <= 1.0, -0.5 * (3 - r**2), -1.0 / np.maximum(r, 1))
-        np.testing.assert_allclose(st.phi(r), expect, rtol=1e-12)
-
     def test_vector_potential_continuity(self):
         # alpha from its defining radial quadrature evaluated on both sides
         def alpha_oracle(fe, r):
@@ -97,7 +80,7 @@ class TestStationaryPotentials:
             hi = alpha_oracle(fe, fe.R * (1 + 1e-9))
             # one-sided evaluations at R(1 -+ 1e-9) agree to O(1e-9)
             assert lo == pytest.approx(hi, rel=1e-8)
-            got = toroidal_alpha(fe, np.array([fe.R]))[0]
+            got = stationary_state(fe, [0, 0, 0]).alpha(np.array([fe.R]))[0]
             assert got == pytest.approx(0.5 * (lo + hi), rel=1e-8)
 
     def test_shell_alpha_closed_forms(self):
@@ -161,7 +144,8 @@ class TestFieldEnergy:
         inner = (quad(dens, 0, 1 - 1e-9, epsabs=1e-13)[0]
                  + quad(dens, 1 + 1e-9, rb, epsabs=1e-13, limit=300)[0])
         # exact monopole + dipole tails beyond rb
-        mu2 = float(st.mu @ st.mu)
+        mu = magnetic_moment(st.fe, st.omega3)
+        mu2 = float(mu @ mu)
         tail = 1.0 / (2 * rb) + mu2 / (3 * rb**3)
         assert field_energy(st) == pytest.approx(inner + tail, rel=1e-8)
 
@@ -301,17 +285,17 @@ class TestComovingFields:
 
     def test_static_coulomb(self):
         st = stationary_state(DensityProfile.shell(1.0, 1.0), [0, 0, 0])
-        assert st.phi(2.0)[0] == pytest.approx(0.5)
+        assert st.e_radial(2.0)[0] == pytest.approx(0.25)
         np.testing.assert_allclose(st.A([2.0, 0, 0]), 0.0)
 
     def test_static_dipole(self):
         st = stationary_state(DensityProfile.shell(1.0, 1.0), [0, 0, 0.9])
-        mu = st.mu
+        mu = magnetic_moment(st.fe, st.omega3)
         np.testing.assert_allclose(mu, [0.0, 0.0, 0.3], rtol=1e-13)
         y = np.array([1.0, 2.0, -0.5])
         np.testing.assert_allclose(st.A(y)[0], np.cross(mu, y) / np.linalg.norm(y) ** 3,
                                    rtol=1e-13)
-        assert st.phi(np.linalg.norm(y))[0] == pytest.approx(1.0 / np.linalg.norm(y))
+        assert st.e_radial(np.linalg.norm(y))[0] == pytest.approx(1.0 / np.linalg.norm(y) ** 2)
 
 
 class TestComplexField3:
@@ -393,4 +377,4 @@ class TestExportTables:
             assert key in table and len(table[key]) == 50
         summary = st.summary()
         assert summary["W_f"] == pytest.approx(field_energy(st))
-        np.testing.assert_allclose(summary["mu"], st.mu)
+        np.testing.assert_allclose(summary["mu"], magnetic_moment(st.fe, st.omega3))

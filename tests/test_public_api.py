@@ -8,11 +8,13 @@ is a starting point.  Tests do not count.  The one exception is ORACLES,
 functions kept only as independent checks of code that does run.  A name
 that perfbench's words reach and `cli.main` does not must be reached from
 BENCHMARK_ONLY, the listed names that only the benchmark runs.  Every
-public method of a public class must be used, as an identifier, in
-src/ledlab, or in perfbench/ as an identifier or a word of a string
-constant; ORACLE_METHODS are the exceptions, methods kept only as
-independent checks.  The package's re-export list in
-src/ledlab/__init__.py counts as neither.  Importing every module of the
+public method of a public class must be used through attribute access
+(`.name`) in the code of src/ledlab or perfbench/, or be a word of a
+perfbench string constant that is neither a docstring nor part of an
+f-string; a bare identifier of the same spelling (a local variable, an
+argument) is no use of the method.  ORACLE_METHODS are the exceptions,
+methods kept only as independent checks.  The package's re-export list
+in src/ledlab/__init__.py counts as neither.  Importing every module of the
 package must not load scipy, which is a test-only dependency.
 """
 
@@ -32,11 +34,9 @@ ORACLES = (
     "constraint_residuals",
     # f.u from the gyration coupling against minkowski_force's integrand
     "force_dot_u",
-    # the flow's R-parametrization against flow_sweep / observables_from_mb
-    "R_of_mb",
+    # the flow's R-parametrization against flow_sweep / flow_point
     "mb_of_R",
     "omega_of_R",
-    "observables",
 )
 
 BENCHMARK_ONLY = (
@@ -156,22 +156,28 @@ def public_methods():
     return out
 
 
+def _attributes(tree):
+    return {sub.attr for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)}
+
+
 def runtime_references():
-    """Identifiers used in src/ledlab outside __init__.py, and in
-    perfbench/ the identifiers and the words of its string constants (its
-    traced span names); docstrings and comments do not count."""
+    """Attribute names accessed in src/ledlab outside __init__.py and in
+    perfbench/, and the words of perfbench's string constants (its traced
+    span names); docstrings, f-string pieces and comments do not count."""
     used = set()
     for path in PACKAGE.glob("*.py"):
         if path != INIT:
-            used |= _identifiers(ast.parse(path.read_text(), filename=str(path)))
+            used |= _attributes(ast.parse(path.read_text(), filename=str(path)))
     for path in (ROOT / "perfbench").glob("*.py"):
         tree = ast.parse(path.read_text(), filename=str(path))
-        docs = {id(node.body[0].value) for node in ast.walk(tree)
+        skip = {id(node.body[0].value) for node in ast.walk(tree)
                 if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
                 and ast.get_docstring(node) is not None}
-        used |= _identifiers(tree)
+        skip |= {id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                 for part in node.values}
+        used |= _attributes(tree)
         used |= {word for sub in ast.walk(tree) if isinstance(sub, ast.Constant)
-                 and isinstance(sub.value, str) and id(sub) not in docs
+                 and isinstance(sub.value, str) and id(sub) not in skip
                  for word in re.findall(r"\w+", sub.value)}
     return used
 

@@ -8,12 +8,11 @@ import pytest
 from ledlab.renormflow import (
     NATURAL,
     PhysicalConstants,
-    R_of_mb,
+    eta_of_mb,
+    flow_point,
     flow_sweep,
     limit_constants,
     mb_of_R,
-    observables,
-    observables_from_mb,
     omega_of_R,
 )
 
@@ -26,17 +25,18 @@ def test_endpoint_g_factor_closed_form():
 
 
 def test_flow_reaches_the_endpoint_g_factor():
-    assert observables_from_mb(1e-12, NO_ANOMALY).g == pytest.approx(G_LIMIT, rel=1e-11)
+    assert flow_sweep([1e-12], NO_ANOMALY)[0].g == pytest.approx(G_LIMIT, rel=1e-11)
 
 
 @pytest.mark.parametrize("R", [2.0, 5.0, 50.0])
 def test_radius_round_trip(R):
-    assert R_of_mb(mb_of_R(R)) == pytest.approx(R, rel=1e-12)
+    assert flow_point(eta_of_mb(mb_of_R(R))).R == pytest.approx(R, rel=1e-12)
 
 
 @pytest.mark.parametrize("R", [2.0, 5.0, 50.0])
 def test_omega_of_R_matches_the_flow_point(R):
-    assert omega_of_R(R) == pytest.approx(observables(R).omegaE, rel=1e-15)
+    eta = np.arctanh(NATURAL.R_endpoint / R)
+    assert omega_of_R(R) == pytest.approx(flow_point(eta).omegaE, rel=1e-15)
 
 
 def test_endpoint_radius_rejected():

@@ -144,12 +144,15 @@ def cmd_renorm_flow(args) -> int:
     from . import renormflow as rf
 
     k = rf.PhysicalConstants(include_anomaly=(args.anomaly == "on"))
-    spec = args.mb_grid.split(":")
-    if len(spec) != 4 or spec[0] != "log":
-        raise ValueError("mb-grid must look like log:LO:HI:N (units of m_e)")
-    lo, hi, n = float(spec[1]), float(spec[2]), int(spec[3])
+    try:
+        kind, lo, hi, n = args.mb_grid.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:   # not four fields, or a number that does not parse
+        kind = None
+    if kind != "log":
+        raise ValueError(f"--mb-grid must look like log:LO:HI:N, got {args.mb_grid!r}")
     if not (0.0 < lo < hi < 1.0):
-        raise ValueError("mb grid must lie strictly inside (0, 1) m_e")
+        raise ValueError("--mb-grid must lie strictly inside (0, 1) m_e")
     if n < 1:
         raise ValueError(f"--mb-grid needs at least one point, got N = {n}")
     grid = np.geomspace(lo, hi, n) * k.m_e
@@ -174,7 +177,7 @@ def cmd_stationary(args) -> int:
     from .bare_particle import DensityProfile
     from .fields import stationary_state
 
-    _check_flags(args, positive=("radius", "c", "r-max-over-R"), finite=("omega-over-c",))
+    _check_flags(args, positive=("radius", "c", "r-max-over-R"), finite=("omega-over-c", "charge"))
     if args.n_radial < 2:
         raise ValueError(f"--n-radial must be at least 2, got {args.n_radial}")
     omega = args.omega_over_c * args.c / args.radius
@@ -198,8 +201,9 @@ def cmd_gyro_sim(args) -> int:
     from .bare_particle import DensityProfile
     from .gyrodynamics import GyroSolver
 
-    _check_flags(args, positive=("cells-per-radius", "c", "radius", "r-max-over-R", "mass"),
-                 finite=("omega-over-c", "perturb"))
+    _check_flags(args, positive=("cells-per-radius", "c", "radius", "r-max-over-R", "mass",
+                                 "horizon"),
+                 finite=("omega-over-c", "perturb", "charge"))
     if args.mode == "picard" and args.picard_iters < 2:
         raise ValueError(f"--picard-iters must be at least 2, got {args.picard_iters}: a run "
                          f"contracts when its last gap is below its first")
@@ -227,7 +231,7 @@ def cmd_gyro_sim(args) -> int:
         path = os.path.join(out, "timeseries.csv")
         _write_csv(path, ["t", "omega_x", "omega_y", "omega_z",
                           "sb_x", "sb_y", "sb_z", "W_b", "W_field_inside", "flux"],
-                   [[traj.t[i], *traj.omega[i], *traj.sb[i], traj.W_b[i],
+                   [[traj.t[i], 0.0, 0.0, traj.omega[i], 0.0, 0.0, traj.sb[i], traj.W_b[i],
                      traj.W_field_inside[i], traj.flux[i]]
                     for i in range(len(traj.t))])
         written.append(path)

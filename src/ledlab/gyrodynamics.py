@@ -2,16 +2,18 @@
 
 For a spherical charge spinning about a fixed center, the current
 f_e(r) (omega(t) x x) keeps the dynamic vector potential exactly in the
-l=1 toroidal sector A(x, t) = w(r, t) x x.  Substituting this ansatz into
-the Maxwell wave equation turns the field evolution into three scalar
-radial wave equations for the Cartesian components of w:
+l=1 toroidal sector A(x, t) = w(r, t) e x x.  Every run starts with
+omega, s_b and w on one axis e (`make_state`), which then never moves, so
+the solver carries the signed amplitudes along it: one scalar radial
+wave equation,
 
-    (1/c^2) d^2_t w_j - d^2_r w_j - (4/r) d_r w_j = (4 pi / c) f_e(r) omega_j(t),
+    (1/c^2) d^2_t w - d^2_r w - (4/r) d_r w = (4 pi / c) f_e(r) omega(t),
 
 while the electrostatic sector stays the frozen Coulomb field of f_e
 (the Gauss constraint is untouched by the divergence-free toroidal
 field).  The particle's bare spin obeys Euler's equation with the
-rest-frame torque, which also reduces to radial integrals:
+rest-frame torque, which also reduces to a radial integral, where
+omega x w vanishes on the fixed axis:
 
     ds_b/dt = (2/3c) int f_e r^2 [ omega x w - d_t w ] 4 pi r^2 dr,
 
@@ -31,7 +33,6 @@ system by successive integration and is compared against the stepper.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,9 +48,9 @@ from .roots import bracketed_root
 
 @dataclass(frozen=True)
 class GyroEvolutionState:
-    """Reduced l=1 field on the solver grid, bare spin and gyration vector.
-
-    A(x) = w(|x|) x x; regularity at the origin forces w even in r.
+    """Reduced l=1 field on the solver grid, bare spin and gyration speed:
+    signed amplitudes along the axis e, A(x) = w(|x|) e x x.  Regularity
+    at the origin forces w even in r.
 
     `lap` is c^2 GyroSolver.laplacian(w), the wave-operator part of d_t pi
     at this w.  `GyroSolver.step` sets it on the state it returns (its
@@ -58,20 +59,20 @@ class GyroEvolutionState:
     state built with a new w must leave it None.
     """
 
-    w: np.ndarray      # (n, 3)
-    pi: np.ndarray     # (n, 3) = d_t w
-    sb: np.ndarray
-    omega: np.ndarray
+    w: np.ndarray      # (n,)
+    pi: np.ndarray     # (n,) = d_t w
+    sb: float
+    omega: float
     t: float = 0.0
-    lap: np.ndarray = None   # (n, 3) c^2 laplacian(w), or None
+    lap: np.ndarray = None   # (n,) c^2 laplacian(w), or None
 
 
 @dataclass
 class Trajectory:
     t: np.ndarray
-    omega: np.ndarray        # (nt, 3)
-    sb: np.ndarray           # (nt, 3)
-    se: np.ndarray           # (nt, 3) field spin over the support
+    omega: np.ndarray        # (nt,)
+    sb: np.ndarray           # (nt,)
+    se: np.ndarray           # (nt,) field spin over the support
     W_b: np.ndarray
     W_field_inside: np.ndarray
     flux: np.ndarray
@@ -103,7 +104,7 @@ class PicardResult:
     gaps_pi: np.ndarray
     gaps_sb: np.ndarray
     n_iter: int
-    w: np.ndarray            # (nt, n, 3) final iterate
+    w: np.ndarray            # (nt, n) final iterate
     pi: np.ndarray
     sb: np.ndarray
     converged: bool
@@ -111,21 +112,6 @@ class PicardResult:
 
 class CFLError(ValueError):
     pass
-
-
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm of a 3-vector, same bits, a third of the time."""
-    return math.sqrt(v.dot(v))
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the last axis, written out as np.cross computes it
-    (component k is a_{k+1} b_{k+2} - a_{k+2} b_{k+1}); a and b are (3,) or
-    (nt, 3).  np.cross spends most of a 3-vector call on axis handling."""
-    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
 
 
 class GyroSolver:
@@ -143,15 +129,18 @@ class GyroSolver:
     inversion is capped at omega R / c = OMEGA_CAP.
 
     The grid has `n` nodes r_i = i dr.  The charge support is its first
-    `m` nodes: m is the index of the last nonzero `fe_nodes` entry plus one,
+    `m` nodes: m is the index of the last nonzero `fe_nodes` entry plus one
+    (at least 1, so that a charge of 0 sums the origin's zero weight),
     fixed here from the charge profile.  Every coupling weight vanishes
     beyond it, so the source of the wave equation and the field-spin sums
-    touch only w[..., :m, :].  The outer node must lie outside the support.
+    touch only w[..., :m].  The outer node must lie outside the support.
 
     A grid cut short errs one node further inward per step, so `run` steps
     only the k = min(n, i_audit + n_steps + 2) nodes that its records
     depend on (see there).  A step costs one laplacian of those k nodes,
-    work on the m support nodes and two float spin inversions of about
+    two kicks of them, two running sums over the m support nodes (s_e of
+    the rate for the torque, s_e of the field change for the spin), float
+    arithmetic at the outer node and two float spin inversions of about
     three kernel passes each; `run` copies the slices that its records
     read and evaluates them once per RECORD_BLOCK steps.
     """
@@ -178,17 +167,19 @@ class GyroSolver:
         self.n = n + 1
 
         self.fe_nodes = self._discretize_profile(fe)
-        self.m = len(np.trim_zeros(self.fe_nodes, "b"))
+        self.m = max(len(np.trim_zeros(self.fe_nodes, "b")), 1)
         # coupling weights W_i r_i^2, with sum W_i g(r_i) ~ int g f_e 4 pi r^2 dr
         weights = self.fe_nodes * 4.0 * np.pi * self.r**2 * dr
         self._spin_weights = (weights * self.r**2)[:self.m]
         self.curve = GyrationCurve(fm, c, OMEGA_CAP)
+        # 4 pi c f_e on the support: the wave equation's source per unit omega
+        self._source_coef = (4.0 * np.pi * c) * self.fe_nodes[:self.m]
         # staggered flux coefficients r_{i+1/2}^4 of the conservative
         # discretization (r^4 w')' / r^4 of the radial operator, and the
-        # interior rows' denominators r_i^4 dr, full width: no broadcast
+        # interior rows' denominators r_i^4 dr
         self._r_half4 = (0.5 * (self.r[:-1] + self.r[1:])) ** 4
-        self._flux_coef = np.repeat(self._r_half4[:, None], 3, axis=1)
-        self._lap_den = np.repeat((self.r[1:-1] ** 4 * dr)[:, None], 3, axis=1)
+        self._lap_den = self.r[1:-1] ** 4 * dr
+        self._outer = self._outer_law()
 
     # -- grid setup ---------------------------------------------------------
     def _discretize_profile(self, fe: DensityProfile) -> np.ndarray:
@@ -207,7 +198,7 @@ class GyroSolver:
     # -- discrete operators --------------------------------------------------
     def laplacian(self, w: np.ndarray) -> np.ndarray:
         """Conservative form (r^4 w')' / r^4 of d^2_r + (4/r) d_r over the
-        whole grid; w is (..., n, 3).
+        whole grid; w is (..., n).
 
         Flux form makes the semidiscrete field energy balance telescope
         exactly to the boundary, which is what the energy audit measures.
@@ -218,14 +209,14 @@ class GyroSolver:
         """
         dr = self.dr
         out = np.empty_like(w)
-        flux = np.subtract(w[..., 1:, :], w[..., :-1, :])
-        flux *= self._flux_coef
+        flux = np.subtract(w[..., 1:], w[..., :-1])
+        flux *= self._r_half4
         flux /= dr
-        interior = out[..., 1:-1, :]
-        np.subtract(flux[..., 1:, :], flux[..., :-1, :], out=interior)
+        interior = out[..., 1:-1]
+        np.subtract(flux[..., 1:], flux[..., :-1], out=interior)
         interior /= self._lap_den
-        out[..., 0, :] = 10.0 * (w[..., 1, :] - w[..., 0, :]) / dr**2
-        out[..., -1, :] = 0.0
+        out[..., 0] = 10.0 * (w[..., 1] - w[..., 0]) / dr**2
+        out[..., -1] = 0.0
         return out
 
     def cfl_dt(self) -> float:
@@ -236,44 +227,47 @@ class GyroSolver:
         return 0.45 * self.dr / self.c
 
     # -- couplings ------------------------------------------------------------
-    def field_spin_support(self, w: np.ndarray) -> np.ndarray:
+    def field_spin_support(self, w: np.ndarray):
         """s_e = (1/c) int x cross A f_e = (2/3c) int f_e r^2 w d^3x.
 
-        The one radial reduction of the spin coupling; w is (..., k, 3)
-        with any leading (time) axes and k >= m nodes.  Its weights vanish
-        beyond the support, so only w[..., :m, :] is read.
+        The one radial reduction of the spin coupling; w is (..., k) with
+        any leading (time) axes and k >= m nodes.  Its weights vanish
+        beyond the support, so only w[..., :m] is read.  The nodes are
+        added one at a time from the origin, a running sum: a pairwise or
+        dot-product sum of the volume's 21 nodes rounds differently.
         """
-        return (2.0 / (3.0 * self.c)) * np.einsum("i,...ij->...j", self._spin_weights,
-                                                  w[..., :self.m, :])
+        return (2.0 / (3.0 * self.c)) * np.add.accumulate(self._spin_weights * w[..., :self.m],
+                                                          axis=-1)[..., -1]
 
-    def torque(self, w: np.ndarray, pi: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        """(2/3c) int f_e r^2 (omega x w - pi) d^3x = omega x s_e(w) - s_e(pi),
-        since omega is the same at every node."""
-        return _cross(omega, self.field_spin_support(w)) - self.field_spin_support(pi)
+    def torque(self, pi: np.ndarray):
+        """(2/3c) int f_e r^2 (omega x w - pi) d^3x = -s_e(pi): omega x w
+        vanishes on the fixed axis."""
+        return -self.field_spin_support(pi)
 
-    def omega_of_sb(self, sb: np.ndarray, start: float = None) -> np.ndarray:
-        """omega parallel to sb on the gyration curve; `start` is a guess of
-        |omega| in [0, cap] that warm-starts the inversion."""
-        smag = _norm(sb)
+    def omega_of_sb(self, sb, start: float = None):
+        """omega along sb on the gyration curve, for the spin amplitude sb
+        (a float) or a 3-vector; `start` is a guess of |omega| in [0, cap]
+        that warm-starts the inversion."""
+        smag = abs(sb) if isinstance(sb, float) else np.sqrt(np.dot(sb, sb))
         if smag == 0.0:
-            return np.zeros(3)
+            return abs(0.0 * sb)   # +0.0, in the shape of sb
         return self.curve.invert(smag, start) * sb / smag
 
     def omega_many(self, sb: np.ndarray) -> np.ndarray:
-        """Spin inversion along a time series (nt, 3), one `invert` per row,
+        """Spin inversion along a time series (nt,), one `invert` per row,
         saturated at the admissibility cap for transient iterates (the
         physical stepper keeps the hard error)."""
         curve = self.curve
-        smag = np.linalg.norm(sb, axis=-1)
+        smag = np.abs(sb)
         wmag = np.array([curve.omega_cap if s >= curve.sigma_cap else curve.invert(s)
                          for s in smag.tolist()])
         out = np.zeros_like(sb)
         pos = smag > 0
-        out[pos] = sb[pos] * (wmag[pos] / smag[pos])[:, None]
+        out[pos] = sb[pos] * (wmag[pos] / smag[pos])
         return out
 
     # -- initial data -----------------------------------------------------------
-    def stationary_profile(self, omega: np.ndarray) -> np.ndarray:
+    def stationary_profile(self, omega: float) -> np.ndarray:
         """Discrete stationary solution of the radial BVP (exact fixed
         point of the discretized dynamics at the matching spin).
 
@@ -296,25 +290,24 @@ class GyroSolver:
         shape = np.empty(self.n)
         shape[-1] = outer
         shape[-2::-1] = outer - np.cumsum(diff[::-1])
-        return shape[:, None] * np.asarray(omega, dtype=float)[None, :]
+        return shape * omega
 
     def make_state(self, omega3, scale: float = 1.0) -> GyroEvolutionState:
         """Initial data: scale times the stationary field at rest (scale = 0
         is the zero dynamic field), with the bare spin matched to omega3.
+        omega3 must lie on the z axis, the solver's fixed rotation axis.
 
         Every scale keeps the Gauss constraint satisfied (the toroidal
         sector is divergence-free).
         """
         omega3 = np.asarray(omega3, dtype=float)
-        w = scale * self.stationary_profile(omega3)
-        return GyroEvolutionState(w, np.zeros_like(w), bare_spin(self.fm, omega3, self.c),
-                                  omega3)
+        if omega3[0] or omega3[1]:
+            raise ValueError(f"omega must lie on the z axis, got {omega3.tolist()}")
+        w = scale * self.stationary_profile(omega3[2])
+        sb = float(bare_spin(self.fm, omega3, self.c)[2])
+        return GyroEvolutionState(w, np.zeros_like(w), sb, float(omega3[2]))
 
     # -- stepping ------------------------------------------------------------
-    def _source(self, omega: np.ndarray) -> np.ndarray:
-        """4 pi c f_e omega on the support nodes, (..., m, 3) for omega (..., 3)."""
-        return (4.0 * np.pi * self.c) * self.fe_nodes[:self.m, None] * omega[..., None, :]
-
     def _wave(self, w: np.ndarray) -> np.ndarray:
         """c^2 laplacian(w), the part of d_t pi that spans the grid."""
         lap = self.laplacian(w)
@@ -322,44 +315,47 @@ class GyroSolver:
         return lap
 
     def _accel(self, w: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        """d_t pi = c^2 (r^4 w')' / r^4 + 4 pi c f_e omega; w is (..., n, 3)
-        and omega (..., 3) with the same leading axes."""
+        """d_t pi = c^2 (r^4 w')' / r^4 + 4 pi c f_e omega over a history:
+        w is (nt, n) and omega (nt,)."""
         a = self._wave(w)
-        a[..., :self.m, :] += self._source(omega)
+        a[:, :self.m] += self._source_coef * omega[:, None]
         return a
 
     def _kick(self, pi: np.ndarray, lap: np.ndarray, source: np.ndarray, h: float) -> None:
         """pi += h d_t pi below the outer node, in place; lap is c^2 laplacian(w)
-        and source the support term of _source."""
+        and source the support term 4 pi c f_e omega."""
         m = self.m
         pi[:m] += h * (lap[:m] + source)
         pi[m:-1] += h * lap[m:-1]
 
-    def _outgoing(self, w: np.ndarray, pi: np.ndarray) -> tuple:
+    def _outer_law(self) -> tuple:
+        """r_n^2, r_m^2, a = -c/dr - c/r_n, c/dr and c^2/r_n of the outgoing
+        law at the outer node r_n (r_m = r_n - dr), as floats."""
+        rn, rm, c, dr = self.r[-1], self.r[-2], self.c, self.dr
+        return tuple(map(float, (rn**2, rm**2, -c / dr - c / rn, c / dr, c**2 / rn)))
+
+    def _outgoing(self, w_m, w_n, pi_m) -> tuple:
         """(a, b) of the outer-node law d_t v = a v + b for v = r_n^2 pi_n,
-        the local outgoing condition; b keeps the leading axes of w."""
-        r, dr, c = self.r, self.dr, self.c
-        rn, rm = r[-1], r[-2]
-        un, um = rn**2 * w[..., -1, :], rm**2 * w[..., -2, :]
-        vm = rm**2 * pi[..., -2, :]
-        a = -c / dr - c / rn
-        b = (c / dr) * vm - (c**2 / rn) * (un - um) / dr - c**2 * un / rn**2
+        the local outgoing condition, from w at the last two nodes and pi
+        at the last but one: floats in a step, history columns in Picard."""
+        rn2, rm2, a, c_dr, c2_rn = self._outer
+        un, um = rn2 * w_n, rm2 * w_m
+        b = c_dr * (rm2 * pi_m) - c2_rn * (un - um) / self.dr - self.c**2 * un / rn2
         return a, b
 
     def _boundary_kick(self, w: np.ndarray, pi: np.ndarray, dt: float) -> None:
         """Advance pi at the outer node by the outgoing law (trapezoid rule)."""
-        a, b = self._outgoing(w, pi)
-        rn2 = self.r[-1] ** 2
-        v_new = (rn2 * pi[-1] * (1.0 + 0.5 * a * dt) + dt * b) / (1.0 - 0.5 * a * dt)
+        a, b = self._outgoing(w.item(-2), w.item(-1), pi.item(-2))
+        rn2 = self._outer[0]
+        v_new = (rn2 * pi.item(-1) * (1.0 + 0.5 * a * dt) + dt * b) / (1.0 - 0.5 * a * dt)
         pi[-1] = v_new / rn2
 
     def step(self, state: GyroEvolutionState, dt: float) -> GyroEvolutionState:
         """One kick-drift-kick step with a conservative torque coupling.
 
-        The electric part of the torque is applied as -(2/3c) int f r^2
-        (w_new - w_old), the exact negative of the field-spin change over
-        the step: for an aligned axis s_b + s_e is then conserved to
-        machine precision, independent of dt.
+        The torque is applied as -(2/3c) int f r^2 (w_new - w_old), the
+        exact negative of the field-spin change over the step: s_b + s_e is
+        then conserved to machine precision, independent of dt.
         """
         if dt > self.cfl_limit * (1.0 + 1e-12):
             raise CFLError(f"dt = {dt:g} exceeds the CFL limit {self.cfl_limit:g}")
@@ -367,10 +363,10 @@ class GyroSolver:
         w0 = state.w
         pi = state.pi.copy()
 
-        # predictor for the half-step gyration vector
-        s_half = state.sb + h * self.torque(w0, pi, state.omega)
-        om_half = self.omega_of_sb(s_half, _norm(state.omega))
-        source = self._source(om_half)
+        # predictor for the half-step gyration speed
+        om_half = self.omega_of_sb(state.sb + h * float(self.torque(pi)),
+                                   abs(state.omega))
+        source = self._source_coef * om_half
 
         lap = state.lap if state.lap is not None else self._wave(w0)
         self._kick(pi, lap, source, h)
@@ -382,16 +378,14 @@ class GyroSolver:
         self._kick(pi, lap, source, h)
         self._boundary_kick(w, pi, h)
 
-        w_mid = 0.5 * (w0[:m] + w[:m])
-        sb = state.sb + (dt * _cross(om_half, self.field_spin_support(w_mid))
-                         - self.field_spin_support(w[:m] - w0[:m]))
-        omega = self.omega_of_sb(sb, _norm(om_half))
+        sb = state.sb - float(self.field_spin_support(w[:m] - w0[:m]))
+        omega = self.omega_of_sb(sb, abs(om_half))
         return GyroEvolutionState(w, pi, sb, omega, state.t + dt, lap)
 
     # -- diagnostics ------------------------------------------------------------
     def dynamic_energy_inside(self, w: np.ndarray, pi: np.ndarray, i_audit: int):
         """Dynamic-sector field energy inside r[i_audit]; w and pi are
-        (..., k, 3) with any leading (time) axes and k > i_audit nodes.
+        (..., k) with any leading (time) axes and k > i_audit nodes.
 
         The Coulomb part is constant in time and excluded; the E cross
         term vanishes exactly by the angular reduction.  The magnetic
@@ -405,22 +399,22 @@ class GyroSolver:
         telescope and the audit defect carries a grid error at any dt.
         """
         r, dr, a = self.r, self.dr, i_audit
-        e_part = np.sum(np.sum(pi[..., 1:a + 1, :]**2, axis=-1) * r[1:a + 1]**4,
-                        axis=-1) * dr / (3.0 * self.c**2)
-        grad = (w[..., 1:a + 1, :] - w[..., :a, :]) / dr
-        b_part = (np.sum(self._r_half4[:a] * np.sum(grad**2, axis=-1), axis=-1) * dr / 3.0
-                  + (2.0 / 3.0) * r[a]**3 * np.sum(w[..., a, :]**2, axis=-1))
+        e_part = np.sum(pi[..., 1:a + 1]**2 * r[1:a + 1]**4, axis=-1) * dr / (3.0 * self.c**2)
+        grad = (w[..., 1:a + 1] - w[..., :a]) / dr
+        b_part = (np.sum(self._r_half4[:a] * grad**2, axis=-1) * dr / 3.0
+                  + (2.0 / 3.0) * r[a]**3 * w[..., a]**2)
         return e_part + b_part
 
     def poynting_flux(self, w: np.ndarray, pi: np.ndarray, i_audit: int):
         """Outward Poynting flux through the sphere r[i_audit]:
         -(2/3) r^3 pi . (2w + r w'), with the centred w' (w_{a+1} -
-        w_{a-1}) / 2 dr; w and pi are (..., k, 3) with any leading axes."""
+        w_{a-1}) / 2 dr; w and pi are (..., k) with any leading axes.  The
+        + 0.0 makes a zero product +0, so that a field at rest has the flux
+        -0 whatever the sign of w."""
         a = i_audit
         ra = self.r[a]
-        wp = (w[..., a + 1, :] - w[..., a - 1, :]) / (2.0 * self.dr)
-        return -(2.0 / 3.0) * ra**3 * np.sum(pi[..., a, :] * (2.0 * w[..., a, :] + ra * wp),
-                                             axis=-1)
+        wp = (w[..., a + 1] - w[..., a - 1]) / (2.0 * self.dr)
+        return -(2.0 / 3.0) * ra**3 * (pi[..., a] * (2.0 * w[..., a] + ra * wp) + 0.0)
 
     # -- drivers -------------------------------------------------------------
     def _window(self, k: int) -> GyroSolver:
@@ -428,8 +422,8 @@ class GyroSolver:
         its outer node, where the outgoing law applies."""
         win = copy.copy(self)
         win.n, win.r, win.fe_nodes = k, self.r[:k], self.fe_nodes[:k]
-        win._r_half4, win._flux_coef = self._r_half4[:k - 1], self._flux_coef[:k - 1]
-        win._lap_den = self._lap_den[:k - 2]
+        win._r_half4, win._lap_den = self._r_half4[:k - 1], self._lap_den[:k - 2]
+        win._outer = win._outer_law()
         return win
 
     def run(self, state: GyroEvolutionState, horizon: float, dt: float = None) -> Trajectory:
@@ -463,10 +457,10 @@ class GyroSolver:
 
         nt = n_steps + 1
         t, w_field, flux = np.empty(nt), np.empty(nt), np.empty(nt)
-        omega, sb, se = np.empty((nt, 3)), np.empty((nt, 3)), np.empty((nt, 3))
+        omega, sb, se = np.empty(nt), np.empty(nt), np.empty(nt)
         block = min(nt, RECORD_BLOCK)
-        w_rec = np.empty((block, i_audit + 2, 3))
-        pi_rec = np.empty((block, i_audit + 1, 3))
+        w_rec = np.empty((block, i_audit + 2))
+        pi_rec = np.empty((block, i_audit + 1))
         for i in range(nt):
             if i:
                 state = win.step(state, dt)
@@ -478,20 +472,19 @@ class GyroSolver:
                 se[rows] = self.field_spin_support(w_blk)
                 w_field[rows] = self.dynamic_energy_inside(w_blk, pi_blk, i_audit)
                 flux[rows] = self.poynting_flux(w_blk, pi_blk, i_audit)
-        W_b = np.array([self.curve.mass(_norm(om)) for om in omega]) * self.c**2
+        W_b = np.array([self.curve.mass(abs(om)) for om in omega.tolist()]) * self.c**2
         return Trajectory(t, omega, sb, se, W_b, w_field, flux, self.r[i_audit])
 
     def predicted_equilibrium(self, state: GyroEvolutionState) -> float:
         """|omega| of the stationary state conserving s_b + s_e.
 
-        For a fixed rotation axis the support spin s_b + s_e is an exact
-        (machine-level) invariant of the discrete dynamics, so the final
-        gyration speed solves sigma(w) + kappa w = |s_b + s_e|(0) with
-        kappa the field-spin coefficient of the discrete stationary mode.
+        The support spin s_b + s_e is an exact (machine-level) invariant of
+        the discrete dynamics, so the final gyration speed solves
+        sigma(w) + kappa w = |s_b + s_e|(0) with kappa the field-spin
+        coefficient of the discrete stationary mode.
         """
-        shape = self.stationary_profile(np.array([0.0, 0.0, 1.0]))
-        kappa = float(self.field_spin_support(shape)[2])
-        s_tot = float(np.linalg.norm(state.sb + self.field_spin_support(state.w)))
+        kappa = float(self.field_spin_support(self.stationary_profile(1.0)))
+        s_tot = abs(float(state.sb + self.field_spin_support(state.w)))
         cap = self.curve.omega_cap
 
         def f(w):
@@ -518,7 +511,7 @@ class GyroSolver:
         """
         traj = self.run(state, horizon, dt)
         t = traj.t
-        y = np.linalg.norm(traj.omega, axis=1)
+        y = np.abs(traj.omega)
         try:
             y_inf = self.predicted_equilibrium(state)
         except ValueError:
@@ -588,11 +581,11 @@ class GyroSolver:
         geometrically, after a transient whose length scales with
         horizon * c / dr (the norm of the discrete spatial operator).
 
-        One iteration costs one _accel over the (nt+1, n, 3) history (with
-        one omega_many, torque and _outgoing) and three trapezoid running
-        sums, formed in place in the array they return.  The running sum
-        adds row k-1 into row k, one row at a time: np.cumsum along the
-        leading axis gives the same bits 4-6 times slower.
+        One iteration costs one _accel over the (nt+1, n) history (with one
+        omega_many, torque and _outgoing) and three trapezoid running sums,
+        formed in place in the array they return.  The running sum adds
+        row k-1 into row k, one row at a time: np.cumsum along the leading
+        axis of a field history gives the same bits 4-6 times slower.
         """
         if not horizon > 0:
             raise ValueError(f"Picard horizon must be positive, got {horizon:g}")
@@ -605,7 +598,7 @@ class GyroSolver:
 
         w = np.repeat(state.w[None], nt + 1, axis=0)
         pi = np.repeat(state.pi[None], nt + 1, axis=0)
-        sb = np.repeat(state.sb[None], nt + 1, axis=0)
+        sb = np.full(nt + 1, state.sb)
 
         steps = np.diff(times)
 
@@ -613,15 +606,16 @@ class GyroSolver:
             """x0 plus the trapezoid integral of f from t = 0 over the time
             grid (axis 0); row 0 is x0 + 0.0, so -0.0 becomes +0.0.  The sum
             so far is each add's first operand, as in np.cumsum: of two NaNs
-            the add keeps the first."""
+            the add keeps the first.  Rows are summed as 2-d views (nt+1, -1)."""
             out = np.empty_like(f)
-            inc = out[1:]
+            rows, f = out.reshape(nt + 1, -1), f.reshape(nt + 1, -1)
+            inc = rows[1:]
             np.add(f[1:], f[:-1], out=inc)
-            inc *= steps.reshape((-1,) + (1,) * (f.ndim - 1))
+            inc *= steps[:, None]
             inc /= 2.0
             for k in range(1, nt):
                 np.add(inc[k - 1], inc[k], out=inc[k])
-            np.add(x0, 0.0, out=out[0])
+            np.add(x0, 0.0, out=rows[0])
             np.add(x0, inc, out=inc)
             return out
 
@@ -631,13 +625,13 @@ class GyroSolver:
 
         gaps = []       # per iteration: sup gaps of w, pi and sb
         converged = False
-        rn2 = self.r[-1] ** 2
+        rn2 = self._outer[0]
         for _ in range(n_max):
             omega = self.omega_many(sb)
             rhs_pi = self._accel(w, omega)
-            a, b = self._outgoing(w, pi)
+            a, b = self._outgoing(w[:, -2], w[:, -1], pi[:, -2])
             rhs_pi[:, -1] = a * pi[:, -1] + b / rn2
-            rhs_sb = self.torque(w, pi, omega)
+            rhs_sb = self.torque(pi)
 
             new = (integrate(state.w, pi), integrate(state.pi, rhs_pi),
                    integrate(state.sb, rhs_sb))

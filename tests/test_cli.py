@@ -240,6 +240,24 @@ def test_picard_exits_3_unless_its_gaps_contract(tmp_path, capsys, horizon, iter
     (["renorm-flow", "--mb-grid", "log:0.1:0.5:0"], cli.EXIT_DOMAIN),
     (["renorm-flow", "--mb-grid", "log:0.1:0.5:-3"], cli.EXIT_DOMAIN),
     (["renorm-flow", "--mb-grid", "log:0.1:0.5:1"], cli.EXIT_OK),
+    (["stationary", "--charge", "nan"], cli.EXIT_DOMAIN),
+    (["stationary", "--charge", "inf"], cli.EXIT_DOMAIN),
+    (["stationary", "--charge", "0"], cli.EXIT_OK),
+    (["stationary", "--charge", "-1"], cli.EXIT_OK),
+    (["gyro-sim", "--charge", "nan"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--charge", "inf"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--charge=-inf"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--charge", "0", "--horizon", "0.1"], cli.EXIT_OK),
+    (["gyro-sim", "--charge", "-1", "--horizon", "0.1"], cli.EXIT_OK),
+    (["gyro-sim", "--horizon", "inf"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--horizon", "nan"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--mode", "picard", "--horizon", "inf"], cli.EXIT_DOMAIN),
+    (["renorm-flow", "--mb-grid", "log:0.1:0.5:x"], cli.EXIT_DOMAIN),
+    (["renorm-flow", "--mb-grid", "log:0.1:x:3"], cli.EXIT_DOMAIN),
+    (["renorm-flow", "--mb-grid", "log:x:0.5:3"], cli.EXIT_DOMAIN),
+    (["renorm-flow", "--mb-grid", "log:0.1:0.5:2.5"], cli.EXIT_DOMAIN),
+    (["renorm-flow", "--mb-grid", "lin:0.1:0.5:3"], cli.EXIT_DOMAIN),
+    (["renorm-flow", "--mb-grid", "log:0.1:nan:3"], cli.EXIT_DOMAIN),
 ])
 def test_exit_codes(tmp_path, capsys, argv, code):
     out = tmp_path / "out"
@@ -264,6 +282,11 @@ def test_exit_codes(tmp_path, capsys, argv, code):
     (["--radius", "nan"], "--radius must be positive"),
     (["--r-max-over-R", "nan"], "--r-max-over-R must be positive"),
     (["--mass", "0"], "--mass must be positive"),
+    (["--charge", "nan"], "--charge must be finite"),
+    (["--charge", "inf"], "--charge must be finite"),
+    (["--horizon", "inf"], "--horizon must be positive and finite"),
+    (["--horizon", "0"], "--horizon must be positive and finite"),
+    (["--mode", "picard", "--horizon", "inf"], "--horizon must be positive and finite"),
 ])
 def test_gyro_sim_refusal_names_the_flag(tmp_path, capsys, argv, flag):
     assert cli.main(["gyro-sim", *argv, "--out-dir", str(tmp_path)]) == cli.EXIT_DOMAIN
@@ -279,6 +302,10 @@ def test_gyro_sim_refusal_names_the_flag(tmp_path, capsys, argv, flag):
     (["stationary", "--omega-over-c", "nan"], "--omega-over-c must be finite"),
     (["renorm-flow", "--mb-grid", "log:0.1:0.5:0"], "--mb-grid needs at least one point"),
     (["renorm-flow", "--mb-grid", "log:0.1:0.5:-3"], "--mb-grid needs at least one point"),
+    (["stationary", "--charge", "nan"], "--charge must be finite"),
+    (["renorm-flow", "--mb-grid", "log:0.1:0.5:x"], "--mb-grid must look like log:LO:HI:N"),
+    (["renorm-flow", "--mb-grid", "log:0.1:x:3"], "--mb-grid must look like log:LO:HI:N"),
+    (["renorm-flow", "--mb-grid", "log:0.5:2.0:4"], "--mb-grid must lie strictly inside"),
 ])
 def test_stationary_and_flow_refusal_names_the_flag(tmp_path, capsys, argv, flag):
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == cli.EXIT_DOMAIN

@@ -206,7 +206,7 @@ def cmd_gyro_sim(args) -> int:
                  finite=("omega-over-c", "perturb", "charge"))
     if args.mode == "picard" and args.picard_iters < 2:
         raise ValueError(f"--picard-iters must be at least 2, got {args.picard_iters}: a run "
-                         f"contracts when its last gap is below its first")
+                         f"contracts when its last gap is below its first, or 0")
     fe = DensityProfile(args.profile, -args.charge, args.radius)
     fm = DensityProfile(args.profile, args.mass, args.radius)
     solver = GyroSolver(fe, fm, c=args.c, dr=args.radius / args.cells_per_radius,
@@ -236,17 +236,15 @@ def cmd_gyro_sim(args) -> int:
                     for i in range(len(traj.t))])
         written.append(path)
         fpath = os.path.join(out, "relaxation_fit.json")
-        _write_json(fpath, {"omega_inf": fit.omega_inf, "rate": fit.rate,
-                            "log_residual": fit.log_residual,
-                            "window": list(fit.window),
-                            "converged": fit.converged, "note": fit.note})
+        _write_json(fpath, {"omega_inf": fit.omega_inf, "converged": fit.converged})
         written.append(fpath)
         apath = os.path.join(out, "energy_audit.json")
         _write_json(apath, solver.energy_audit(traj))
         written.append(apath)
     for p in written:
         print(p)
-    if args.mode == "picard" and not (np.all(np.isfinite(peak)) and peak[-1] < peak[0]):
+    if args.mode == "picard" and not (np.all(np.isfinite(peak))
+                                      and (peak[-1] < peak[0] or peak[-1] == 0.0)):
         print(f"numerical failure: Picard did not contract, max gap {peak[0]:.3g} at "
               f"iteration 0 and {peak[-1]:.3g} at iteration {len(peak) - 1}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -379,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--charge", type=float, default=1.0)
     sp.add_argument("--mass", type=float, default=2.0, help="bare rest mass")
     sp.add_argument("--omega-over-c", type=float, default=0.3)
-    sp.add_argument("--perturb", type=float, default=1.0,
+    sp.add_argument("--perturb", type=float, default=0.5,
                     help="initial dynamic field = perturb * stationary")
     sp.add_argument("--horizon", type=float, default=60.0,
                     help="run time in units of R/c")

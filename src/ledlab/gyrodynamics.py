@@ -82,16 +82,13 @@ class Trajectory:
 @dataclass
 class RelaxationFit:
     omega_inf: float
-    rate: float
-    log_residual: float      # None when there was no deviation to fit
-    window: tuple
     converged: bool
-    note: str = None
 
 
-# Multiple of machine epsilon below which a deviation is round-off: the
-# radiated energy against max |W_tot|, |omega| - omega_inf against omega_inf.
+# Multiple of machine epsilon below which the radiated energy of
+# energy_audit is round-off against max |W_tot|.
 ROUNDOFF_MULTIPLE = 1000.0
+SETTLE_TOL = 1e-2       # settled |omega| within 1% of omega_inf, as perfbench's relax oracle
 _EPS = np.finfo(float).eps
 OMEGA_CAP = 0.999       # omega R / c bound of the solver's spin inversion
 RECORD_BLOCK = 256      # time rows per pass of GyroSolver.run's field diagnostics
@@ -481,7 +478,8 @@ class GyroSolver:
         The support spin s_b + s_e is an exact (machine-level) invariant of
         the discrete dynamics, so the final gyration speed solves
         sigma(w) + kappa w = |s_b + s_e|(0) with kappa the field-spin
-        coefficient of the discrete stationary mode.
+        coefficient of the discrete stationary mode.  Beyond
+        sigma(cap) + kappa cap no such state exists: ValueError.
         """
         kappa = float(self.field_spin_support(self.stationary_profile(1.0)))
         s_tot = abs(float(state.sb + self.field_spin_support(state.w)))
@@ -492,61 +490,30 @@ class GyroSolver:
 
         if s_tot == 0.0:
             return 0.0
+        bound = self.curve.sigma_cap + kappa * cap
+        if s_tot > bound:
+            raise ValueError(f"|s_b + s_e| = {s_tot:.6g} exceeds sigma(cap) + kappa cap = "
+                             f"{bound:.6g}: no stationary state conserves it")
         return bracketed_root(f, 0.0, cap, xtol=4.0 * _EPS * cap, rtol=4.0 * _EPS)
 
     def run_to_stationary(self, state: GyroEvolutionState, horizon: float,
                           dt: float = None) -> tuple:
-        """Relax toward the stationary state; log-linear fit of the decay.
+        """Relax toward the stationary state and judge whether it arrived.
 
-        Returns (trajectory, fit).  The deviation |omega(t)| - omega_inf
-        (omega_inf from the exact spin invariant) rings at the light-
-        crossing scale, so its RMS envelope over a window of two crossing
-        times is fitted instead of the raw signal; a box average of an
-        exponentially decaying oscillation is exactly exponential at the
-        same rate.  The fit window starts once the envelope has dropped
-        below half its peak and stops at the numerical floor or before
-        the first outer-boundary reflection returns; the reported
-        residual is the RMS log-misfit relative to the total logarithmic
-        drop across the window.
+        Returns (trajectory, fit).  fit.omega_inf is predicted_equilibrium
+        of the initial state, taken before any step, so a state with no
+        equilibrium raises ValueError and is never stepped.  fit.converged
+        holds when every record of the last 2 R/c has
+        ||omega(t)| - omega_inf| <= SETTLE_TOL omega_inf.  That window is
+        longer than the ring period of the least-damped pole (1.80 R/c on
+        the shell at omega R/c 0.3), so a ringing |omega| that crosses
+        omega_inf near the last step does not pass.
         """
+        omega_inf = self.predicted_equilibrium(state)
         traj = self.run(state, horizon, dt)
-        t = traj.t
-        y = np.abs(traj.omega)
-        try:
-            y_inf = self.predicted_equilibrium(state)
-        except ValueError:
-            y_inf = float(np.median(y[-max(len(y) // 10, 4):]))
-        smooth_time = 2.0 * self.fe.R / self.c
-        dt_rec = t[1] - t[0] if len(t) > 1 else 1.0
-        width = min(max(int(round(smooth_time / dt_rec)), 1), len(y))
-        sm = np.sqrt(np.convolve((y - y_inf) ** 2,
-                                 np.ones(width) / width, mode="same"))
-        sm_max = float(np.max(sm))
-        if sm_max <= ROUNDOFF_MULTIPLE * _EPS * y_inf:
-            return traj, RelaxationFit(y_inf, 0.0, None, (t[0], t[-1]), True,
-                                       note="no deviation to fit")
-        t_reflect = 0.9 * 2.0 * self.r[-1] / self.c
-        pre = t < t_reflect
-        npre = int(np.count_nonzero(pre))
-        floor = float(np.median(sm[pre][-max(npre // 5, 2):])) if npre > 4 else 0.0
-        converged = floor < 5e-2 * sm_max
-        i0 = int(np.argmax(sm))
-        i_start = i0 + int(np.argmax(sm[i0:] < 0.5 * sm_max))
-        cut = max(12.0 * floor, 1e-13 * max(y_inf, 1.0))
-        below = np.nonzero(sm[i_start:] < cut)[0]
-        i_stop = i_start + int(below[0]) if below.size else len(sm)
-        i_stop = min(i_stop, int(np.searchsorted(t, t_reflect)))
-        if i_stop - i_start < 8:
-            i_stop = min(len(sm), i_start + max(8, (len(sm) - i_start) // 2))
-        tw = t[i_start:i_stop]
-        dw = np.maximum(sm[i_start:i_stop], 1e-300)
-        coef = np.polyfit(tw, np.log(dw), 1)
-        resid = np.log(dw) - np.polyval(coef, tw)
-        drop = max(abs(coef[0]) * (tw[-1] - tw[0]), 1e-30)
-        log_residual = float(np.sqrt(np.mean(resid**2)) / drop)
-        fit = RelaxationFit(y_inf, float(-coef[0]), log_residual,
-                            (float(tw[0]), float(tw[-1])), converged)
-        return traj, fit
+        tail = traj.t >= traj.t[-1] - 2.0 * self.fe.R / self.c
+        miss = np.abs(np.abs(traj.omega[tail]) - omega_inf)
+        return traj, RelaxationFit(omega_inf, bool(np.all(miss <= SETTLE_TOL * omega_inf)))
 
     def energy_audit(self, traj: Trajectory) -> dict:
         """Energy balance of W_tot = W_b + W_field(<r_audit) against the

@@ -183,7 +183,7 @@ def test_picard_gaps_has_every_state_variable(tmp_path):
 
     fe, fm = DensityProfile.shell(-1.0, 1.0), DensityProfile.shell(2.0, 1.0)
     solver = GyroSolver(fe, fm, dr=1.0 / 20, r_max=3.0)
-    state = solver.make_state(np.array([0.0, 0.0, 0.3]))
+    state = solver.make_state(np.array([0.0, 0.0, 0.3]), scale=0.5)   # the --perturb default
     res = solver.picard_iterate(state, n_max=4, horizon=0.05)
     got = np.array(rows[1:], dtype=float)
     np.testing.assert_array_equal(got[:, 0], np.arange(4))
@@ -191,15 +191,21 @@ def test_picard_gaps_has_every_state_variable(tmp_path):
                                                                res.gaps_sb]))
 
 
-@pytest.mark.parametrize("horizon, iters, code", [("0.05", "4", cli.EXIT_OK),
-                                                   ("1", "40", cli.EXIT_NUMERICAL)])
-def test_picard_exits_3_unless_its_gaps_contract(tmp_path, capsys, horizon, iters, code):
+@pytest.mark.parametrize("horizon, iters, flags, code", [
+    ("0.05", "4", [], cli.EXIT_OK),
+    ("1", "40", [], cli.EXIT_NUMERICAL),
+    # no charge: the first iterate is exact, and every gap is 0
+    ("0.05", "4", ["--charge", "0"], cli.EXIT_OK),
+    ("0.05", "4", ["--charge", "0", "--profile", "volume"], cli.EXIT_OK),
+])
+def test_picard_exits_3_unless_its_gaps_contract(tmp_path, capsys, horizon, iters, flags, code):
     argv = ["gyro-sim", "--mode", "picard", "--horizon", horizon, "--picard-iters", iters,
-            "--out-dir", str(tmp_path)]
+            *flags, "--out-dir", str(tmp_path)]
     assert cli.main(argv) == code
     gaps = np.array(_rows(tmp_path / "picard_gaps.csv")[1:], dtype=float)[:, 1:]
     assert len(gaps) == int(iters) and np.all(np.isfinite(gaps))
-    assert (gaps[-1].max() < gaps[0].max()) == (code == cli.EXIT_OK)
+    first, last = gaps[0].max(), gaps[-1].max()
+    assert (last < first or last == 0.0) == (code == cli.EXIT_OK)
     assert ("did not contract" in capsys.readouterr().err) == (code != cli.EXIT_OK)
 
 
@@ -249,6 +255,7 @@ def test_picard_exits_3_unless_its_gaps_contract(tmp_path, capsys, horizon, iter
     (["gyro-sim", "--charge=-inf"], cli.EXIT_DOMAIN),
     (["gyro-sim", "--charge", "0", "--horizon", "0.1"], cli.EXIT_OK),
     (["gyro-sim", "--charge", "-1", "--horizon", "0.1"], cli.EXIT_OK),
+    (["gyro-sim", "--perturb", "100", "--horizon", "0.5"], cli.EXIT_DOMAIN),
     (["gyro-sim", "--horizon", "inf"], cli.EXIT_DOMAIN),
     (["gyro-sim", "--horizon", "nan"], cli.EXIT_DOMAIN),
     (["gyro-sim", "--mode", "picard", "--horizon", "inf"], cli.EXIT_DOMAIN),

@@ -6,9 +6,10 @@ fixed-axis contracts of the state and the spin inversion, the laplacian
 against a node loop, the support-sliced stepper against a full-grid one,
 Picard against the stepper and bit for bit against a cumsum sweep, the
 run's batched records against each state's diagnostics, the shell's
-linear response against its closed-form transfer function, round-off
-verdicts of the relax run, a recorded relax time series, and the kernel
-passes, rejections and saturation of the warm-started spin inversion."""
+linear response against its closed-form transfer function, the relax
+run's verdict against the predicted equilibrium, a recorded relax time
+series, and the kernel passes, rejections and saturation of the
+warm-started spin inversion."""
 
 import csv
 import dataclasses
@@ -653,17 +654,28 @@ class TestRelaxRun:
                 scale = np.max(np.abs(ref[:, j]))
                 assert np.max(np.abs(new[:, j] - ref[:, j])) <= 1e-14 * scale, name
 
-    def test_unperturbed_run_has_nothing_to_fit_or_normalize(self, tmp_path):
+    def test_unperturbed_run_settles_at_its_omega_with_nothing_to_normalize(self, tmp_path):
         # --perturb 1 starts on the discrete stationary state
-        fit, audit = _gyro_sim(tmp_path, "--horizon", "3", "--r-max-over-R", "4")
-        assert fit["converged"] is True and fit["rate"] == 0.0
-        assert fit["note"] == "no deviation to fit" and fit["log_residual"] is None
+        fit, audit = _gyro_sim(tmp_path, "--horizon", "3", "--r-max-over-R", "4",
+                               "--perturb", "1")
+        assert sorted(fit) == ["converged", "omega_inf"]
+        assert fit["converged"] is True
         assert fit["omega_inf"] == pytest.approx(0.3, rel=1e-14)
         assert audit["normalized_defect"] is None
         assert abs(audit["cumulative_defect"]) < 1e-14
 
-    def test_perturbed_run_keeps_fit_and_normalized_defect(self, tmp_path):
+    def test_perturbed_run_settles_at_the_predicted_equilibrium(self, tmp_path):
+        # its tail of 2 R/c misses omega_inf by at most 2.1e-3 relative
         fit, audit = _gyro_sim(tmp_path, "--horizon", "5", "--r-max-over-R", "4",
                                "--perturb", "0.5")
-        assert fit["note"] is None and fit["rate"] > 0
+        s = GyroSolver(FE, FM, dr=1.0 / 20, r_max=4.0)
+        omega_inf = s.predicted_equilibrium(s.make_state(np.array([0.0, 0.0, 0.3]), 0.5))
+        assert fit == {"converged": True, "omega_inf": omega_inf}
         assert 0 < audit["normalized_defect"] < 1e-2
+
+    @pytest.mark.parametrize("horizon", ["1", "3"])
+    def test_run_still_ringing_has_not_converged(self, tmp_path, horizon):
+        # the tail misses omega_inf by up to 7.0e-2 (1 R/c) and 2.8e-2 (3 R/c)
+        # relative; at 3 R/c the last record alone is within 1.7e-3
+        fit, _ = _gyro_sim(tmp_path, "--horizon", horizon, "--perturb", "0.5")
+        assert fit["converged"] is False

@@ -1,6 +1,6 @@
 """Oracle tests of the bracketed root: scipy's brentq on every bracket the
 flow inversion and the predicted equilibrium hand it, and the ValueError
-that sends run_to_stationary to its median fallback."""
+of a support spin that no stationary state can hold."""
 
 import dataclasses
 
@@ -63,10 +63,10 @@ def test_no_sign_change_raises_value_error():
 
 def test_spin_beyond_the_cap_has_no_equilibrium():
     # sigma(cap) + kappa cap < |s_b + s_e|: no sign change on [0, cap], so
-    # run_to_stationary falls back to the median of the late |omega|
+    # a relax run from this state stops before its first step (exit 2)
     solver = GyroSolver(DensityProfile.volume(-1.0, 1.0), DensityProfile.volume(2.0, 1.0))
     state = solver.make_state(np.array([0.0, 0.0, 0.3]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\|s_b \+ s_e\| = .* exceeds sigma\(cap\)"):
         solver.predicted_equilibrium(dataclasses.replace(state, sb=100.0 * state.sb))
 
 

@@ -8,15 +8,15 @@ into a radial integral against closed-form angular kernels:
     K(beta) = <gamma sin^2 theta>_sphere
             = ((1+beta^2)/(2 beta^3)) artanh(beta) - 1/(2 beta^2)
 
-with beta = omega r / c the equatorial speed at radius r.  The gyrational
-mass, bare spin and the spin -> angular-velocity inversion are built from
-these, in closed form for both profiles (the gyration curve).  With
-B = omega R / c, A = artanh B = (2 B^3 K + B) / (1 + B^2),
+with beta = omega r the equatorial speed at radius r, in units with
+c = 1.  The gyrational mass, bare spin and the spin -> angular-velocity
+inversion are built from these, in closed form for both profiles (the
+gyration curve).  With B = omega R, A = artanh B = (2 B^3 K + B) / (1 + B^2),
 u = (1 - B)(1 + B) and m the total mass:
 
     shell  sigma = m R^2 omega K,  sigma' = 2 m R^2 (1 - K u) / (u (1 + B^2)),
            M = m A / B = m (1 + 2 B^2 K) / (1 + B^2);
-    ball   sigma = 3 m c R J / B^4 = 3 m R^2 omega j,  sigma' = 3 m R^2 (K - 4 j),
+    ball   sigma = 3 m R J / B^4 = 3 m R^2 omega j,  sigma' = 3 m R^2 (K - 4 j),
            J = int_0^B b^4 K db = [(B^2 + 3)(B^2 - 1) A + 3 B - B^3] / 8 = B^5 j,
            M = (3 m / B^3) [(B^2 - 1) A + B] / 2 = 3 m (1 + 4 B^2 j) / (3 + B^2).
 
@@ -202,21 +202,19 @@ class GyrationCurve:
     |omega|, and the inverse |s_b| -> |omega|, for one mass profile, in
     the closed forms of the module docstring.
 
-    `omega_cap` (units of c/R) bounds the inverse: |s| >= sigma(cap) is
+    `omega_cap` (units of 1/R) bounds the inverse: |s| >= sigma(cap) is
     rejected.  The default cap is the double-precision edge of the light
     cone.
     """
 
-    def __init__(self, fm: DensityProfile, c: float = 1.0,
-                 omega_cap: float = 1.0 - 1e-14):
+    def __init__(self, fm: DensityProfile, omega_cap: float = 1.0 - 1e-14):
         if fm.total < 0:
             raise ValueError("a gyration curve needs a nonnegative mass density")
         self.fm = fm
         self._ball = fm.kind == "volume"
-        self._R_c = fm.R / c
         self._mR2 = fm.total * fm.R**2
         self.inertia = (2.0 / 3.0) * fm.moment(2)
-        self.omega_cap = omega_cap * c / fm.R
+        self.omega_cap = omega_cap / fm.R
 
     @cached_property
     def sigma_cap(self) -> float:
@@ -225,7 +223,7 @@ class GyrationCurve:
     def sigma_slope(self, omega: float) -> tuple:
         """(sigma, d sigma/d omega) from one spin_kernel pass; sigma is odd
         here, so Newton returns from an iterate rounded below zero."""
-        b = omega * self._R_c
+        b = omega * self.fm.R
         k = float(spin_kernel(b))
         if self._ball:
             j = _ball_moment(b, k)
@@ -240,7 +238,7 @@ class GyrationCurve:
     def mass(self, omega: float) -> float:
         """Gyrational mass M(|omega|); not a sigma pass, so no spin_kernel
         call."""
-        b = omega * self._R_c
+        b = omega * self.fm.R
         b2 = b * b
         if self._ball:
             return 3.0 * self.fm.total * (1.0 + 4.0 * b2 * _ball_moment(b)) / (3.0 + b2)
@@ -263,7 +261,7 @@ class GyrationCurve:
                 raise FloatingPointError("spin magnitude is not finite")
             raise ValueError(
                 f"|s| = {s:g} reaches the gyrational bound {self.sigma_cap:g} "
-                f"at omega R / c = {self.omega_cap * self._R_c:g}")
+                f"at omega R / c = {self.omega_cap * self.fm.R:g}")
         cap = self.omega_cap
         w = min(s / self.inertia, cap) if start is None else float(start)
         for _ in range(NEWTON_MAX):
@@ -294,47 +292,46 @@ class GyrationCurve:
 # inertial functionals
 # ---------------------------------------------------------------------------
 
-def _check_subluminal(fm: DensityProfile, omega_mag: float, c: float) -> None:
-    if omega_mag * fm.R >= c:
-        raise ValueError(
-            f"equatorial speed omega R = {omega_mag * fm.R:g} >= c = {c:g}")
+def _check_subluminal(fm: DensityProfile, omega_mag: float) -> None:
+    if omega_mag * fm.R >= 1.0:
+        raise ValueError(f"equatorial speed omega R = {omega_mag * fm.R:g} >= c = 1")
 
 
-def gyrational_mass(fm: DensityProfile, omega: float, c: float = 1.0) -> float:
+def gyrational_mass(fm: DensityProfile, omega: float) -> float:
     """Bare gyrational mass: rest mass dressed with rigid-rotation energy.
 
-    int artanh(omega r / c)/(omega r / c) f(r) 4 pi r^2 dr; equals
-    m_b (c / omega R) artanh(omega R / c) for a shell.
+    int artanh(omega r)/(omega r) f(r) 4 pi r^2 dr; equals
+    m_b artanh(omega R) / (omega R) for a shell.
     """
     omega = abs(float(omega))
-    _check_subluminal(fm, omega, c)
-    return GyrationCurve(fm, c).mass(omega)
+    _check_subluminal(fm, omega)
+    return GyrationCurve(fm).mass(omega)
 
 
-def bare_spin(fm: DensityProfile, omega3, c: float = 1.0) -> np.ndarray:
+def bare_spin(fm: DensityProfile, omega3) -> np.ndarray:
     """Bare spin three-vector int x cross (w cross x) gamma f d^3x.
 
     Parallel to omega by isotropy; for a shell equals
-    m_b c R [ (1 + c^2/w^2R^2)/2 artanh(wR/c) - c/(2wR) ] unit(omega).
+    m_b R [ (1 + 1/w^2R^2)/2 artanh(wR) - 1/(2wR) ] unit(omega).
     """
     omega3 = np.asarray(omega3, dtype=float)
     mag = float(np.linalg.norm(omega3))
     if mag == 0.0:
         return np.zeros(3)
-    _check_subluminal(fm, mag, c)
-    return GyrationCurve(fm, c).sigma(mag) * omega3 / mag
+    _check_subluminal(fm, mag)
+    return GyrationCurve(fm).sigma(mag) * omega3 / mag
 
 
-def omega_from_spin(fm: DensityProfile, s3, c: float = 1.0) -> np.ndarray:
+def omega_from_spin(fm: DensityProfile, s3) -> np.ndarray:
     """Unique omega parallel to s with bare_spin(fm, omega) = s.
 
     For a surface profile any finite s up to the double-precision edge
-    omega R -> c is reachable; for a volume profile |s| beyond the finite
+    omega R -> 1 is reachable; for a volume profile |s| beyond the finite
     supremum is rejected.
     """
     s3 = np.asarray(s3, dtype=float)
     smag = float(np.linalg.norm(s3))
     if smag == 0.0:
         return np.zeros(3)
-    return GyrationCurve(fm, c).invert(smag) * s3 / smag
+    return GyrationCurve(fm).invert(smag) * s3 / smag
 

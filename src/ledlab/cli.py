@@ -7,6 +7,10 @@ identical spec produces byte-identical files.
 
 Exit codes: 0 ok, 1 usage error, 2 domain error, 3 numerical failure or
 internal error.
+
+Units: c = 1, and hbar = m_e = 1 in renorm-flow.  --radius, --charge and
+--mass are physical inputs; --horizon counts R/c and --omega-over-c is
+omega R / c.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ def _write_csv(path, header, rows):
         wr = csv.writer(fh)
         wr.writerow(header)
         for row in rows:
-            wr.writerow([fmt(v) if isinstance(v, (int, float, np.floating)) else v
-                         for v in row])
+            wr.writerow([fmt(v) for v in row])
 
 
 def _write_json(path, obj):
@@ -155,14 +158,13 @@ def cmd_renorm_flow(args) -> int:
         raise ValueError("--mb-grid must lie strictly inside (0, 1) m_e")
     if n < 1:
         raise ValueError(f"--mb-grid needs at least one point, got N = {n}")
-    grid = np.geomspace(lo, hi, n) * k.m_e
-    rows = rf.flow_sweep(grid, k)
+    rows = rf.flow_sweep(np.geomspace(lo, hi, n), k)
 
     out = _out_dir(args)
     header = ["mb_over_me", "R_over_RC", "omegaR_over_c", "W_b", "W_f",
               "sb_over_hbar", "sf_over_hbar", "s_over_hbar", "g"]
     path = os.path.join(out, "flow.csv")
-    _write_csv(path, header, [[p.as_row(k)[h] for h in header] for p in rows])
+    _write_csv(path, header, [[p.as_row()[h] for h in header] for p in rows])
     written = [path]
     if args.report:
         rpath = os.path.join(out, "limit_constants.json")
@@ -177,12 +179,12 @@ def cmd_stationary(args) -> int:
     from .bare_particle import DensityProfile
     from .fields import stationary_state
 
-    _check_flags(args, positive=("radius", "c", "r-max-over-R"), finite=("omega-over-c", "charge"))
+    _check_flags(args, positive=("radius", "r-max-over-R"), finite=("omega-over-c", "charge"))
     if args.n_radial < 2:
         raise ValueError(f"--n-radial must be at least 2, got {args.n_radial}")
-    omega = args.omega_over_c * args.c / args.radius
+    omega = args.omega_over_c / args.radius
     fe = DensityProfile(args.profile, -args.charge, args.radius)
-    st = stationary_state(fe, [0.0, 0.0, omega], c=args.c)
+    st = stationary_state(fe, [0.0, 0.0, omega])
 
     out = _out_dir(args)
     r = np.linspace(0.0, args.r_max_over_R * args.radius, args.n_radial)
@@ -201,24 +203,23 @@ def cmd_gyro_sim(args) -> int:
     from .bare_particle import DensityProfile
     from .gyrodynamics import GyroSolver
 
-    _check_flags(args, positive=("cells-per-radius", "c", "radius", "r-max-over-R", "mass",
-                                 "horizon"),
+    _check_flags(args, positive=("cells-per-radius", "radius", "r-max-over-R", "mass", "horizon"),
                  finite=("omega-over-c", "perturb", "charge"))
     if args.mode == "picard" and args.picard_iters < 2:
         raise ValueError(f"--picard-iters must be at least 2, got {args.picard_iters}: a run "
                          f"contracts when its last gap is below its first, or 0")
     fe = DensityProfile(args.profile, -args.charge, args.radius)
     fm = DensityProfile(args.profile, args.mass, args.radius)
-    solver = GyroSolver(fe, fm, c=args.c, dr=args.radius / args.cells_per_radius,
+    solver = GyroSolver(fe, fm, dr=args.radius / args.cells_per_radius,
                         r_max=args.r_max_over_R * args.radius)
-    omega0 = np.array([0.0, 0.0, args.omega_over_c * args.c / args.radius])
+    omega0 = np.array([0.0, 0.0, args.omega_over_c / args.radius])
     state = solver.make_state(omega0, scale=args.perturb)
-    out = _out_dir(args)
     written = []
 
     if args.mode == "picard":
         res = solver.picard_iterate(state, n_max=args.picard_iters,
-                                    horizon=args.horizon * args.radius / args.c)
+                                    horizon=args.horizon * args.radius)
+        out = _out_dir(args)
         path = os.path.join(out, "picard_gaps.csv")
         _write_csv(path, ["iteration", "gap_w", "gap_pi", "gap_sb"],
                    [[i, *gaps] for i, gaps
@@ -227,7 +228,8 @@ def cmd_gyro_sim(args) -> int:
         peak = np.max([res.gaps_w, res.gaps_pi, res.gaps_sb], axis=0)
     else:
         traj, fit = solver.run_to_stationary(
-            state, horizon=args.horizon * args.radius / args.c)
+            state, horizon=args.horizon * args.radius)
+        out = _out_dir(args)
         path = os.path.join(out, "timeseries.csv")
         _write_csv(path, ["t", "omega_x", "omega_y", "omega_z",
                           "sb_x", "sb_y", "sb_z", "W_b", "W_field_inside", "flux"],
@@ -364,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--charge", type=float, default=1.0, help="e > 0; total is -e")
     sp.add_argument("--omega-over-c", type=float, default=0.5,
                     help="equatorial speed omega R / c")
-    sp.add_argument("--c", type=float, default=1.0)
     sp.add_argument("--n-radial", type=int, default=200)
     sp.add_argument("--r-max-over-R", type=float, default=5.0)
     sp.set_defaults(func=cmd_stationary)
@@ -384,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cells-per-radius", type=int, default=20)
     sp.add_argument("--r-max-over-R", type=float, default=10.0)
     sp.add_argument("--picard-iters", type=int, default=40)
-    sp.add_argument("--c", type=float, default=1.0)
     sp.set_defaults(func=cmd_gyro_sim)
 
     sp = sub.add_parser("admissibility", help="singular-limit data classifier")

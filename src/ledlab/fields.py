@@ -4,14 +4,14 @@ A rigidly gyrating spherical charge at rest sources a static Coulomb
 potential plus a purely l=1 toroidal vector potential
 
     A(x) = alpha(r) (omega x x),
-    alpha(r) = (4 pi / 3c) [ r^-3 int_0^r f s^4 ds + int_r^R f s ds ],
+    alpha(r) = (4 pi / 3) [ r^-3 int_0^r f s^4 ds + int_r^R f s ds ],
 
 so every stationary functional (energy, magnetic moment, field spin in
 both its potential and Poynting representations) reduces to radial
 integrals.  For the two profiles, a shell and a uniform ball, the inner
 integrals int f s^4 and int f s are closed forms, and so is the field
 energy; outside the support the fields are exactly point charge plus
-point dipole.  Gaussian units with c explicit.
+point dipole.  Gaussian units with c = 1.
 """
 
 from __future__ import annotations
@@ -64,11 +64,10 @@ class StationaryState:
 
     fe: DensityProfile
     omega3: np.ndarray
-    c: float = 1.0
 
     def __post_init__(self):
         om = np.asarray(self.omega3, dtype=float)
-        if np.linalg.norm(om) * self.fe.R >= self.c:
+        if np.linalg.norm(om) * self.fe.R >= 1.0:
             raise ValueError("superluminal equatorial speed")
         object.__setattr__(self, "omega3", om)
 
@@ -88,15 +87,15 @@ class StationaryState:
         pos = r > 0
         out[pos] = (4.0 * np.pi / 3.0) * (_p4(fe, r[pos]) / r[pos] ** 3 + _q1(fe, r[pos]))
         out[~pos] = (4.0 * np.pi / 3.0) * _q1(fe, np.zeros(1))[0]
-        return out / self.c
+        return out
 
     def alpha_prime(self, r):
-        """d alpha / dr = -(4 pi / c) r^-4 int_0^r f s^4 ds."""
+        """d alpha / dr = -4 pi r^-4 int_0^r f s^4 ds."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.zeros_like(r)
         pos = r > 0
         out[pos] = -4.0 * np.pi * _p4(self.fe, r[pos]) / r[pos] ** 4
-        return out / self.c
+        return out
 
     # vector fields --------------------------------------------------------
     def A(self, x) -> np.ndarray:
@@ -144,44 +143,44 @@ class StationaryState:
         return {
             "R": self.fe.R,
             "omega": list(self.omega3),
-            "mu": list(magnetic_moment(self.fe, self.omega3, self.c)),
+            "mu": list(magnetic_moment(self.fe, self.omega3)),
             "W_f": field_energy(self),
             "s_f": list(field_spin(self)),
         }
 
 
-def stationary_state(fe: DensityProfile, omega3, c: float = 1.0) -> StationaryState:
-    return StationaryState(fe, np.asarray(omega3, dtype=float), c)
+def stationary_state(fe: DensityProfile, omega3) -> StationaryState:
+    return StationaryState(fe, np.asarray(omega3, dtype=float))
 
 
-def magnetic_moment(fe: DensityProfile, omega3, c: float = 1.0) -> np.ndarray:
-    """(1/2c) int x cross (omega cross x) f d^3x = (1/3c) int r^2 f d^3x omega."""
-    return np.asarray(omega3, dtype=float) * fe.moment(2) / (3.0 * c)
+def magnetic_moment(fe: DensityProfile, omega3) -> np.ndarray:
+    """(1/2) int x cross (omega cross x) f d^3x = (1/3) int r^2 f d^3x omega."""
+    return np.asarray(omega3, dtype=float) * fe.moment(2) / 3.0
 
 
 def field_energy(st: StationaryState) -> float:
-    """(1/8 pi) int (|E|^2 + |B|^2), in closed form with beta = |omega| R / c:
+    """(1/8 pi) int (|E|^2 + |B|^2), in closed form with beta = |omega| R:
     (1/2)(e^2/R)(1 + (2/9) beta^2) for a shell, (3/5)(e^2/R)(1 + (2/21) beta^2)
     for a uniform ball (its inner integrands are polynomials in r)."""
     e2 = st.fe.total**2
     R = st.fe.R
-    beta = np.linalg.norm(st.omega3) * R / st.c
+    beta = np.linalg.norm(st.omega3) * R
     if st.fe.kind == "shell":
         return 0.5 * (e2 / R) * (1.0 + (2.0 / 9.0) * beta**2)
     return 0.6 * (e2 / R) * (1.0 + (2.0 / 21.0) * beta**2)
 
 
 def field_spin_potential(st: StationaryState) -> np.ndarray:
-    """(1/c) int x cross A f d^3x = (2/3c) int alpha r^2 f d^3x omega."""
+    """int x cross A f d^3x = (2/3) int alpha r^2 f d^3x omega."""
     coeff = st.fe.radial_integral(lambda r: st.alpha(r) * r**2)
-    return (2.0 / (3.0 * st.c)) * coeff * st.omega3
+    return (2.0 / 3.0) * coeff * st.omega3
 
 
 def field_spin_poynting(st: StationaryState, n_grid: int = 2000,
                         r_max_over_R: float = 12.0) -> np.ndarray:
-    """(1/4 pi c) int x cross (E cross B) d^3x on a radial grid.
+    """(1/4 pi) int x cross (E cross B) d^3x on a radial grid.
 
-    Piecewise Simpson integration of -(2/3c) E_r (2 alpha + r alpha') r^3
+    Piecewise Simpson integration of -(2/3) E_r (2 alpha + r alpha') r^3
     over [0, R] and [R, r_max] (one-sided limits at the support edge where
     shell fields jump), plus the analytic exterior tail of the universal
     monopole + dipole fields.  Refining the grid improves agreement with
@@ -209,11 +208,11 @@ def field_spin_poynting(st: StationaryState, n_grid: int = 2000,
     r1 = np.linspace(0.0, R * (1.0 - nudge), n_half)
     r2 = np.linspace(R * (1.0 + nudge), rb, n_half)
     radial = simpson(r1) + simpson(r2)
-    inner = -(2.0 / (3.0 * st.c)) * radial
+    inner = -(2.0 / 3.0) * radial
     # exterior tail: E_r = q/r^2, (2a + r a') = -kappa/r^3 with mu = kappa w
     q = st.fe.total
-    kappa = st.fe.moment(2) / (3.0 * st.c)
-    tail = -(2.0 / (3.0 * st.c)) * q * (-kappa) * (1.0 / rb)
+    kappa = st.fe.moment(2) / 3.0
+    tail = -(2.0 / 3.0) * q * (-kappa) * (1.0 / rb)
     if float(st.omega3 @ st.omega3) == 0.0:
         return np.zeros(3)
     return (inner + tail) * st.omega3

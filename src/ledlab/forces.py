@@ -22,9 +22,10 @@ electron-matched stationary data, which is what makes the worldline
 equation invertible.
 
 Every node integral is built from four-vectors: contravariant components,
-signature (-,+,+,+).  Dots contract through g and F is antisymmetric, so
-v.F = -F.v.  The anticommutator of two antisymmetric tensors is
-symmetric, hence term 2 is symmetric by construction:
+signature (-,+,+,+), in units with c = 1.  Dots contract through g and
+F is antisymmetric, so v.F = -F.v.  The anticommutator of two
+antisymmetric tensors is symmetric, hence term 2 is symmetric by
+construction:
 
     sum_k w_k [x(x)x, [F_k, Om]_+]_+ = M + M^T,
     M = sum_k w_k x_k (x) ((x_k.F_k).Om + (x_k.Om).F_k).
@@ -112,22 +113,21 @@ def stationary_snapshot(st) -> FieldSnapshot:
 # slice quadrature and per-node four-vectors
 # ---------------------------------------------------------------------------
 
-def gyration_tensor(omega3, c: float = 1.0) -> Rank2Tensor:
+def gyration_tensor(omega3) -> Rank2Tensor:
     """Gyration tensor of the angular velocity omega3.
 
-    Its space block is -[omega/c]x and every other entry is zero, so
-    Omega . x = -(0, omega x x)/c; the element four-velocity of a rigidly
-    gyrating charge is then U = e0 - Omega . x with space part
-    (omega x x)/c.
+    Its space block is -[omega]x and every other entry is zero, so
+    Omega . x = -(0, omega x x); the element four-velocity of a rigidly
+    gyrating charge is then U = e0 - Omega . x with space part omega x x.
     """
-    wx, wy, wz = np.asarray(omega3, dtype=float) / c
+    wx, wy, wz = np.asarray(omega3, dtype=float)
     return Rank2Tensor(np.array([[0.0, 0.0, 0.0, 0.0],
                                  [0.0, 0.0, wz, -wy],
                                  [0.0, -wz, 0.0, wx],
                                  [0.0, wy, -wx, 0.0]]))
 
 
-def _slice(snapshot: FieldSnapshot, fe: DensityProfile, omega3, c):
+def _slice(snapshot: FieldSnapshot, fe: DensityProfile, omega3):
     """Quadrature on the rest-frame slice through the centre.
 
     Returns (w, x4, e, b, om): weights carrying the measure f_e d^3 xi,
@@ -137,7 +137,7 @@ def _slice(snapshot: FieldSnapshot, fe: DensityProfile, omega3, c):
     xi, w = fe.support_rule()
     x4 = np.concatenate([np.zeros((len(xi), 1)), xi], axis=1)
     e, b = snapshot.eb(x4[:, 1:])
-    om = gyration_tensor(np.zeros(3) if omega3 is None else omega3, c)
+    om = gyration_tensor(np.zeros(3) if omega3 is None else omega3)
     return w, x4, e, b, om
 
 
@@ -174,33 +174,31 @@ def _spin_orbit(w, x4, e, b, om: Rank2Tensor):
 # force and torque
 # ---------------------------------------------------------------------------
 
-def minkowski_force(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None,
-                    c: float = 1.0) -> FourVector:
+def minkowski_force(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None) -> FourVector:
     """Abraham-Lorentz type Minkowski force int F.U f_e over the slice,
     with element velocity U = e0 - Om.x."""
-    w, x4, e, b, om = _slice(snapshot, fe, omega3, c)
+    w, x4, e, b, om = _slice(snapshot, fe, omega3)
     return FourVector(w @ _f_dot_vec(e, b, _E0 - x4 @ om.operator.T))
 
 
-def force_dot_u(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None,
-                c: float = 1.0):
+def force_dot_u(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None):
     """f.u = -f^0 evaluated two ways: from minkowski_force and from the
     gyration coupling.
 
     Both vanish identically for a particle without spin; for Omega != 0
     they agree to quadrature tolerance.  Returns (direct, coupling).
     """
-    direct = -float(minkowski_force(snapshot, fe, omega3, c).c[0])
-    w, x4, e, b, om = _slice(snapshot, fe, omega3, c)
+    direct = -float(minkowski_force(snapshot, fe, omega3).c[0])
+    w, x4, e, b, om = _slice(snapshot, fe, omega3)
     fu = _f_dot_vec(e, b, np.broadcast_to(_E0, x4.shape))
     coupling = -float(w @ _inner_nodes(_row_dot(x4, om), fu))
     return direct, coupling
 
 
-def minkowski_torque(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None,
-                     c: float = 1.0) -> Rank2Tensor:
+def minkowski_torque(snapshot: FieldSnapshot, fe: DensityProfile,
+                     omega3=None) -> Rank2Tensor:
     """Minkowski torque int x ^ (F.U)_perp f_e; antisymmetric, t.u = 0."""
-    w, x4, e, b, om = _slice(snapshot, fe, omega3, c)
+    w, x4, e, b, om = _slice(snapshot, fe, omega3)
     fu = _f_dot_vec(e, b, _E0 - x4 @ om.operator.T)
     m = (w[:, None] * x4).T @ fu @ _SPACE
     return Rank2Tensor(m - m.T)
@@ -210,15 +208,14 @@ def minkowski_torque(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None,
 # Nodvik spin-orbit mass and the pseudo-inertia tensor
 # ---------------------------------------------------------------------------
 
-def nodvik_mass(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None,
-                c: float = 1.0) -> Rank2Tensor:
+def nodvik_mass(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None) -> Rank2Tensor:
     """Symmetric Nodvik spin-orbit mass tensor.
 
     - int [x(x)x, [F_red, Om]_+]_+ f_e over the slice; the snapshot is
     expected to carry the reduced field (total minus the co-moving
     Coulomb + dipole self-field).
     """
-    w, x4, e, b, om = _slice(snapshot, fe, omega3, c)
+    w, x4, e, b, om = _slice(snapshot, fe, omega3)
     return Rank2Tensor(-_spin_orbit(w, x4, e, b, om))
 
 
@@ -236,7 +233,7 @@ class PseudoInertia:
 
 def pseudo_inertia(snapshot: FieldSnapshot, fe: DensityProfile,
                    omega3, m_gyro: float, omega_dot3=(0.0, 0.0, 0.0),
-                   m_gyro_dot: float = 0.0, c: float = 1.0) -> PseudoInertia:
+                   m_gyro_dot: float = 0.0) -> PseudoInertia:
     """Assemble M~ and f~.
 
     m_gyro is the bare gyrational mass at the current gyration speed;
@@ -244,9 +241,9 @@ def pseudo_inertia(snapshot: FieldSnapshot, fe: DensityProfile,
     derivative.  omega_dot3 and m_gyro_dot feed the effective-force terms
     that involve the gyration rate of change.
     """
-    w, x4, e, b, om = _slice(snapshot, fe, omega3, c)
+    w, x4, e, b, om = _slice(snapshot, fe, omega3)
     e_dot, b_dot = snapshot.eb_dot(x4[:, 1:])
-    om_dot = gyration_tensor(omega_dot3, c)
+    om_dot = gyration_tensor(omega_dot3)
 
     bare = Rank2Tensor(m_gyro * METRIC)
 

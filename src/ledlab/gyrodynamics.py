@@ -5,9 +5,9 @@ f_e(r) (omega(t) x x) keeps the dynamic vector potential exactly in the
 l=1 toroidal sector A(x, t) = w(r, t) e x x.  Every run starts with
 omega, s_b and w on one axis e (`make_state`), which then never moves, so
 the solver carries the signed amplitudes along it: one scalar radial
-wave equation,
+wave equation, in Gaussian units with c = 1,
 
-    (1/c^2) d^2_t w - d^2_r w - (4/r) d_r w = (4 pi / c) f_e(r) omega(t),
+    d^2_t w - d^2_r w - (4/r) d_r w = 4 pi f_e(r) omega(t),
 
 while the electrostatic sector stays the frozen Coulomb field of f_e
 (the Gauss constraint is untouched by the divergence-free toroidal
@@ -15,7 +15,7 @@ field).  The particle's bare spin obeys Euler's equation with the
 rest-frame torque, which also reduces to a radial integral, where
 omega x w vanishes on the fixed axis:
 
-    ds_b/dt = (2/3c) int f_e r^2 [ omega x w - d_t w ] 4 pi r^2 dr,
+    ds_b/dt = (2/3) int f_e r^2 [ omega x w - d_t w ] 4 pi r^2 dr,
 
 and omega is recovered from s_b through the strictly monotone gyration
 curve of the mass profile.  Energy bookkeeping uses the same radial
@@ -52,7 +52,7 @@ class GyroEvolutionState:
     signed amplitudes along the axis e, A(x) = w(|x|) e x x.  Regularity
     at the origin forces w even in r.
 
-    `lap` is c^2 GyroSolver.laplacian(w), the wave-operator part of d_t pi
+    `lap` is GyroSolver.laplacian(w), the wave-operator part of d_t pi
     at this w.  `GyroSolver.step` sets it on the state it returns (its
     second kick computed it), so the next step's first kick reuses it;
     `make_state` leaves it None, and `step` then computes it from w.  A
@@ -64,7 +64,7 @@ class GyroEvolutionState:
     sb: float
     omega: float
     t: float = 0.0
-    lap: np.ndarray = None   # (n,) c^2 laplacian(w), or None
+    lap: np.ndarray = None   # (n,) laplacian(w), or None
 
 
 @dataclass
@@ -90,7 +90,7 @@ class RelaxationFit:
 ROUNDOFF_MULTIPLE = 1000.0
 SETTLE_TOL = 1e-2       # settled |omega| within 1% of omega_inf, as perfbench's relax oracle
 _EPS = np.finfo(float).eps
-OMEGA_CAP = 0.999       # omega R / c bound of the solver's spin inversion
+OMEGA_CAP = 0.999       # omega R bound of the solver's spin inversion
 RECORD_BLOCK = 256      # time rows per pass of GyroSolver.run's field diagnostics
 
 
@@ -121,9 +121,9 @@ class GyroSolver:
     r_max  : outer radius (default 10 R)
 
     The outer boundary carries the local radiation condition that is
-    exact for the l=1 exterior family g'(t-r/c)/c + g(t-r/c)/r of r^2 w,
-    which in particular annihilates the static dipole tail.  The spin
-    inversion is capped at omega R / c = OMEGA_CAP.
+    exact for the l=1 exterior family g'(t-r) + g(t-r)/r of r^2 w, which
+    in particular annihilates the static dipole tail.  The spin inversion
+    is capped at omega R = OMEGA_CAP.
 
     The grid has `n` nodes r_i = i dr.  The charge support is its first
     `m` nodes: m is the index of the last nonzero `fe_nodes` entry plus one
@@ -142,11 +142,10 @@ class GyroSolver:
     read and evaluates them once per RECORD_BLOCK steps.
     """
 
-    def __init__(self, fe: DensityProfile, fm: DensityProfile, c: float = 1.0,
+    def __init__(self, fe: DensityProfile, fm: DensityProfile,
                  dr: float = None, r_max: float = None):
         self.fe = fe
         self.fm = fm
-        self.c = c
         R = fe.R
         if dr is None:
             dr = R / 20.0
@@ -168,9 +167,9 @@ class GyroSolver:
         # coupling weights W_i r_i^2, with sum W_i g(r_i) ~ int g f_e 4 pi r^2 dr
         weights = self.fe_nodes * 4.0 * np.pi * self.r**2 * dr
         self._spin_weights = (weights * self.r**2)[:self.m]
-        self.curve = GyrationCurve(fm, c, OMEGA_CAP)
-        # 4 pi c f_e on the support: the wave equation's source per unit omega
-        self._source_coef = (4.0 * np.pi * c) * self.fe_nodes[:self.m]
+        self.curve = GyrationCurve(fm, OMEGA_CAP)
+        # 4 pi f_e on the support: the wave equation's source per unit omega
+        self._source_coef = (4.0 * np.pi) * self.fe_nodes[:self.m]
         # staggered flux coefficients r_{i+1/2}^4 of the conservative
         # discretization (r^4 w')' / r^4 of the radial operator, and the
         # interior rows' denominators r_i^4 dr
@@ -217,15 +216,15 @@ class GyroSolver:
         return out
 
     def cfl_dt(self) -> float:
-        return 0.3 * self.dr / self.c
+        return 0.3 * self.dr
 
     @property
     def cfl_limit(self) -> float:
-        return 0.45 * self.dr / self.c
+        return 0.45 * self.dr
 
     # -- couplings ------------------------------------------------------------
     def field_spin_support(self, w: np.ndarray):
-        """s_e = (1/c) int x cross A f_e = (2/3c) int f_e r^2 w d^3x.
+        """s_e = int x cross A f_e = (2/3) int f_e r^2 w d^3x.
 
         The one radial reduction of the spin coupling; w is (..., k) with
         any leading (time) axes and k >= m nodes.  Its weights vanish
@@ -233,11 +232,11 @@ class GyroSolver:
         added one at a time from the origin, a running sum: a pairwise or
         dot-product sum of the volume's 21 nodes rounds differently.
         """
-        return (2.0 / (3.0 * self.c)) * np.add.accumulate(self._spin_weights * w[..., :self.m],
-                                                          axis=-1)[..., -1]
+        return (2.0 / 3.0) * np.add.accumulate(self._spin_weights * w[..., :self.m],
+                                               axis=-1)[..., -1]
 
     def torque(self, pi: np.ndarray):
-        """(2/3c) int f_e r^2 (omega x w - pi) d^3x = -s_e(pi): omega x w
+        """(2/3) int f_e r^2 (omega x w - pi) d^3x = -s_e(pi): omega x w
         vanishes on the fixed axis."""
         return -self.field_spin_support(pi)
 
@@ -268,15 +267,15 @@ class GyroSolver:
         """Discrete stationary solution of the radial BVP (exact fixed
         point of the discretized dynamics at the matching spin).
 
-        The rows of laplacian(w) = -(4 pi / c) f_e are solved in flux form,
+        The rows of laplacian(w) = -4 pi f_e are solved in flux form,
         F_i = r_{i+1/2}^4 (w_{i+1} - w_i) / dr: the origin row fixes F_0, and
-        interior row i fixes F_i - F_{i-1} = -(4 pi / c) f_e r_i^4 dr, so the
+        interior row i fixes F_i - F_{i-1} = -4 pi f_e r_i^4 dr, so the
         fluxes are one cumulative sum.  The static outgoing residue
         d_r (r^2 w) + r w = 0 (one-sided) and the last difference fix the
         outer node, and the differences summed back from it give the rest.
         """
         dr, r = self.dr, self.r
-        rhs = -(4.0 * np.pi / self.c) * self.fe_nodes
+        rhs = -(4.0 * np.pi) * self.fe_nodes
         flux = rhs[:-1] * r[:-1] ** 4 * dr
         flux[0] = self._r_half4[0] * rhs[0] * dr / 10.0
         diff = np.cumsum(flux) * dr / self._r_half4
@@ -301,43 +300,37 @@ class GyroSolver:
         if omega3[0] or omega3[1]:
             raise ValueError(f"omega must lie on the z axis, got {omega3.tolist()}")
         w = scale * self.stationary_profile(omega3[2])
-        sb = float(bare_spin(self.fm, omega3, self.c)[2])
+        sb = float(bare_spin(self.fm, omega3)[2])
         return GyroEvolutionState(w, np.zeros_like(w), sb, float(omega3[2]))
 
     # -- stepping ------------------------------------------------------------
-    def _wave(self, w: np.ndarray) -> np.ndarray:
-        """c^2 laplacian(w), the part of d_t pi that spans the grid."""
-        lap = self.laplacian(w)
-        lap *= self.c**2
-        return lap
-
     def _accel(self, w: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        """d_t pi = c^2 (r^4 w')' / r^4 + 4 pi c f_e omega over a history:
-        w is (nt, n) and omega (nt,)."""
-        a = self._wave(w)
+        """d_t pi = (r^4 w')' / r^4 + 4 pi f_e omega over a history: w is
+        (nt, n) and omega (nt,)."""
+        a = self.laplacian(w)
         a[:, :self.m] += self._source_coef * omega[:, None]
         return a
 
     def _kick(self, pi: np.ndarray, lap: np.ndarray, source: np.ndarray, h: float) -> None:
-        """pi += h d_t pi below the outer node, in place; lap is c^2 laplacian(w)
-        and source the support term 4 pi c f_e omega."""
+        """pi += h d_t pi below the outer node, in place; lap is laplacian(w)
+        and source the support term 4 pi f_e omega."""
         m = self.m
         pi[:m] += h * (lap[:m] + source)
         pi[m:-1] += h * lap[m:-1]
 
     def _outer_law(self) -> tuple:
-        """r_n^2, r_m^2, a = -c/dr - c/r_n, c/dr and c^2/r_n of the outgoing
+        """r_n^2, r_m^2, a = -1/dr - 1/r_n, 1/dr and 1/r_n of the outgoing
         law at the outer node r_n (r_m = r_n - dr), as floats."""
-        rn, rm, c, dr = self.r[-1], self.r[-2], self.c, self.dr
-        return tuple(map(float, (rn**2, rm**2, -c / dr - c / rn, c / dr, c**2 / rn)))
+        rn, rm, dr = self.r[-1], self.r[-2], self.dr
+        return tuple(map(float, (rn**2, rm**2, -1.0 / dr - 1.0 / rn, 1.0 / dr, 1.0 / rn)))
 
     def _outgoing(self, w_m, w_n, pi_m) -> tuple:
         """(a, b) of the outer-node law d_t v = a v + b for v = r_n^2 pi_n,
         the local outgoing condition, from w at the last two nodes and pi
         at the last but one: floats in a step, history columns in Picard."""
-        rn2, rm2, a, c_dr, c2_rn = self._outer
+        rn2, rm2, a, inv_dr, inv_rn = self._outer
         un, um = rn2 * w_n, rm2 * w_m
-        b = c_dr * (rm2 * pi_m) - c2_rn * (un - um) / self.dr - self.c**2 * un / rn2
+        b = inv_dr * (rm2 * pi_m) - inv_rn * (un - um) / self.dr - un / rn2
         return a, b
 
     def _boundary_kick(self, w: np.ndarray, pi: np.ndarray, dt: float) -> None:
@@ -350,7 +343,7 @@ class GyroSolver:
     def step(self, state: GyroEvolutionState, dt: float) -> GyroEvolutionState:
         """One kick-drift-kick step with a conservative torque coupling.
 
-        The torque is applied as -(2/3c) int f r^2 (w_new - w_old), the
+        The torque is applied as -(2/3) int f r^2 (w_new - w_old), the
         exact negative of the field-spin change over the step: s_b + s_e is
         then conserved to machine precision, independent of dt.
         """
@@ -365,13 +358,13 @@ class GyroSolver:
                                    abs(state.omega))
         source = self._source_coef * om_half
 
-        lap = state.lap if state.lap is not None else self._wave(w0)
+        lap = state.lap if state.lap is not None else self.laplacian(w0)
         self._kick(pi, lap, source, h)
         self._boundary_kick(w0, pi, h)
 
         w = w0 + dt * pi
 
-        lap = self._wave(w)
+        lap = self.laplacian(w)
         self._kick(pi, lap, source, h)
         self._boundary_kick(w, pi, h)
 
@@ -396,7 +389,7 @@ class GyroSolver:
         telescope and the audit defect carries a grid error at any dt.
         """
         r, dr, a = self.r, self.dr, i_audit
-        e_part = np.sum(pi[..., 1:a + 1]**2 * r[1:a + 1]**4, axis=-1) * dr / (3.0 * self.c**2)
+        e_part = np.sum(pi[..., 1:a + 1]**2 * r[1:a + 1]**4, axis=-1) * dr / 3.0
         grad = (w[..., 1:a + 1] - w[..., :a]) / dr
         b_part = (np.sum(self._r_half4[:a] * grad**2, axis=-1) * dr / 3.0
                   + (2.0 / 3.0) * r[a]**3 * w[..., a]**2)
@@ -469,7 +462,7 @@ class GyroSolver:
                 se[rows] = self.field_spin_support(w_blk)
                 w_field[rows] = self.dynamic_energy_inside(w_blk, pi_blk, i_audit)
                 flux[rows] = self.poynting_flux(w_blk, pi_blk, i_audit)
-        W_b = np.array([self.curve.mass(abs(om)) for om in omega.tolist()]) * self.c**2
+        W_b = np.array([self.curve.mass(abs(om)) for om in omega.tolist()])
         return Trajectory(t, omega, sb, se, W_b, w_field, flux, self.r[i_audit])
 
     def predicted_equilibrium(self, state: GyroEvolutionState) -> float:
@@ -503,15 +496,15 @@ class GyroSolver:
         Returns (trajectory, fit).  fit.omega_inf is predicted_equilibrium
         of the initial state, taken before any step, so a state with no
         equilibrium raises ValueError and is never stepped.  fit.converged
-        holds when every record of the last 2 R/c has
+        holds when every record of the last 2 R has
         ||omega(t)| - omega_inf| <= SETTLE_TOL omega_inf.  That window is
-        longer than the ring period of the least-damped pole (1.80 R/c on
-        the shell at omega R/c 0.3), so a ringing |omega| that crosses
+        longer than the ring period of the least-damped pole (1.80 R on
+        the shell at omega R 0.3), so a ringing |omega| that crosses
         omega_inf near the last step does not pass.
         """
         omega_inf = self.predicted_equilibrium(state)
         traj = self.run(state, horizon, dt)
-        tail = traj.t >= traj.t[-1] - 2.0 * self.fe.R / self.c
+        tail = traj.t >= traj.t[-1] - 2.0 * self.fe.R
         miss = np.abs(np.abs(traj.omega[tail]) - omega_inf)
         return traj, RelaxationFit(omega_inf, bool(np.all(miss <= SETTLE_TOL * omega_inf)))
 
@@ -546,7 +539,7 @@ class GyroSolver:
         initial data.  Gap diagnostics are sup-norms between consecutive
         iterates; in the contraction regime the tail gaps shrink
         geometrically, after a transient whose length scales with
-        horizon * c / dr (the norm of the discrete spatial operator).
+        horizon / dr (the norm of the discrete spatial operator).
 
         One iteration costs one _accel over the (nt+1, n) history (with one
         omega_many, torque and _outgoing) and three trapezoid running sums,

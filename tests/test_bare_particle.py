@@ -18,10 +18,10 @@ VOLUME = DensityProfile.volume(1.0, 1.0)
 # independent quadrature oracles for the defining slice integrals
 # ---------------------------------------------------------------------------
 
-def oracle_gyro_mass(fm, omega, c=1.0):
-    """2-d quadrature of int gamma(w r sin(theta)/c) f(r) dV."""
+def oracle_gyro_mass(fm, omega):
+    """2-d quadrature of int gamma(w r sin(theta)) f(r) dV."""
     def angular(r):
-        g = lambda mu: 1.0 / np.sqrt(1.0 - (omega * r / c) ** 2 * (1.0 - mu**2))
+        g = lambda mu: 1.0 / np.sqrt(1.0 - (omega * r) ** 2 * (1.0 - mu**2))
         return 0.5 * quad(g, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
 
     if fm.kind == "shell":
@@ -31,11 +31,10 @@ def oracle_gyro_mass(fm, omega, c=1.0):
                 epsabs=1e-12, epsrel=1e-12, limit=200)[0]
 
 
-def oracle_spin(fm, omega, c=1.0):
+def oracle_spin(fm, omega):
     """2-d quadrature of |int x cross (w cross x) gamma f dV|."""
     def angular(r):
-        g = lambda mu: (1.0 - mu**2) / np.sqrt(
-            1.0 - (omega * r / c) ** 2 * (1.0 - mu**2))
+        g = lambda mu: (1.0 - mu**2) / np.sqrt(1.0 - (omega * r) ** 2 * (1.0 - mu**2))
         return 0.5 * quad(g, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
 
     if fm.kind == "shell":
@@ -117,13 +116,13 @@ class TestGyrationalMass:
         assert np.all(np.diff(m, 2) > -1e-12)
 
 
-def maclaurin_fit(fm, c=1.0, eps=1e-3):
+def maclaurin_fit(fm, eps=1e-3):
     """(m0, I) of M(omega) ~ m0 + (1/2) I omega^2 through two small-omega
     samples; the Richardson combination for m0 cancels the quartic term."""
-    w1 = eps * c / fm.R
+    w1 = eps / fm.R
     w2 = 2.0 * w1
-    m1 = gyrational_mass(fm, w1, c)
-    m2 = gyrational_mass(fm, w2, c)
+    m1 = gyrational_mass(fm, w1)
+    m2 = gyrational_mass(fm, w2)
     return (4.0 * m1 - m2) / 3.0, 2.0 * (m2 - m1) / (w2**2 - w1**2)
 
 

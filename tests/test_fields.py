@@ -84,7 +84,7 @@ class TestStationaryPotentials:
             assert got == pytest.approx(0.5 * (lo + hi), rel=1e-8)
 
     def test_shell_alpha_closed_forms(self):
-        # alpha = -e/(3 c R) inside, -e R^2/(3 c r^3) outside (total = -e)
+        # alpha = -e/(3 R) inside, -e R^2/(3 r^3) outside (total = -e)
         st = stationary_state(FE_SHELL, [0, 0, 0.5])
         assert st.alpha(np.array([0.3]))[0] == pytest.approx(-1.0 / 3.0, rel=1e-14)
         assert st.alpha(np.array([2.0]))[0] == pytest.approx(-1.0 / 24.0, rel=1e-14)
@@ -215,7 +215,7 @@ class TestFieldSpin:
             field_spin(st, check_tol=1e-18)
 
     def test_potential_form_oracle(self):
-        # (1/c) int x cross A f d^3x over the 3-d support rule
+        # int x cross A f d^3x over the 3-d support rule
         st = stationary_state(FE_SHELL, [0, 0, 0.5])
         pts, w = FE_SHELL.support_rule(24, 48, 24)
         integ = np.einsum("k,ki->i", w, np.cross(pts, st.A(pts)))
@@ -265,7 +265,7 @@ class TestExteriorMultipole:
         dirs = rng.normal(size=(npts, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         x = 2.0 * dirs
-        # direct convolution A(x) = (1/c) w cross int x' f/|x - x'|
+        # direct convolution A(x) = w cross int x' f/|x - x'|
         conv = np.empty((npts, 3))
         for k in range(npts):
             kern = 1.0 / np.linalg.norm(x[k] - pts, axis=1)

@@ -130,7 +130,7 @@ def test_force_torque_and_nodvik_mass_are_rotation_covariant(fe):
 
 @pytest.mark.parametrize("fe", PROFILES, ids=["shell", "volume"])
 def test_uniform_field_force_is_q_e(fe):
-    # int (E + (omega x x)/c x B) f_e = q E: the dipole moment of f_e vanishes
+    # int (E + (omega x x) x B) f_e = q E: the dipole moment of f_e vanishes
     f = minkowski_force(uniform_snapshot(E_UNIFORM, B_UNIFORM), fe, omega3=OMEGA3).c
     assert abs(f[0]) <= 1e-15 * np.linalg.norm(E_UNIFORM)
     np.testing.assert_allclose(f[1:], fe.total * E_UNIFORM, rtol=1e-13)
@@ -173,7 +173,7 @@ def test_term_4_is_the_electrostatic_virial(fe):
 
 @pytest.mark.parametrize("fe", PROFILES, ids=["shell", "volume"])
 def test_term_3_vanishes_for_the_stationary_self_field(fe):
-    # x.Om.F.u = -E.(omega x x)/c = 0 for radial E
+    # x.Om.F.u = -E.(omega x x) = 0 for radial E
     omega3 = np.array([0.0, 0.0, 0.35])
     snap = stationary_snapshot(stationary_state(fe, omega3))
     t3 = pseudo_inertia(snap, fe, omega3, 1.0).field_term_2.m
@@ -189,22 +189,21 @@ def test_spinless_particle_has_no_nodvik_mass_and_no_power(fe):
 
 class TestGyrationTensor:
     def test_space_block_is_minus_omega_cross(self):
-        w3, c = np.array([0.2, -0.1, 0.4]), 2.0
-        om = gyration_tensor(w3, c=c).m
-        np.testing.assert_array_equal(om[1:, 1:], -cross_matrix(w3 / c))
+        w3 = np.array([0.2, -0.1, 0.4])
+        om = gyration_tensor(w3).m
+        np.testing.assert_array_equal(om[1:, 1:], -cross_matrix(w3))
         np.testing.assert_array_equal(om[0], 0.0)
         np.testing.assert_array_equal(om[:, 0], 0.0)
 
     def test_element_velocity_convention(self):
-        # U = e0 - Om.x must have space part (w x x)/c
+        # U = e0 - Om.x must have space part w x x
         w3 = np.array([0.0, 0.0, 0.5])
-        c = 2.0
-        om = gyration_tensor(w3, c=c)
+        om = gyration_tensor(w3)
         x = np.array([0.0, 1.0, 0.0, 0.0])
-        np.testing.assert_allclose(E0 - om.operator @ x, [1.0, *(np.cross(w3, [1, 0, 0]) / c)])
+        np.testing.assert_allclose(E0 - om.operator @ x, [1.0, *np.cross(w3, [1, 0, 0])])
 
     def test_annihilates_u_and_is_antisymmetric(self):
-        om = gyration_tensor([0.3, -0.7, 0.2], c=3.0)
+        om = gyration_tensor([0.3, -0.7, 0.2])
         np.testing.assert_array_equal(om.operator @ E0, 0.0)
         np.testing.assert_array_equal(om.m, -om.m.T)
 
@@ -245,7 +244,7 @@ class TestValueTypes:
 
 # ---------------------------------------------------------------------------
 # reference: the general-frame assembly at u = e0, on plain arrays, with the
-# gyration tensor as the Levi-Civita dual of w = (0, omega/c) relative to u
+# gyration tensor as the Levi-Civita dual of w = (0, omega) relative to u
 # ---------------------------------------------------------------------------
 
 def levi_civita4():
@@ -259,8 +258,8 @@ def levi_civita4():
 EPS = levi_civita4()
 
 
-def ref_gyration(omega3, c):
-    w_low = G @ np.array([0.0, *(np.asarray(omega3, dtype=float) / c)])
+def ref_gyration(omega3):
+    w_low = G @ np.array([0.0, *np.asarray(omega3, dtype=float)])
     return np.einsum("abcd,c,d->ab", EPS, w_low, G @ E0)
 
 
@@ -271,11 +270,11 @@ def ref_f_dot(e, b, v4):
     return out
 
 
-def ref_slice(snap, fe, omega3, c):
+def ref_slice(snap, fe, omega3):
     xi, w = fe.support_rule()
     x4 = np.concatenate([np.zeros((len(xi), 1)), xi], axis=1)
     e, b = snap.eb(x4[:, 1:])
-    return w, x4, e, b, ref_gyration(np.zeros(3) if omega3 is None else omega3, c)
+    return w, x4, e, b, ref_gyration(np.zeros(3) if omega3 is None else omega3)
 
 
 def ref_x_anticommutator(x4, e, b, om):
@@ -287,28 +286,28 @@ def ref_spin_orbit(w, x4, e, b, om):
     return m + m.T
 
 
-def ref_force(snap, fe, omega3, c=1.0):
-    w, x4, e, b, om = ref_slice(snap, fe, omega3, c)
+def ref_force(snap, fe, omega3):
+    w, x4, e, b, om = ref_slice(snap, fe, omega3)
     return w @ ref_f_dot(e, b, E0 - x4 @ (om @ G).T)
 
 
-def ref_torque(snap, fe, omega3, c=1.0):
-    w, x4, e, b, om = ref_slice(snap, fe, omega3, c)
+def ref_torque(snap, fe, omega3):
+    w, x4, e, b, om = ref_slice(snap, fe, omega3)
     fu = ref_f_dot(e, b, E0 - x4 @ (om @ G).T)
     m = (w[:, None] * x4).T @ fu @ ((G + np.outer(E0, E0)) @ G).T
     return m - m.T
 
 
-def ref_nodvik(snap, fe, omega3, c=1.0):
-    return -ref_spin_orbit(*ref_slice(snap, fe, omega3, c))
+def ref_nodvik(snap, fe, omega3):
+    return -ref_spin_orbit(*ref_slice(snap, fe, omega3))
 
 
 def ref_pseudo_inertia(snap, fe, omega3, m_gyro, omega_dot3=(0.0, 0.0, 0.0),
-                       m_gyro_dot=0.0, c=1.0):
+                       m_gyro_dot=0.0):
     """(m_tilde, f_tilde, bare, term 2, term 3, term 4)."""
-    w, x4, e, b, om = ref_slice(snap, fe, omega3, c)
+    w, x4, e, b, om = ref_slice(snap, fe, omega3)
     e_dot, b_dot = snap.eb_dot(x4[:, 1:])
-    om_dot = ref_gyration(omega_dot3, c)
+    om_dot = ref_gyration(omega_dot3)
     bare = m_gyro * G
     t2 = -ref_spin_orbit(w, x4, e, b, om)
     uu = np.broadcast_to(E0, x4.shape)

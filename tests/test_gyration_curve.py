@@ -93,12 +93,12 @@ class TestKernels:
 class TestCurve:
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.6, 0.95])
     def test_slope_of_scaled_shell(self, beta):
-        # R = 2, c = 3: sigma = m c R beta K(beta) with beta = omega R / c
-        fm, c = DensityProfile.shell(MASS, 2.0), 3.0
-        omega = beta * c / fm.R
-        curve = GyrationCurve(fm, c)
-        x = mp.mpf(omega) * fm.R / c
-        sigma = MASS * c * fm.R * beta_k(x)
+        # R = 2: sigma = m R beta K(beta) with beta = omega R
+        fm = DensityProfile.shell(MASS, 2.0)
+        omega = beta / fm.R
+        curve = GyrationCurve(fm)
+        x = mp.mpf(omega) * fm.R
+        sigma = MASS * fm.R * beta_k(x)
         dsigma = MASS * fm.R**2 * mp.diff(beta_k, x)
         assert curve.sigma(omega) == pytest.approx(float(sigma), rel=1e-13)
         assert curve.sigma_slope(omega)[1] == pytest.approx(float(dsigma), rel=1e-13)

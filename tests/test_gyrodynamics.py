@@ -43,7 +43,7 @@ def perturbed(solver):
 
 
 def shell_spin(omega, dps=40):
-    """|s_b| = m c R beta K(beta) of the shell (c = 1), in mpmath: a float,
+    """|s_b| = m R beta K(beta) of the shell (c = 1), in mpmath: a float,
     or an mpf when dps is None (at the caller's working precision)."""
     with mp.workdps(dps or mp.mp.dps):
         b = mp.mpf(omega) * FM.R
@@ -66,16 +66,16 @@ def stepped_state(solver, steps=5):
 
 
 def node_sum_torque(solver, pi):
-    """-(2/3c) sum_i W_i r_i^2 pi_i, node by node: the torque on the fixed
+    """-(2/3) sum_i W_i r_i^2 pi_i, node by node: the torque on the fixed
     axis, where omega x w vanishes."""
     out = 0.0
     for f, r, pi_i in zip(solver.fe_nodes, solver.r, pi):
         out -= f * 4.0 * np.pi * r**2 * solver.dr * r**2 * pi_i
-    return (2.0 / (3.0 * solver.c)) * out
+    return (2.0 / 3.0) * out
 
 
 def sequential_spin_sum(solver, w):
-    """(2/3c) sum_i W_i r_i^2 w_i over the support, the products added one
+    """(2/3) sum_i W_i r_i^2 w_i over the support, the products added one
     at a time from the origin in a Python loop; w is (k,) or (nt, k)."""
     w = np.asarray(w)
     if w.ndim == 2:
@@ -84,7 +84,7 @@ def sequential_spin_sum(solver, w):
     for weight, w_i in zip(solver._spin_weights.tolist(), w[:solver.m].tolist()):
         term = weight * w_i
         total = term if total is None else total + term
-    return (2.0 / (3.0 * solver.c)) * total
+    return (2.0 / 3.0) * total
 
 
 def node_loop_laplacian(solver, w):
@@ -110,20 +110,19 @@ def full_grid_run(s, state, horizon):
     laplacians per step; the spin inversions take the stepper's warm
     starts, |omega| of the state and then |omega_half|.  Returns the
     histories GyroSolver.run records."""
-    c, dr, r = s.c, s.dr, s.r
+    dr, r = s.dr, s.r
     dt = s.cfl_dt()
     spin_weights = s.fe_nodes * 4.0 * np.pi * r**2 * dr * r**2
 
     def se(w):
-        return float((2.0 / (3.0 * c)) * np.cumsum(spin_weights * w)[-1])
+        return float((2.0 / 3.0) * np.cumsum(spin_weights * w)[-1])
 
     def accel(w, omega):
         a = np.zeros_like(w)
         flux = s._r_half4 * (w[1:] - w[:-1]) / dr
         a[1:-1] = (flux[1:] - flux[:-1]) / (r[1:-1] ** 4 * dr)
         a[0] = 10.0 * (w[1] - w[0]) / dr**2
-        a = c**2 * a
-        a += (4.0 * np.pi * c) * s.fe_nodes * omega
+        a += (4.0 * np.pi) * s.fe_nodes * omega
         return a
 
     i_audit = int(round(min(0.8 * r[-1], 4.0 * s.fe.R) / dr))
@@ -142,7 +141,7 @@ def full_grid_run(s, state, horizon):
             omega = s.omega_of_sb(sb, abs(om_half))
             t = t + dt
         for key, value in (("t", t), ("omega", omega), ("sb", sb), ("se", se(w)),
-                           ("W_b", s.curve.mass(abs(omega)) * c**2),
+                           ("W_b", s.curve.mass(abs(omega))),
                            ("W_field_inside", s.dynamic_energy_inside(w, pi, i_audit)),
                            ("flux", s.poynting_flux(w, pi, i_audit))):
             rec[key].append(value)
@@ -245,7 +244,7 @@ class TestStepper:
         fe = getattr(DensityProfile, kind)(-1.0, 1.0)
         fm = getattr(DensityProfile, kind)(MASS, 1.0)
         s = GyroSolver(fe, fm, r_max=r_max)
-        rhs = -(4.0 * np.pi / s.c) * s.fe_nodes
+        rhs = -(4.0 * np.pi) * s.fe_nodes
         rhs[-1] = 0.0
         bands = node_loop_bands(s)
         ref = solve_banded((1, 1), bands, rhs)
@@ -436,7 +435,7 @@ class TestSupportStepper:
             if i:
                 state = s.step(state, dt)
             rows.append((state.t, state.omega, state.sb, s.field_spin_support(state.w),
-                         s.curve.mass(abs(state.omega)) * s.c**2,
+                         s.curve.mass(abs(state.omega)),
                          s.dynamic_energy_inside(state.w, state.pi, i_audit),
                          s.poynting_flux(state.w, state.pi, i_audit)))
         for key, ref in zip(("t", "omega", "sb", "se", "W_b", "W_field_inside", "flux"),

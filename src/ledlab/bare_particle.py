@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -50,6 +50,15 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # density profiles
 # ---------------------------------------------------------------------------
+
+@cache
+def _gauss(order: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and read-only, since every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
 
 @dataclass(frozen=True)
 class DensityProfile:
@@ -86,7 +95,7 @@ class DensityProfile:
         the one node R for a shell, Gauss-Legendre on [0, R] for a ball."""
         if self.kind == "shell":
             return np.array([self.R]), np.array([self.total])
-        x, w = np.polynomial.legendre.leggauss(order)
+        x, w = _gauss(order)
         r = 0.5 * self.R * (x + 1.0)
         wr = 0.5 * self.R * w
         dens = self.total * 3.0 / (4.0 * np.pi * self.R**3)
@@ -123,7 +132,7 @@ class DensityProfile:
         """3-d product rule: points (N,3) and weights with
         sum w_k g(x_k) ~ int g(x) f(|x|) d^3x."""
         r, wr = self.radial_rule(order_r)
-        mu, wmu = np.polynomial.legendre.leggauss(order_theta)
+        mu, wmu = _gauss(order_theta)
         phi = 2.0 * np.pi * np.arange(order_phi) / order_phi
         wphi = np.full(order_phi, 1.0 / order_phi)
         # radial weights carry f(r) 4 pi r^2 dr; the angular rule averages

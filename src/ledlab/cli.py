@@ -5,6 +5,10 @@ A flat key=value config file can seed any run; command-line flags win.
 Outputs are deterministic (17 significant digits, no timestamps), so an
 identical spec produces byte-identical files.
 
+`main` builds its argument parser once per process, on its first call,
+and reuses it; a --config run sets the config values as defaults of its
+own freshly built parser, so the shared one never changes.
+
 Exit codes: 0 ok, 1 usage error, 2 domain error, 3 numerical failure or
 internal error.
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -30,10 +35,6 @@ EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
 
 
-def fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _out_dir(args) -> str:
     d = args.out_dir or os.environ.get("LEDLAB_OUTDIR", ".")
     os.makedirs(d, exist_ok=True)
@@ -41,11 +42,13 @@ def _out_dir(args) -> str:
 
 
 def _write_csv(path, header, rows):
+    """The header as csv writes it, then each row of numbers to 17
+    significant digits, one %-format per row."""
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
+        csv.writer(fh).writerow(header)
         for row in rows:
-            wr.writerow([fmt(v) for v in row])
+            fh.write(line % tuple(row))
 
 
 def _write_json(path, obj):
@@ -139,6 +142,16 @@ def _check_flags(args, positive=(), finite=()):
             raise ValueError(f"--{flag} must be {need}, got {value:g}")
 
 
+def _subluminal_omega(args) -> float:
+    """omega = --omega-over-c / --radius, whose equatorial speed |omega| R
+    must stay below c = 1, in the library's own arithmetic."""
+    omega = args.omega_over_c / args.radius
+    if abs(omega) * args.radius >= 1.0:
+        raise ValueError(f"--omega-over-c must lie strictly between -1 and 1 "
+                         f"(equatorial speed below c), got {args.omega_over_c:g}")
+    return omega
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -158,7 +171,10 @@ def cmd_renorm_flow(args) -> int:
         raise ValueError("--mb-grid must lie strictly inside (0, 1) m_e")
     if n < 1:
         raise ValueError(f"--mb-grid needs at least one point, got N = {n}")
-    rows = rf.flow_sweep(np.geomspace(lo, hi, n), k)
+    try:
+        rows = rf.flow_sweep(np.geomspace(lo, hi, n), k)
+    except ValueError as exc:   # a LO below what the flow can invert
+        raise ValueError(f"--mb-grid {args.mb_grid}: {exc}") from exc
 
     out = _out_dir(args)
     header = ["mb_over_me", "R_over_RC", "omegaR_over_c", "W_b", "W_f",
@@ -182,7 +198,7 @@ def cmd_stationary(args) -> int:
     _check_flags(args, positive=("radius", "r-max-over-R"), finite=("omega-over-c", "charge"))
     if args.n_radial < 2:
         raise ValueError(f"--n-radial must be at least 2, got {args.n_radial}")
-    omega = args.omega_over_c / args.radius
+    omega = _subluminal_omega(args)
     fe = DensityProfile(args.profile, -args.charge, args.radius)
     st = stationary_state(fe, [0.0, 0.0, omega])
 
@@ -191,7 +207,7 @@ def cmd_stationary(args) -> int:
     table = st.profile_table(r)
     cols = ["r", "E_r", "alpha", "B_axial", "B_equatorial"]
     path = os.path.join(out, "stationary_profile.csv")
-    _write_csv(path, cols, zip(*[table[c] for c in cols]))
+    _write_csv(path, cols, zip(*[table[c].tolist() for c in cols]))
     spath = os.path.join(out, "stationary_summary.json")
     _write_json(spath, st.summary())
     print(path)
@@ -208,11 +224,12 @@ def cmd_gyro_sim(args) -> int:
     if args.mode == "picard" and args.picard_iters < 2:
         raise ValueError(f"--picard-iters must be at least 2, got {args.picard_iters}: a run "
                          f"contracts when its last gap is below its first, or 0")
+    omega = _subluminal_omega(args)
     fe = DensityProfile(args.profile, -args.charge, args.radius)
     fm = DensityProfile(args.profile, args.mass, args.radius)
     solver = GyroSolver(fe, fm, dr=args.radius / args.cells_per_radius,
                         r_max=args.r_max_over_R * args.radius)
-    omega0 = np.array([0.0, 0.0, args.omega_over_c / args.radius])
+    omega0 = np.array([0.0, 0.0, omega])
     state = solver.make_state(omega0, scale=args.perturb)
     written = []
 
@@ -231,11 +248,12 @@ def cmd_gyro_sim(args) -> int:
             state, horizon=args.horizon * args.radius)
         out = _out_dir(args)
         path = os.path.join(out, "timeseries.csv")
+        zeros = [0.0] * len(traj.t)
         _write_csv(path, ["t", "omega_x", "omega_y", "omega_z",
                           "sb_x", "sb_y", "sb_z", "W_b", "W_field_inside", "flux"],
-                   [[traj.t[i], 0.0, 0.0, traj.omega[i], 0.0, 0.0, traj.sb[i], traj.W_b[i],
-                     traj.W_field_inside[i], traj.flux[i]]
-                    for i in range(len(traj.t))])
+                   zip(traj.t.tolist(), zeros, zeros, traj.omega.tolist(), zeros, zeros,
+                       traj.sb.tolist(), traj.W_b.tolist(), traj.W_field_inside.tolist(),
+                       traj.flux.tolist()))
         written.append(path)
         fpath = os.path.join(out, "relaxation_fit.json")
         _write_json(fpath, {"omega_inf": fit.omega_inf, "converged": fit.converged})
@@ -357,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--anomaly", choices=("on", "off"), default="on")
     sp.add_argument("--report", action="store_true",
                     help="also write limit_constants.json")
-    sp.set_defaults(func=cmd_renorm_flow)
 
     sp = sub.add_parser("stationary", help="stationary bound-state fields")
     common(sp)
@@ -368,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="equatorial speed omega R / c")
     sp.add_argument("--n-radial", type=int, default=200)
     sp.add_argument("--r-max-over-R", type=float, default=5.0)
-    sp.set_defaults(func=cmd_stationary)
 
     sp = sub.add_parser("gyro-sim", help="fixed-center gyration dynamics")
     common(sp)
@@ -385,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cells-per-radius", type=int, default=20)
     sp.add_argument("--r-max-over-R", type=float, default=10.0)
     sp.add_argument("--picard-iters", type=int, default=40)
-    sp.set_defaults(func=cmd_gyro_sim)
 
     sp = sub.add_parser("admissibility", help="singular-limit data classifier")
     common(sp)
@@ -393,22 +408,26 @@ def build_parser() -> argparse.ArgumentParser:
                     help="built-in case, e.g. uniform-B-nodvik")
     sp.add_argument("--data-file", default=None,
                     help="JSON description of analytic initial data")
-    sp.set_defaults(func=cmd_admissibility)
 
     sp = sub.add_parser("selfcheck", help="run the internal identity battery")
     common(sp)
-    sp.set_defaults(func=cmd_selfcheck)
     return p
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.config:
-            args = _apply_config(args, parser, argv)
-        return args.func(args)
+            args = _apply_config(args, build_parser(), argv)
+        return {"renorm-flow": cmd_renorm_flow, "stationary": cmd_stationary,
+                "gyro-sim": cmd_gyro_sim, "admissibility": cmd_admissibility,
+                "selfcheck": cmd_selfcheck}[args.command](args)
     except SystemExit as exc:  # argparse usage errors
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except (ValueError, KeyError) as exc:

@@ -167,6 +167,9 @@ def eta_of_mb(m_b: float, k: PhysicalConstants = NATURAL) -> float:
     # eta ~ NUM(R0)/m_b for small m_b, eta ~ x for m_b near 1
     guess = max(_num_factor(k.R_endpoint, k) / m_b, 1e-8)
     lo, hi = guess / 16.0, guess * 16.0
+    if not np.isfinite(hi):
+        raise ValueError(f"m_b = {m_b:g} is too small to invert: the bracket "
+                         f"16 NUM/m_b overflows")
     while f(lo) < 0:  # m_b(eta) decreases with eta
         lo /= 16.0
         if lo < 1e-300:

@@ -7,6 +7,8 @@ continuous, monotone f whose values at the bracket's ends differ in sign.
 
 from __future__ import annotations
 
+import math
+
 ITER_MAX = 100
 
 
@@ -46,7 +48,9 @@ def bracketed_root(f, lo: float, hi: float, xtol: float, rtol: float) -> float:
             else:                               # inverse quadratic
                 dpre = (fpre - fcur) / (pre - cur)
                 dblk = (fblk - fcur) / (blk - cur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                # a denominator that underflows to 0 gives no step: bisect
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
         spre, scur = (scur, stry) if short else (sbis, sbis)
         pre, fpre = cur, fcur

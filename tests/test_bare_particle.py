@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from ledlab.bare_particle import (
     DensityProfile,
     GyrationCurve,
+    _gauss,
     bare_spin,
     gyrational_mass,
     omega_from_spin,
@@ -284,3 +285,55 @@ class TestGyrationCurveSamples:
         exact = curve.invert(s)
         assert approx == pytest.approx(exact, rel=1e-5)
         assert exact == pytest.approx(0.45, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the shared Gauss-Legendre rules
+# ---------------------------------------------------------------------------
+
+def uncached_radial_rule(fp, order):
+    if fp.kind == "shell":
+        return np.array([fp.R]), np.array([fp.total])
+    x, w = np.polynomial.legendre.leggauss(order)
+    r = 0.5 * fp.R * (x + 1.0)
+    dens = fp.total * 3.0 / (4.0 * np.pi * fp.R**3)
+    return r, 0.5 * fp.R * w * dens * 4.0 * np.pi * r**2
+
+
+def uncached_support_rule(fp, order_r, order_theta, order_phi):
+    r, wr = uncached_radial_rule(fp, order_r)
+    mu, wmu = np.polynomial.legendre.leggauss(order_theta)
+    phi = 2.0 * np.pi * np.arange(order_phi) / order_phi
+    st = np.sqrt(1.0 - mu**2)
+    pts = np.empty((len(r), len(mu), len(phi), 3))
+    pts[..., 0] = r[:, None, None] * st[None, :, None] * np.cos(phi)[None, None, :]
+    pts[..., 1] = r[:, None, None] * st[None, :, None] * np.sin(phi)[None, None, :]
+    pts[..., 2] = r[:, None, None] * mu[None, :, None]
+    w = wr[:, None, None] * (0.5 * wmu)[None, :, None] * np.full(order_phi, 1.0 / order_phi)
+    return pts.reshape(-1, 3), w.reshape(-1)
+
+
+def assert_bits(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2, 24, 48, 64])
+def test_gauss_is_leggauss_and_read_only(order):
+    for got, ref in zip(_gauss(order), np.polynomial.legendre.leggauss(order)):
+        assert_bits(got, ref)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    assert _gauss(order) is _gauss(order)
+
+
+@pytest.mark.parametrize("fp", [DensityProfile.shell(-1.0, 1.0), DensityProfile.volume(-1.0, 1.0),
+                                DensityProfile.volume(2.5, 0.7)])
+def test_quadrature_rules_are_the_uncached_rules_bit_for_bit(fp):
+    for order in (24, 64, 7):
+        for got, ref in zip(fp.radial_rule(order), uncached_radial_rule(fp, order)):
+            assert_bits(got, ref)
+    for orders in ((24, 48, 24), (5, 9, 4)):
+        for _ in range(2):   # the second call reads the cached rules
+            for got, ref in zip(fp.support_rule(*orders), uncached_support_rule(fp, *orders)):
+                assert_bits(got, ref)

@@ -1,10 +1,15 @@
 """Command-line front end: config precedence, config and data-file
-validation, output columns, exit codes, an admissibility report against
-a pinned file, byte-identical reruns."""
+validation, output columns, exit codes, an admissibility report and the
+default flow table against pinned files, byte-identical reruns, the CSV
+writer against csv with one format per cell, and one shared parser that
+--config runs leave unchanged."""
 
 import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +20,7 @@ from ledlab.bare_particle import DensityProfile
 from ledlab.gyrodynamics import GyroSolver
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _rows(path):
@@ -290,6 +296,8 @@ def test_exit_codes(tmp_path, capsys, argv, code):
     (["--horizon", "inf"], "--horizon must be positive and finite"),
     (["--horizon", "0"], "--horizon must be positive and finite"),
     (["--mode", "picard", "--horizon", "inf"], "--horizon must be positive and finite"),
+    (["--omega-over-c", "1.0", "--horizon", "0.5"], "--omega-over-c must lie strictly between"),
+    (["--omega-over-c", "-1.5", "--mode", "picard"], "--omega-over-c must lie strictly between"),
 ])
 def test_gyro_sim_refusal_names_the_flag(tmp_path, capsys, argv, flag):
     assert cli.main(["gyro-sim", *argv, "--out-dir", str(tmp_path)]) == cli.EXIT_DOMAIN
@@ -308,6 +316,9 @@ def test_gyro_sim_refusal_names_the_flag(tmp_path, capsys, argv, flag):
     (["renorm-flow", "--mb-grid", "log:0.1:0.5:x"], "--mb-grid must look like log:LO:HI:N"),
     (["renorm-flow", "--mb-grid", "log:0.1:x:3"], "--mb-grid must look like log:LO:HI:N"),
     (["renorm-flow", "--mb-grid", "log:0.5:2.0:4"], "--mb-grid must lie strictly inside"),
+    (["stationary", "--omega-over-c", "1.5"], "--omega-over-c must lie strictly between"),
+    (["stationary", "--omega-over-c", "-1", "--radius", "3"],
+     "--omega-over-c must lie strictly between"),
 ])
 def test_stationary_and_flow_refusal_names_the_flag(tmp_path, capsys, argv, flag):
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == cli.EXIT_DOMAIN
@@ -330,3 +341,76 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(cli, "cmd_selfcheck", broken)
     assert cli.main(["selfcheck", "--out-dir", str(tmp_path)]) == cli.EXIT_NUMERICAL
     assert "internal error: IndexError: list index out of range" in capsys.readouterr().err
+
+
+def test_default_flow_table_matches_the_pinned_file(tmp_path, capsys):
+    assert cli.main(["renorm-flow", "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    assert (tmp_path / "flow.csv").read_bytes() == (DATA / "renorm_flow_default.csv").read_bytes()
+
+
+@pytest.mark.parametrize("grid, code", [("log:1e-320:0.5:2", cli.EXIT_DOMAIN),
+                                        ("log:1e-307:0.5:2", cli.EXIT_OK)])
+def test_tiny_bare_mass_grid_ends_in_a_subprocess(tmp_path, grid, code):
+    # in a subprocess with a timeout, so that a bracketing loop that never
+    # ends fails the test instead of hanging it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "ledlab.cli", "renorm-flow", "--mb-grid", grid,
+                           "--out-dir", str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert (f"error: --mb-grid {grid}: " in proc.stderr) == (code == cli.EXIT_DOMAIN)
+    assert (tmp_path / "flow.csv").exists() == (code == cli.EXIT_OK)
+
+
+def reference_csv(path, header, rows):
+    """The writer as it was: csv.writer with one format call per cell."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        for row in rows:
+            wr.writerow([f"{float(v):.17g}" for v in row])
+
+
+def test_write_csv_matches_csv_with_a_format_per_cell(tmp_path):
+    cells = [-0.0, 0.0, float("inf"), -float("inf"), float("nan"), 5e-324, 0.1 + 0.2,
+             2**53 + 1, 0, -7, 3, 1e308, -2.5e-300, np.float64(1.0) / 3.0, np.float64(-0.0),
+             np.float64("nan"), np.float64(2.0**-1074), *np.array([1e-7, 123456789.123456789])]
+    header = ["a", "b", "c"]
+    rows = [cells[i:i + 3] for i in range(0, len(cells) - 2)]
+    rows += [tuple(row) for row in rows] + [np.array(row, dtype=float) for row in rows]
+    cli._write_csv(tmp_path / "got.csv", header, rows)
+    reference_csv(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _files(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["stationary"], "radius=2.0\nn-radial=11\nprofile=volume\n"),
+    (["renorm-flow"], "report=on\nanomaly=off\n"),
+])
+def test_config_run_leaves_the_shared_parser_unchanged(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line)
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "alone")]) == cli.EXIT_OK
+    assert cli.main([*argv, "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "config")]) == cli.EXIT_OK
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "after")]) == cli.EXIT_OK
+    assert _files(tmp_path / "config") != _files(tmp_path / "alone")
+    assert _files(tmp_path / "after") == _files(tmp_path / "alone")
+
+
+def test_main_builds_one_parser_for_its_plain_runs(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    cli._shared_parser.cache_clear()
+    try:
+        for argv in (["selfcheck"], ["admissibility"], ["stationary", "--n-radial", "3"],
+                     ["no-such-command"], ["selfcheck"]):
+            cli.main([*argv, "--out-dir", str(tmp_path)])
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(calls) == 1

@@ -15,7 +15,8 @@ f-string; a bare identifier of the same spelling (a local variable, an
 argument) is no use of the method.  ORACLE_METHODS are the exceptions,
 methods kept only as independent checks.  The package's re-export list
 in src/ledlab/__init__.py counts as neither.  Importing every module of the
-package must not load scipy, which is a test-only dependency.
+package must not load scipy, which is a test-only dependency, nor build the
+CLI parser or a Gauss-Legendre rule.
 """
 
 import ast
@@ -198,14 +199,33 @@ def test_every_oracle_method_is_defined_and_used_by_no_run():
     assert not live, "ORACLE_METHODS names methods a run uses: " + ", ".join(live)
 
 
-def test_importing_every_module_loads_no_scipy():
-    # perfbench's set-up snippet (worker.IMPORT_ALL, read without importing
-    # worker.py, which imports scipy itself) in a fresh interpreter
+def _after_importing_every_module(code, before=""):
+    """Standard output of `before`, perfbench's set-up snippet (worker.IMPORT_ALL,
+    read without importing worker.py, which imports scipy itself) and `code`
+    in a fresh interpreter."""
     tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text())
     snippet, = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["IMPORT_ALL"]]
-    check = snippet + "import sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", before + snippet + code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    return out.stdout.strip()
+
+
+def test_importing_every_module_loads_no_scipy():
+    check = "import sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    assert _after_importing_every_module(check) == "[]"
+
+
+def test_importing_every_module_builds_no_parser_and_no_rule():
+    # the CLI parser and the Gauss-Legendre rules are built on first use,
+    # so that importing the package costs neither
+    count = ("import argparse\nbuilt = []\ninit = argparse.ArgumentParser.__init__\n"
+             "def counted(self, *args, **kwargs):\n"
+             "    built.append(1)\n"
+             "    init(self, *args, **kwargs)\n"
+             "argparse.ArgumentParser.__init__ = counted\n")
+    check = ("from ledlab import bare_particle, cli\n"
+             "print(len(built), cli._shared_parser.cache_info().currsize,\n"
+             "      bare_particle._gauss.cache_info().currsize)\n")
+    assert _after_importing_every_module(check, before=count) == "0 0 0"

@@ -115,3 +115,17 @@ def test_limit_constants_closed_forms(k):
     got = limit_constants(k)
     for name, value in ref.items():
         assert abs(got[name] / float(value) - 1.0) <= 1e-15, name
+
+
+def test_eta_of_mb_inverts_down_to_the_bracket_overflow():
+    # every m_b = 10^-k whose bracket 16 NUM/m_b is finite, the last ones
+    # taking bisection steps where interpolation underflows
+    for k in range(6, 308):
+        mb = 10.0 ** -k
+        assert abs(flow_point(eta_of_mb(mb)).m_b - mb) <= 2.0 * np.finfo(float).eps * mb, k
+
+
+@pytest.mark.parametrize("mb", [1e-320, 5e-324])
+def test_eta_of_mb_refuses_an_overflowing_bracket(mb):
+    with pytest.raises(ValueError, match="too small"):
+        eta_of_mb(mb)

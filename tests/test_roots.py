@@ -75,3 +75,11 @@ def test_roots_at_the_bracket_ends_and_on_a_line():
     assert bracketed_root(lambda x: x - 1.0, 0.0, 1.0, 0.0, 1e-15) == 1.0
     assert bracketed_root(lambda x: 3.0 * x - 1.0, 0.0, 1.0, 0.0, 1e-15) == pytest.approx(
         1.0 / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e-120, 1e-200])
+def test_an_underflowing_interpolation_bisects(scale):
+    # the inverse-quadratic denominator, a product of three differences of
+    # f, underflows to 0 for so small an f: the step bisects instead
+    root = bracketed_root(lambda x: scale * (x**3 - 0.1), 0.0, 1.0, 1e-300, 1e-15)
+    assert root == pytest.approx(0.1 ** (1.0 / 3.0), rel=2e-15)

@@ -1,7 +1,7 @@
 """ledlab: Lorentz electrodynamics of a spinning extended charge.
 
 Library layers:
-  bare_particle  gyrational mass, bare spin, spin inversion
+  bare_particle  density profiles, gyrational mass, the gyration curve
   fields         stationary bound states and field functionals
   forces         rest-frame Minkowski force/torque, Nodvik mass, pseudo-inertia
   gyrodynamics   fixed-center field-particle evolution and Picard iteration
@@ -15,8 +15,6 @@ from .bare_particle import (
     DensityProfile,
     GyrationCurve,
     gyrational_mass,
-    bare_spin,
-    omega_from_spin,
 )
 from .fields import (
     StationaryState,

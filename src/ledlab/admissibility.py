@@ -22,12 +22,14 @@ at solver tolerance.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bare_particle import DensityProfile
-from .fields import StationaryState
+from .fields import NumericalFailure, StationaryState
 
 ZERO_TOL = 1e-10
 
@@ -76,10 +78,15 @@ class Moments:
 
 
 def field_moments(data: InitialData) -> Moments:
+    """Moments of the data on the support rule; a zero or subnormal total
+    raises ValueError, a moment that is not finite NumericalFailure."""
+    q = data.fe.total
+    if not abs(q) >= sys.float_info.min:   # the smallest normal double
+        raise ValueError(f"the profile's total charge {q:g} is zero or subnormal: "
+                         f"no charge-weighted average can be formed")
     pts, w = data.fe.support_rule()
     e = np.asarray(data.e_fn(pts), dtype=float)
     b = np.asarray(data.b_fn(pts), dtype=float)
-    q = data.fe.total
     mean_e = np.einsum("k,ki->i", w, e) / q
     mean_b = np.einsum("k,ki->i", w, b) / q
     torque_e = np.einsum("k,ki->i", w, np.cross(pts, e))
@@ -88,6 +95,9 @@ def field_moments(data: InitialData) -> Moments:
     mean_xxb = sigma_b / q
     xb = np.einsum("k,ki,kj->ij", w, pts, b) / q
     xb_traceless = xb - np.trace(xb) * np.eye(3)
+    if not np.isfinite(np.concatenate((mean_e, mean_b, torque_e, sigma_b, mean_xce, mean_xxb,
+                                       xb_traceless.ravel()))).all():
+        raise NumericalFailure("the field moments of these data are not finite")
     return Moments(mean_e, mean_b, torque_e, sigma_b, mean_xce, mean_xxb,
                    xb_traceless,
                    e_scale=float(np.max(np.abs(e))),
@@ -314,4 +324,8 @@ CHECKS = {"nodvik": nodvik_check, "abraham_spin": abraham_spin_check,
 
 
 def run_check(data: InitialData, model: str) -> ConstraintReport:
-    return CHECKS[model](data)
+    """The model's classifier; a non-finite residual raises NumericalFailure."""
+    report = CHECKS[model](data)
+    if not math.isfinite(report.residual):
+        raise NumericalFailure(f"the {model} constraint residual is {report.residual:g}")
+    return report

@@ -35,7 +35,7 @@ is min(s/I, omega_cap), warm the tangent step from any guess in
 omega_cap.  Each later tangent step of an increasing convex function
 lands between the root and the previous iterate: the iterates decrease
 monotonically onto the root, with no bracket.  GyrationCurve does this
-on Python floats, once per mass profile; every spin map here calls it.
+on Python floats, once per mass profile: the package's one spin map.
 """
 
 from __future__ import annotations
@@ -60,6 +60,13 @@ def _gauss(order: int) -> tuple:
     return x, w
 
 
+# node counts of the support rule: radial (a ball's; a shell has one node),
+# polar and azimuthal
+ORDER_R = 24
+ORDER_THETA = 48
+ORDER_PHI = 24
+
+
 @dataclass(frozen=True)
 class DensityProfile:
     """Spherically symmetric radial measure with compact support [0, R]:
@@ -77,8 +84,10 @@ class DensityProfile:
     def __post_init__(self):
         if self.kind not in ("shell", "volume"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.R <= 0:
-            raise ValueError("R must be positive")
+        if not 0 < self.R < math.inf:
+            raise ValueError(f"R must be positive and finite, got {self.R:g}")
+        if not math.isfinite(self.total):
+            raise ValueError(f"total must be finite, got {self.total:g}")
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -90,21 +99,17 @@ class DensityProfile:
         return DensityProfile("volume", total, R)
 
     # -- radial integrals -------------------------------------------------
-    def radial_rule(self, order: int = 64):
+    def radial_rule(self):
         """Nodes and weights with sum_k w_k g(r_k) ~ int g(r) f(r) 4 pi r^2 dr:
-        the one node R for a shell, Gauss-Legendre on [0, R] for a ball."""
+        the one node R for a shell, ORDER_R Gauss-Legendre nodes on [0, R]
+        for a ball."""
         if self.kind == "shell":
             return np.array([self.R]), np.array([self.total])
-        x, w = _gauss(order)
+        x, w = _gauss(ORDER_R)
         r = 0.5 * self.R * (x + 1.0)
         wr = 0.5 * self.R * w
         dens = self.total * 3.0 / (4.0 * np.pi * self.R**3)
         return r, wr * dens * 4.0 * np.pi * r**2
-
-    def radial_integral(self, kernel) -> float:
-        """int kernel(r) f(r) 4 pi r^2 dr on the radial rule."""
-        r, w = self.radial_rule()
-        return float(w @ kernel(r))
 
     def moment(self, n: int) -> float:
         """int r^n f(r) 4 pi r^2 dr."""
@@ -128,13 +133,14 @@ class DensityProfile:
             return self.surface_step(r, 0.0, self.total)
         return self.total * np.clip(r / self.R, 0.0, 1.0) ** 3
 
-    def support_rule(self, order_r: int = 24, order_theta: int = 48, order_phi: int = 24):
+    def support_rule(self):
         """3-d product rule: points (N,3) and weights with
-        sum w_k g(x_k) ~ int g(x) f(|x|) d^3x."""
-        r, wr = self.radial_rule(order_r)
-        mu, wmu = _gauss(order_theta)
-        phi = 2.0 * np.pi * np.arange(order_phi) / order_phi
-        wphi = np.full(order_phi, 1.0 / order_phi)
+        sum w_k g(x_k) ~ int g(x) f(|x|) d^3x, of ORDER_R radial, ORDER_THETA
+        polar and ORDER_PHI azimuthal nodes."""
+        r, wr = self.radial_rule()
+        mu, wmu = _gauss(ORDER_THETA)
+        phi = 2.0 * np.pi * np.arange(ORDER_PHI) / ORDER_PHI
+        wphi = np.full(ORDER_PHI, 1.0 / ORDER_PHI)
         # radial weights carry f(r) 4 pi r^2 dr; the angular rule averages
         # over the sphere, so combined weights reproduce the 3-d measure
         st = np.sqrt(1.0 - mu**2)
@@ -315,32 +321,3 @@ def gyrational_mass(fm: DensityProfile, omega: float) -> float:
     omega = abs(float(omega))
     _check_subluminal(fm, omega)
     return GyrationCurve(fm).mass(omega)
-
-
-def bare_spin(fm: DensityProfile, omega3) -> np.ndarray:
-    """Bare spin three-vector int x cross (w cross x) gamma f d^3x.
-
-    Parallel to omega by isotropy; for a shell equals
-    m_b R [ (1 + 1/w^2R^2)/2 artanh(wR) - 1/(2wR) ] unit(omega).
-    """
-    omega3 = np.asarray(omega3, dtype=float)
-    mag = float(np.linalg.norm(omega3))
-    if mag == 0.0:
-        return np.zeros(3)
-    _check_subluminal(fm, mag)
-    return GyrationCurve(fm).sigma(mag) * omega3 / mag
-
-
-def omega_from_spin(fm: DensityProfile, s3) -> np.ndarray:
-    """Unique omega parallel to s with bare_spin(fm, omega) = s.
-
-    For a surface profile any finite s up to the double-precision edge
-    omega R -> 1 is reachable; for a volume profile |s| beyond the finite
-    supremum is rejected.
-    """
-    s3 = np.asarray(s3, dtype=float)
-    smag = float(np.linalg.norm(s3))
-    if smag == 0.0:
-        return np.zeros(3)
-    return GyrationCurve(fm).invert(smag) * s3 / smag
-

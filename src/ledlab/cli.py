@@ -52,15 +52,9 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, obj):
-    def default(o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return float(o)
-        raise TypeError(type(o))
-
+    """obj as indented JSON, keys sorted; an array in obj is a TypeError."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=default)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -313,7 +307,7 @@ def cmd_admissibility(args) -> int:
 def cmd_selfcheck(args) -> int:
     """Fast internal identity battery; exit 3 on any numerical failure."""
     from . import renormflow as rf
-    from .bare_particle import DensityProfile, bare_spin, gyrational_mass, omega_from_spin
+    from .bare_particle import DensityProfile, GyrationCurve, gyrational_mass
     from .fields import field_spin, field_energy, stationary_state
 
     checks = []
@@ -326,9 +320,8 @@ def cmd_selfcheck(args) -> int:
     fm = DensityProfile.shell(1.0, 1.0)
     check("shell gyrational mass closed form",
           abs(gyrational_mass(fm, 0.5) - 2.0 * np.arctanh(0.5)) < 1e-12)
-    s = bare_spin(fm, [0.0, 0.0, 0.5])
-    check("spin inversion round trip",
-          abs(np.linalg.norm(omega_from_spin(fm, s)) - 0.5) < 1e-10)
+    curve = GyrationCurve(fm)
+    check("spin inversion round trip", abs(curve.invert(curve.sigma(0.5)) - 0.5) < 1e-10)
 
     st = stationary_state(fe, [0.0, 0.0, 0.5])
     check("shell field energy closed form",

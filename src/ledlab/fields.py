@@ -9,9 +9,10 @@ potential plus a purely l=1 toroidal vector potential
 so every stationary functional (energy, magnetic moment, field spin in
 both its potential and Poynting representations) reduces to radial
 integrals.  For the two profiles, a shell and a uniform ball, the inner
-integrals int f s^4 and int f s are closed forms, and so is the field
-energy; outside the support the fields are exactly point charge plus
-point dipole.  Gaussian units with c = 1.
+integrals int f s^4 and int f s are closed forms, and so are the field
+energy and the potential form of the field spin, which a Poynting grid
+integral checks.  Outside the support the fields are exactly point
+charge plus point dipole.  Gaussian units with c = 1.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from .bare_particle import DensityProfile
 
 
 class NumericalFailure(RuntimeError):
-    """Two independent evaluations of the same quantity disagree."""
+    """Two evaluations of one quantity disagree, or a result is not finite."""
+
+
+# the Poynting-grid field spin: radial nodes over [0, POYNTING_R_MAX R],
+# and the largest relative gap to the closed form that field_spin accepts
+POYNTING_NODES = 2000
+POYNTING_R_MAX = 12.0
+SPIN_CHECK_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +179,15 @@ def field_energy(st: StationaryState) -> float:
 
 
 def field_spin_potential(st: StationaryState) -> np.ndarray:
-    """int x cross A f d^3x = (2/3) int alpha r^2 f d^3x omega."""
-    coeff = st.fe.radial_integral(lambda r: st.alpha(r) * r**2)
-    return (2.0 / 3.0) * coeff * st.omega3
+    """int x cross A f d^3x = (2/3) int alpha r^2 f d^3x omega, in closed
+    form: (2/9) q^2 R omega for a shell, (4/35) q^2 R omega for a uniform
+    ball (alpha r^2 f is a polynomial in r on its support)."""
+    coeff = 2.0 / 9.0 if st.fe.kind == "shell" else 4.0 / 35.0
+    return coeff * st.fe.total**2 * st.fe.R * st.omega3
 
 
-def field_spin_poynting(st: StationaryState, n_grid: int = 2000,
-                        r_max_over_R: float = 12.0) -> np.ndarray:
-    """(1/4 pi) int x cross (E cross B) d^3x on a radial grid.
+def field_spin_poynting(st: StationaryState) -> np.ndarray:
+    """(1/4 pi) int x cross (E cross B) d^3x on POYNTING_NODES radial nodes.
 
     Piecewise Simpson integration of -(2/3) E_r (2 alpha + r alpha') r^3
     over [0, R] and [R, r_max] (one-sided limits at the support edge where
@@ -187,7 +196,7 @@ def field_spin_poynting(st: StationaryState, n_grid: int = 2000,
     the potential representation.
     """
     R = st.fe.R
-    rb = r_max_over_R * R
+    rb = POYNTING_R_MAX * R
 
     def integrand(r):
         a = st.alpha(r)
@@ -204,7 +213,7 @@ def field_spin_poynting(st: StationaryState, n_grid: int = 2000,
     # each piece on an odd node count, stopped 1e-10 R short of the support
     # edge, outside the rounding band where shell fields jump
     nudge = 1e-10
-    n_half = max(n_grid // 2, 8) | 1
+    n_half = max(POYNTING_NODES // 2, 8) | 1
     r1 = np.linspace(0.0, R * (1.0 - nudge), n_half)
     r2 = np.linspace(R * (1.0 + nudge), rb, n_half)
     radial = simpson(r1) + simpson(r2)
@@ -218,18 +227,17 @@ def field_spin_poynting(st: StationaryState, n_grid: int = 2000,
     return (inner + tail) * st.omega3
 
 
-def field_spin(st: StationaryState, check_tol: float = 1e-4) -> np.ndarray:
+def field_spin(st: StationaryState) -> np.ndarray:
     """Stationary field spin; both representations evaluated and compared.
 
-    Returns the potential form (exact radial reduction); raises
-    NumericalFailure when the Poynting-grid form disagrees beyond
-    check_tol relative.
+    Returns the potential form (closed form); raises NumericalFailure when
+    the Poynting-grid form disagrees beyond SPIN_CHECK_TOL relative.
     """
     s_pot = field_spin_potential(st)
     s_poy = field_spin_poynting(st)
     scale = max(np.linalg.norm(s_pot), 1e-300)
     rel = np.linalg.norm(s_pot - s_poy) / scale
-    if np.linalg.norm(st.omega3) > 0 and rel > check_tol:
+    if np.linalg.norm(st.omega3) > 0 and rel > SPIN_CHECK_TOL:
         raise NumericalFailure(
             f"field spin representations disagree: relative gap {rel:.3e}")
     return s_pot

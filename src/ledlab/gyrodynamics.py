@@ -40,7 +40,7 @@ import numpy as np
 from .bare_particle import (
     DensityProfile,
     GyrationCurve,
-    bare_spin,
+    _check_subluminal,
     gyrational_mass,  # noqa: F401  (perfbench's tracer tests rebind it in this namespace)
 )
 from .roots import bracketed_root
@@ -293,15 +293,18 @@ class GyroSolver:
         is the zero dynamic field), with the bare spin matched to omega3.
         omega3 must lie on the z axis, the solver's fixed rotation axis.
 
-        Every scale keeps the Gauss constraint satisfied (the toroidal
-        sector is divergence-free).
+        s_b is sigma(|omega|) along omega on the solver's gyration curve;
+        |omega| R >= 1 raises ValueError.  Every scale keeps the Gauss
+        constraint satisfied (the toroidal sector is divergence-free).
         """
         omega3 = np.asarray(omega3, dtype=float)
         if omega3[0] or omega3[1]:
             raise ValueError(f"omega must lie on the z axis, got {omega3.tolist()}")
         w = scale * self.stationary_profile(omega3[2])
-        sb = float(bare_spin(self.fm, omega3)[2])
-        return GyroEvolutionState(w, np.zeros_like(w), sb, float(omega3[2]))
+        omega, mag = float(omega3[2]), float(np.linalg.norm(omega3))
+        _check_subluminal(self.fm, mag)
+        sb = self.curve.sigma(mag) * omega / mag if mag else 0.0
+        return GyroEvolutionState(w, np.zeros_like(w), sb, omega)
 
     # -- stepping ------------------------------------------------------------
     def _accel(self, w: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -489,21 +492,20 @@ class GyroSolver:
                              f"{bound:.6g}: no stationary state conserves it")
         return bracketed_root(f, 0.0, cap, xtol=4.0 * _EPS * cap, rtol=4.0 * _EPS)
 
-    def run_to_stationary(self, state: GyroEvolutionState, horizon: float,
-                          dt: float = None) -> tuple:
+    def run_to_stationary(self, state: GyroEvolutionState, horizon: float) -> tuple:
         """Relax toward the stationary state and judge whether it arrived.
 
-        Returns (trajectory, fit).  fit.omega_inf is predicted_equilibrium
-        of the initial state, taken before any step, so a state with no
-        equilibrium raises ValueError and is never stepped.  fit.converged
-        holds when every record of the last 2 R has
-        ||omega(t)| - omega_inf| <= SETTLE_TOL omega_inf.  That window is
-        longer than the ring period of the least-damped pole (1.80 R on
-        the shell at omega R 0.3), so a ringing |omega| that crosses
-        omega_inf near the last step does not pass.
+        Returns (trajectory, fit), stepped at run's default dt.
+        fit.omega_inf is predicted_equilibrium of the initial state, taken
+        before any step, so a state with no equilibrium raises ValueError
+        and is never stepped.  fit.converged holds when every record of the
+        last 2 R has ||omega(t)| - omega_inf| <= SETTLE_TOL omega_inf.  That
+        window is longer than the ring period of the least-damped pole
+        (1.80 R on the shell at omega R 0.3), so a ringing |omega| that
+        crosses omega_inf near the last step does not pass.
         """
         omega_inf = self.predicted_equilibrium(state)
-        traj = self.run(state, horizon, dt)
+        traj = self.run(state, horizon)
         tail = traj.t >= traj.t[-1] - 2.0 * self.fe.R
         miss = np.abs(np.abs(traj.omega[tail]) - omega_inf)
         return traj, RelaxationFit(omega_inf, bool(np.all(miss <= SETTLE_TOL * omega_inf)))

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ledlab import bare_particle
 from ledlab.bare_particle import (
     DensityProfile,
     GyrationCurve,
     _gauss,
-    bare_spin,
     gyrational_mass,
-    omega_from_spin,
 )
 
 SHELL = DensityProfile.shell(1.0, 1.0)
@@ -59,8 +58,9 @@ class TestProfiles:
             r, w = p.radial_rule()
             assert np.sum(w) == pytest.approx(p.total, rel=1e-12)
 
-    def test_support_rule_measure(self):
-        pts, w = VOLUME.support_rule(16, 24, 16)
+    def test_support_rule_measure(self, monkeypatch):
+        set_orders(monkeypatch, 16, 24, 16)
+        pts, w = VOLUME.support_rule()
         assert np.sum(w) == pytest.approx(1.0, rel=1e-10)
         r2 = np.einsum("k,ki,ki->", w, pts, pts)
         assert r2 == pytest.approx(VOLUME.moment(2), rel=1e-10)
@@ -149,12 +149,11 @@ class TestMaclaurin:
 
 class TestBareSpin:
     def test_zero_omega(self):
-        np.testing.assert_allclose(bare_spin(SHELL, [0, 0, 0]), 0.0)
+        assert GyrationCurve(SHELL).sigma(0.0) == 0.0
 
     def test_shell_closed_form_value(self):
-        s = bare_spin(SHELL, [0, 0, 0.5])
         expect = (1 + 1 / 0.25) / 2 * np.arctanh(0.5) - 1.0
-        np.testing.assert_allclose(s, [0, 0, expect], rtol=1e-13)
+        assert GyrationCurve(SHELL).sigma(0.5) == pytest.approx(expect, rel=1e-13)
         assert expect == pytest.approx(0.3732654, abs=5e-8)
 
     @pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -178,29 +177,20 @@ class TestBareSpin:
             assert GyrationCurve(SHELL).sigma(x) == pytest.approx(
                 float(series.subs(w, x)), rel=1e-10)
 
-    def test_direction_isotropy(self):
-        rng = np.random.default_rng(12)
-        for _ in range(4):
-            w3 = rng.normal(size=3) * 0.3
-            s = bare_spin(SHELL, w3)
-            np.testing.assert_allclose(np.cross(s, w3), 0.0, atol=1e-14)
 
-
-class TestOmegaFromSpin:
+class TestInvert:
     def test_zero(self):
-        np.testing.assert_allclose(omega_from_spin(SHELL, [0, 0, 0]), 0.0)
+        assert GyrationCurve(SHELL).invert(0.0) == 0.0
 
     @pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
     def test_round_trip(self, x):
-        w3 = np.array([0.0, 0.0, x])
-        s = bare_spin(SHELL, w3)
-        back = omega_from_spin(SHELL, s)
-        np.testing.assert_allclose(back, w3, rtol=1e-10)
+        curve = GyrationCurve(SHELL)
+        assert curve.invert(curve.sigma(x)) == pytest.approx(x, rel=1e-10)
 
     def test_round_trip_volume(self):
-        w3 = np.array([0.2, -0.1, 0.6])
-        s = bare_spin(VOLUME, w3)
-        np.testing.assert_allclose(omega_from_spin(VOLUME, s), w3, rtol=1e-9)
+        curve = GyrationCurve(VOLUME)
+        x = float(np.linalg.norm([0.2, -0.1, 0.6]))
+        assert curve.invert(curve.sigma(x)) == pytest.approx(x, rel=1e-9)
 
     def test_monotone_inverse(self):
         smags = np.linspace(0.01, 3.0, 25)
@@ -212,22 +202,23 @@ class TestOmegaFromSpin:
         # surface inertia stores unbounded gyrational spin; any |s| up to
         # the double-precision resolution of artanh near the light edge
         # inverts (here |s| = 10 needs omega R / c = 1 - 6e-10)
-        w = omega_from_spin(SHELL, [0, 0, 10.0])
-        assert 0 < np.linalg.norm(w) < 1.0
+        curve = GyrationCurve(SHELL)
+        w = curve.invert(10.0)
+        assert 0 < w < 1.0
         # sigma is log-steep at the edge, so the spin round trip is only
         # conditioned to ~|sigma'| * eps_machine
-        assert GyrationCurve(SHELL).sigma(np.linalg.norm(w)) == pytest.approx(10.0, rel=1e-5)
+        assert curve.sigma(w) == pytest.approx(10.0, rel=1e-5)
 
     def test_volume_supremum_rejected(self):
         with pytest.raises(ValueError):
-            omega_from_spin(VOLUME, [0, 0, 10.0])
+            GyrationCurve(VOLUME).invert(10.0)
 
-    def test_curve_inverse_matches_omega_from_spin(self):
-        curve = GyrationCurve(SHELL)
-        for s in (0.05, 0.4, 1.3):
-            w = curve.invert(s)
-            expect = np.linalg.norm(omega_from_spin(SHELL, [0, 0, s]))
-            assert w == pytest.approx(expect, rel=1e-10)
+    @pytest.mark.parametrize("fm", [SHELL, VOLUME])
+    def test_invert_solves_sigma(self, fm):
+        # the returned |omega| reproduces s through sigma's quadrature oracle
+        curve = GyrationCurve(fm)
+        for s in (0.05, 0.3, 0.55):
+            assert oracle_spin(fm, curve.invert(s)) == pytest.approx(s, rel=1e-8)
 
 
 class TestMinkowskiInertia:
@@ -243,13 +234,6 @@ class TestMinkowskiInertia:
         assert at_rest == pytest.approx(
             (2.0 / 3.0) * SHELL.moment(2), rel=1e-12)
 
-    def test_contraction_reproduces_spin(self):
-        # the space block I_perp (1 - n n) + I_par n n maps w = |w| n to I_par w
-        w3 = np.array([0.1, 0.2, 0.4])
-        mag = np.linalg.norm(w3)
-        i_par = GyrationCurve(SHELL).sigma(mag) / mag
-        np.testing.assert_allclose(bare_spin(SHELL, w3), i_par * w3, rtol=1e-12)
-
     def test_component_oracle(self):
         # direct quadrature of the defining integrand for the shell
         w = 0.6
@@ -262,10 +246,6 @@ class TestMinkowskiInertia:
         i_time = angular(gam)
         assert GyrationCurve(SHELL).sigma(w) / w == pytest.approx(i_par, rel=1e-10)
         assert gyrational_mass(SHELL, w) == pytest.approx(i_time, rel=1e-10)
-
-    def test_superluminal_rejected(self):
-        with pytest.raises(ValueError):
-            bare_spin(SHELL, [0, 0, 1.2])
 
 
 class TestGyrationCurveSamples:
@@ -313,6 +293,13 @@ def uncached_support_rule(fp, order_r, order_theta, order_phi):
     return pts.reshape(-1, 3), w.reshape(-1)
 
 
+def set_orders(monkeypatch, order_r, order_theta, order_phi):
+    """Node counts of the support rule, as its module constants."""
+    monkeypatch.setattr(bare_particle, "ORDER_R", order_r)
+    monkeypatch.setattr(bare_particle, "ORDER_THETA", order_theta)
+    monkeypatch.setattr(bare_particle, "ORDER_PHI", order_phi)
+
+
 def assert_bits(got, ref):
     assert got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
@@ -329,11 +316,26 @@ def test_gauss_is_leggauss_and_read_only(order):
 
 @pytest.mark.parametrize("fp", [DensityProfile.shell(-1.0, 1.0), DensityProfile.volume(-1.0, 1.0),
                                 DensityProfile.volume(2.5, 0.7)])
-def test_quadrature_rules_are_the_uncached_rules_bit_for_bit(fp):
-    for order in (24, 64, 7):
-        for got, ref in zip(fp.radial_rule(order), uncached_radial_rule(fp, order)):
+@pytest.mark.parametrize("orders", [(24, 48, 24), (64, 9, 4), (7, 5, 3)])
+def test_quadrature_rules_are_the_uncached_rules_bit_for_bit(fp, orders, monkeypatch):
+    if orders == (24, 48, 24):
+        assert (bare_particle.ORDER_R, bare_particle.ORDER_THETA, bare_particle.ORDER_PHI) == orders
+    set_orders(monkeypatch, *orders)
+    for got, ref in zip(fp.radial_rule(), uncached_radial_rule(fp, orders[0])):
+        assert_bits(got, ref)
+    for _ in range(2):   # the second call reads the cached rules
+        for got, ref in zip(fp.support_rule(), uncached_support_rule(fp, *orders)):
             assert_bits(got, ref)
-    for orders in ((24, 48, 24), (5, 9, 4)):
-        for _ in range(2):   # the second call reads the cached rules
-            for got, ref in zip(fp.support_rule(*orders), uncached_support_rule(fp, *orders)):
-                assert_bits(got, ref)
+
+
+@pytest.mark.parametrize("kind", ["shell", "volume"])
+@pytest.mark.parametrize("total, R", [(1.0, np.nan), (np.nan, 2.0), (-np.inf, 1.0),
+                                      (1.0, np.inf), (np.inf, np.inf)])
+def test_profile_refuses_a_non_finite_total_or_radius(kind, total, R):
+    with pytest.raises(ValueError, match="total must be finite|R must be positive and finite"):
+        DensityProfile(kind, total, R)
+
+
+@pytest.mark.parametrize("total", [0.0, -0.0])
+def test_profile_accepts_a_zero_total(total):
+    assert DensityProfile.volume(total, 1.0).moment(2) == 0.0

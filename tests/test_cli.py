@@ -1,6 +1,7 @@
 """Command-line front end: config precedence, config and data-file
-validation, output columns, exit codes, an admissibility report and the
-default flow table against pinned files, byte-identical reruns, the CSV
+validation, output columns, exit codes, an admissibility report, the
+default flow table and the default stationary outputs against pinned
+files, byte-identical reruns, the CSV
 writer against csv with one format per cell, and one shared parser that
 --config runs leave unchanged."""
 
@@ -132,6 +133,28 @@ def test_data_file_rejects_malformed_keys(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert "malformed data file" in err and repr(key) in err
     assert not (out / "admissibility_report.json").exists()
+
+
+@pytest.mark.parametrize("spec, code, word", [
+    ({"profile": {"kind": "shell", "total": 0, "R": 1}, "model": "nodvik"},
+     cli.EXIT_DOMAIN, "error: the profile's total"),
+    ({"profile": {"kind": "volume", "total": -1e-320, "R": 1}, "model": "abraham_spin",
+      "E_uniform": [1, 0, 0]}, cli.EXIT_DOMAIN, "error: the profile's total"),
+    ({"profile": {"kind": "shell", "total": -1, "R": 1}, "model": "abraham_spin",
+      "E_curl": 1e308}, cli.EXIT_NUMERICAL, "numerical failure: the abraham_spin constraint"),
+    ({"profile": {"kind": "shell", "total": -1, "R": 1e300}, "model": "nodvik",
+      "B_uniform": [0, 0, 1]}, cli.EXIT_NUMERICAL, "numerical failure: the field moments"),
+])
+def test_data_file_without_a_finite_average_writes_no_report(tmp_path, capsys, spec, code, word):
+    # a zero or subnormal total leaves no charge-weighted average to form;
+    # moments or a residual that overflow are a numerical failure
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert cli.main(["admissibility", "--data-file", str(path), "--out-dir", str(out)]) == code
+    assert word in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_data_file_with_every_key_matches_the_scenario(tmp_path, capsys):
@@ -346,6 +369,17 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
 def test_default_flow_table_matches_the_pinned_file(tmp_path, capsys):
     assert cli.main(["renorm-flow", "--out-dir", str(tmp_path)]) == cli.EXIT_OK
     assert (tmp_path / "flow.csv").read_bytes() == (DATA / "renorm_flow_default.csv").read_bytes()
+
+
+@pytest.mark.parametrize("profile", ["shell", "volume"])
+def test_default_stationary_outputs_match_the_pinned_files(tmp_path, capsys, profile):
+    # the volume's s_f is (4/35) q^2 R omega = 2/35 rounded once
+    assert cli.main(["stationary", "--profile", profile, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    for name in ("profile.csv", "summary.json"):
+        pinned = DATA / f"stationary_{profile}_default_{name}"
+        assert (tmp_path / f"stationary_{name}").read_bytes() == pinned.read_bytes()
+    s_f = json.loads((tmp_path / "stationary_summary.json").read_text())["s_f"]
+    assert s_f == [0.0, 0.0, 1.0 / 9.0 if profile == "shell" else 2.0 / 35.0]
 
 
 @pytest.mark.parametrize("grid, code", [("log:1e-320:0.5:2", cli.EXIT_DOMAIN),

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ledlab import bare_particle, fields
 from ledlab.bare_particle import DensityProfile
 from ledlab.fields import (
     NumericalFailure,
@@ -109,7 +110,7 @@ class TestMagneticMoment:
     @pytest.mark.parametrize("fe,expect", [(FE_SHELL, -1 / 3), (FE_VOL, -0.2)])
     def test_vs_quadrature(self, fe, expect):
         # (1/2c) int x cross (w cross x) f d^3x over the support rule
-        pts, w = fe.support_rule(24, 48, 24)
+        pts, w = fe.support_rule()
         om = np.array([0.0, 0.0, 1.0])
         integ = np.einsum("k,ki->i", w, np.cross(pts, np.cross(om, pts))) / 2
         np.testing.assert_allclose(magnetic_moment(fe, om), integ,
@@ -196,11 +197,13 @@ class TestFieldSpin:
         rel = abs(field_spin_poynting(st)[2] - field_spin_potential(st)[2]) / (1 / 9)
         assert rel < 1e-6
 
-    def test_agreement_improves_under_refinement(self):
+    def test_agreement_improves_under_refinement(self, monkeypatch):
         st = stationary_state(FE_SHELL, [0, 0, 0.7])
         ref = field_spin_potential(st)[2]
-        err = [abs(field_spin_poynting(st, n_grid=n)[2] - ref) / ref
-               for n in (300, 1200, 4800)]
+        err = []
+        for n in (300, 1200, 4800):
+            monkeypatch.setattr(fields, "POYNTING_NODES", n)
+            err.append(abs(field_spin_poynting(st)[2] - ref) / ref)
         assert err[1] < err[0] and err[2] < err[1]
 
     def test_volume_forms_agree(self):
@@ -209,18 +212,60 @@ class TestFieldSpin:
         s_poy = field_spin_poynting(st)
         np.testing.assert_allclose(s_poy, s_pot, rtol=1e-6)
 
-    def test_disagreement_raises(self):
+    def test_disagreement_raises(self, monkeypatch):
         st = stationary_state(FE_SHELL, [0, 0, 0.5])
+        monkeypatch.setattr(fields, "SPIN_CHECK_TOL", 1e-18)
         with pytest.raises(NumericalFailure):
-            field_spin(st, check_tol=1e-18)
+            field_spin(st)
 
-    def test_potential_form_oracle(self):
-        # int x cross A f d^3x over the 3-d support rule
-        st = stationary_state(FE_SHELL, [0, 0, 0.5])
-        pts, w = FE_SHELL.support_rule(24, 48, 24)
+    @pytest.mark.parametrize("fe", [FE_SHELL, FE_VOL, DensityProfile.volume(0.7, 2.5)])
+    def test_potential_form_oracle(self, fe):
+        # int x cross A f d^3x over the 3-d support rule, exact for the
+        # ball's polynomial integrand
+        st = stationary_state(fe, [0, 0, -0.5 / fe.R])
+        pts, w = fe.support_rule()
         integ = np.einsum("k,ki->i", w, np.cross(pts, st.A(pts)))
         np.testing.assert_allclose(field_spin_potential(st), integ,
-                                   rtol=1e-10, atol=1e-13)
+                                   rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["shell", "volume"])
+    def test_closed_form_against_mpmath(self, kind):
+        # (2/3) int alpha r^2 f d^3x omega at 50 digits, alpha from its two
+        # defining radial integrals, against the closed form at random
+        # (q, R, omega)
+        with mp.workdps(50):
+            coeff = mp_spin_coefficient(kind)
+            rng = np.random.default_rng(35)
+            worst = 0.0
+            for _ in range(100):
+                q = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3))
+                R = float(10.0 ** rng.uniform(-2, 2))
+                omega = float(rng.uniform(-0.999, 0.999) / R)
+                got = field_spin_potential(stationary_state(DensityProfile(kind, q, R),
+                                                            [0, 0, omega]))
+                exact = coeff * mp.mpf(q) ** 2 * mp.mpf(R) * mp.mpf(omega)
+                assert got[0] == got[1] == 0.0
+                worst = max(worst, float(abs(got[2] / exact - 1)))
+        assert worst <= 4e-16
+
+
+def mp_spin_coefficient(kind):
+    """s_f / (q^2 R omega) at the working precision: (2/3) int alpha r^2 f
+    d^3x at q = R = omega = 1, with alpha(r) = (4 pi / 3) [r^-3 int_0^r
+    f s^4 ds + int_r^R f s ds].  A shell's alpha is continuous at R, where
+    int_0^R f s^4 ds = 1 / 4 pi and the outer integral vanishes."""
+    if kind == "shell":
+        return mp.mpf(2) / 3 * (4 * mp.pi / 3) / (4 * mp.pi)
+    rho = 3 / (4 * mp.pi)
+
+    def quad(f, a, b):   # Gauss-Legendre: exact on these polynomials
+        return mp.quad(f, [a, b], method="gauss-legendre")
+
+    def alpha(r):
+        inner = quad(lambda s: rho * s**4, 0, r) / r**3
+        return 4 * mp.pi / 3 * (inner + quad(lambda s: rho * s, r, 1))
+
+    return mp.mpf(2) / 3 * quad(lambda r: alpha(r) * r**2 * rho * 4 * mp.pi * r**2, 0, 1)
 
 
 def maxwell_fluxes(e3, b3):
@@ -254,12 +299,15 @@ class TestStressEnergy:
 
 
 class TestExteriorMultipole:
-    def test_l1_projection_residual(self):
+    def test_l1_projection_residual(self, monkeypatch):
         # numerically computed vector potential outside the support is a
         # pure l=1 toroidal pattern: A parallel to (w cross x), amplitude
         # independent of direction
         st = stationary_state(FE_VOL, [0, 0, 0.6])
-        pts, wq = FE_VOL.support_rule(32, 64, 32)
+        monkeypatch.setattr(bare_particle, "ORDER_R", 32)
+        monkeypatch.setattr(bare_particle, "ORDER_THETA", 64)
+        monkeypatch.setattr(bare_particle, "ORDER_PHI", 32)
+        pts, wq = FE_VOL.support_rule()
         rng = np.random.default_rng(24)
         npts = 80
         dirs = rng.normal(size=(npts, 3))

@@ -319,11 +319,18 @@ class TestFixedAxis:
         with pytest.raises(ValueError, match="z axis"):
             solver.make_state(np.array(omega3))
 
+    @pytest.mark.parametrize("omega", [1.2, -1.0])
+    def test_make_state_refuses_a_superluminal_omega(self, volume, omega):
+        with pytest.raises(ValueError, match=f"equatorial speed omega R = {abs(omega):g} >= c = 1"):
+            volume.make_state(np.array([0.0, 0.0, omega]))
+
     def test_make_state_carries_the_z_amplitudes(self, volume):
         state = volume.make_state(np.array([0.0, 0.0, -0.3]), scale=0.5)
         assert isinstance(state.sb, float) and isinstance(state.omega, float)
         assert state.omega == -0.3 and state.w.shape == state.pi.shape == (volume.n,)
-        assert state.sb == bare_particle.bare_spin(volume.fm, [0.0, 0.0, -0.3])[2]
+        # sigma(|omega|) along omega, in that order of operations
+        assert state.sb == volume.curve.sigma(0.3) * -0.3 / 0.3
+        assert state.sb == pytest.approx(-volume.curve.sigma(0.3), rel=1e-15)
         assert state.w.tobytes() == (0.5 * volume.stationary_profile(-0.3)).tobytes()
 
     @pytest.mark.parametrize("start", [None, 0.25])

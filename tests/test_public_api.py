@@ -14,9 +14,12 @@ perfbench string constant that is neither a docstring nor part of an
 f-string; a bare identifier of the same spelling (a local variable, an
 argument) is no use of the method.  ORACLE_METHODS are the exceptions,
 methods kept only as independent checks.  The package's re-export list
-in src/ledlab/__init__.py counts as neither.  Importing every module of the
-package must not load scipy, which is a test-only dependency, nor build the
-CLI parser or a Gauss-Legendre rule.
+in src/ledlab/__init__.py counts as neither.  Every defaulted parameter
+must be passed, by keyword, by position or through `*`/`**`, by some call
+of its function's name in src/ledlab or perfbench/: a default that no run
+overrides is a constant, and UNPASSED_PARAMETERS are the exceptions.
+Importing every module of the package must not load scipy, which is a
+test-only dependency, nor build the CLI parser or a Gauss-Legendre rule.
 """
 
 import ast
@@ -56,6 +59,18 @@ ORACLE_METHODS = (
     "StationaryState.A",
     # the classifiers' family members, substituted back into the constraints
     "ConstraintReport.family_member",
+)
+
+
+UNPASSED_PARAMETERS = (
+    # the dt-halving study of the energy audit (ROADMAP.md, energy audit)
+    "GyroSolver.run.dt",
+    # the second-order check of a windowed Picard solve (ROADMAP.md, Picard)
+    "GyroSolver.picard_iterate.dt",
+    # gyration-rate terms of the effective force, which goes with the rest
+    # of the force layer in the next change of the benchmark (ROADMAP.md)
+    "pseudo_inertia.omega_dot3",
+    "pseudo_inertia.m_gyro_dot",
 )
 
 
@@ -229,3 +244,76 @@ def test_importing_every_module_builds_no_parser_and_no_rule():
              "print(len(built), cli._shared_parser.cache_info().currsize,\n"
              "      bare_particle._gauss.cache_info().currsize)\n")
     assert _after_importing_every_module(check, before=count) == "0 0 0"
+
+
+def _call_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def call_sites():
+    """name -> [(positional count, keywords)] of every call by that name
+    (`f(...)` or `x.f(...)`) in src/ledlab and perfbench/; a `*` argument
+    counts as every position and a `**` argument as every keyword (None)."""
+    sites = {}
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    for path in paths:
+        for call in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(call, ast.Call) and _call_name(call):
+                star = any(isinstance(a, ast.Starred) for a in call.args)
+                keywords = {k.arg for k in call.keywords}
+                sites.setdefault(_call_name(call), []).append(
+                    (float("inf") if star else len(call.args),
+                     None if None in keywords else keywords))
+    return sites
+
+
+def defaulted_parameters():
+    """(qualified parameter, call name, position or None) of each defaulted
+    parameter of a top-level function or of a method of a top-level class
+    in src/ledlab, but not of ORACLES and ORACLE_METHODS, which no run
+    calls.  Calls of a class name are calls of its __init__, and a method's
+    positions start after self."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            defs = [(None, node)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                defs = [(node.name, item) for item in node.body if isinstance(item, ast.FunctionDef)]
+            for owner, fn in defs:
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                args = fn.args.posonlyargs + fn.args.args
+                if owner and not static:
+                    args = args[1:]
+                name = owner if fn.name == "__init__" else fn.name
+                qual = f"{owner}.{fn.name}" if owner else fn.name
+                if qual in ORACLES + ORACLE_METHODS:
+                    continue
+                first = len(args) - len(fn.args.defaults)
+                out += [(f"{qual}.{arg.arg}", name, i)
+                        for i, arg in enumerate(args[first:], first)]
+                out += [(f"{qual}.{arg.arg}", name, None) for arg, default
+                        in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+    return out
+
+
+def unpassed_parameters():
+    sites = call_sites()
+    return sorted(qual for qual, name, pos in defaulted_parameters()
+                  if not any(keywords is None or qual.rpartition(".")[2] in keywords
+                             or (pos is not None and pos < n_pos)
+                             for n_pos, keywords in sites.get(name, ())))
+
+
+def test_every_defaulted_parameter_is_passed_by_a_run():
+    # a default that no call in src/ledlab or perfbench/ overrides is a
+    # constant spelled as an option
+    unlisted = sorted(set(unpassed_parameters()) - set(UNPASSED_PARAMETERS))
+    assert not unlisted, "defaulted parameters no run passes:\n" + "\n".join(unlisted)
+
+
+def test_every_unpassed_parameter_is_defined_and_passed_by_no_run():
+    defined = {qual for qual, _, _ in defaulted_parameters()}
+    assert not set(UNPASSED_PARAMETERS) - defined, "UNPASSED_PARAMETERS names undefined parameters"
+    passed = sorted(set(UNPASSED_PARAMETERS) - set(unpassed_parameters()))
+    assert not passed, "UNPASSED_PARAMETERS names parameters a run passes: " + ", ".join(passed)

@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ledlab.bare_particle import DensityProfile, bare_spin, gyrational_mass
+from ledlab.bare_particle import DensityProfile, GyrationCurve, gyrational_mass
 from ledlab.renormflow import (
     NATURAL,
     PhysicalConstants,
@@ -97,7 +97,7 @@ def test_flow_bare_terms_match_the_shell(eta):
     for k in SETTINGS:
         p = flow_point(eta, k)
         shell = DensityProfile.shell(p.m_b, p.R)
-        assert bare_spin(shell, [0.0, 0.0, p.omegaE])[2] == pytest.approx(p.s_b, rel=1e-14)
+        assert GyrationCurve(shell).sigma(p.omegaE) == pytest.approx(p.s_b, rel=1e-14)
         assert gyrational_mass(shell, p.omegaE) == pytest.approx(p.W_b, rel=1e-14)
 
 

@@ -85,16 +85,17 @@ def field_moments(data: InitialData) -> Moments:
         raise ValueError(f"the profile's total charge {q:g} is zero or subnormal: "
                          f"no charge-weighted average can be formed")
     pts, w = data.fe.support_rule()
-    e = np.asarray(data.e_fn(pts), dtype=float)
-    b = np.asarray(data.b_fn(pts), dtype=float)
-    mean_e = np.einsum("k,ki->i", w, e) / q
-    mean_b = np.einsum("k,ki->i", w, b) / q
-    torque_e = np.einsum("k,ki->i", w, np.cross(pts, e))
-    sigma_b = np.einsum("k,ki->i", w, pts * np.einsum("ki,ki->k", pts, b)[:, None])
-    mean_xce = torque_e / q
-    mean_xxb = sigma_b / q
-    xb = np.einsum("k,ki,kj->ij", w, pts, b) / q
-    xb_traceless = xb - np.trace(xb) * np.eye(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.asarray(data.e_fn(pts), dtype=float)
+        b = np.asarray(data.b_fn(pts), dtype=float)
+        mean_e = np.einsum("k,ki->i", w, e) / q
+        mean_b = np.einsum("k,ki->i", w, b) / q
+        torque_e = np.einsum("k,ki->i", w, np.cross(pts, e))
+        sigma_b = np.einsum("k,ki->i", w, pts * np.einsum("ki,ki->k", pts, b)[:, None])
+        mean_xce = torque_e / q
+        mean_xxb = sigma_b / q
+        xb = np.einsum("k,ki,kj->ij", w, pts, b) / q
+        xb_traceless = xb - np.trace(xb) * np.eye(3)
     if not np.isfinite(np.concatenate((mean_e, mean_b, torque_e, sigma_b, mean_xce, mean_xxb,
                                        xb_traceless.ravel()))).all():
         raise NumericalFailure("the field moments of these data are not finite")
@@ -325,7 +326,8 @@ CHECKS = {"nodvik": nodvik_check, "abraham_spin": abraham_spin_check,
 
 def run_check(data: InitialData, model: str) -> ConstraintReport:
     """The model's classifier; a non-finite residual raises NumericalFailure."""
-    report = CHECKS[model](data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = CHECKS[model](data)
     if not math.isfinite(report.residual):
         raise NumericalFailure(f"the {model} constraint residual is {report.residual:g}")
     return report

@@ -219,12 +219,12 @@ class GyrationCurve:
 
     `omega_cap` (units of 1/R) bounds the inverse: |s| >= sigma(cap) is
     rejected.  The default cap is the double-precision edge of the light
-    cone.
+    cone.  A profile whose mass is not positive is refused (ValueError).
     """
 
     def __init__(self, fm: DensityProfile, omega_cap: float = 1.0 - 1e-14):
-        if fm.total < 0:
-            raise ValueError("a gyration curve needs a nonnegative mass density")
+        if not fm.total > 0:
+            raise ValueError(f"mass must be positive, got {fm.total:g}")
         self.fm = fm
         self._ball = fm.kind == "volume"
         self._mR2 = fm.total * fm.R**2
@@ -307,9 +307,13 @@ class GyrationCurve:
 # inertial functionals
 # ---------------------------------------------------------------------------
 
-def _check_subluminal(fm: DensityProfile, omega_mag: float) -> None:
-    if omega_mag * fm.R >= 1.0:
-        raise ValueError(f"equatorial speed omega R = {omega_mag * fm.R:g} >= c = 1")
+def _check_subluminal(profile: DensityProfile, omega: float) -> None:
+    """The model's domain, an equator slower than light: |omega| R < c = 1,
+    which NaN and +-inf fail."""
+    b = abs(omega) * profile.R
+    if not b < 1.0:
+        raise ValueError(f"omega R must be finite and lie strictly between -1 and 1 (equatorial "
+                         f"speed below c = 1), got |omega| R = {b:g}")
 
 
 def gyrational_mass(fm: DensityProfile, omega: float) -> float:

@@ -10,7 +10,13 @@ and reuses it; a --config run sets the config values as defaults of its
 own freshly built parser, so the shared one never changes.
 
 Exit codes: 0 ok, 1 usage error, 2 domain error, 3 numerical failure or
-internal error.
+internal error; every refusal short of an internal error is one line.
+Each domain rule lives in the library function that owns the quantity,
+whose one-line ValueError opens with the quantity's name; for stationary
+and gyro-sim `main` puts the flag that sets it in front (FLAGS).  This
+module keeps the rules no library call sees: --n-radial >= 2, stationary's
+--r-max-over-R, --picard-iters >= 2, --cells-per-radius >= 1 and the form
+of --mb-grid.
 
 Units: c = 1, and hbar = m_e = 1 in renorm-flow.  --radius, --charge and
 --mass are physical inputs; --horizon counts R/c and --omega-over-c is
@@ -126,24 +132,9 @@ def _entry(spec, key, ok, expected, default=None):
     return value
 
 
-def _check_flags(args, positive=(), finite=()):
-    """Each flag of `positive` must be positive and finite, each of `finite`
-    finite (NaN is neither); anything else is a domain error naming it."""
-    for flag in positive + finite:
-        value = getattr(args, flag.replace("-", "_"))
-        if not _finite(value) or (flag in positive and value <= 0):
-            need = "positive and finite" if flag in positive else "finite"
-            raise ValueError(f"--{flag} must be {need}, got {value:g}")
-
-
-def _subluminal_omega(args) -> float:
-    """omega = --omega-over-c / --radius, whose equatorial speed |omega| R
-    must stay below c = 1, in the library's own arithmetic."""
-    omega = args.omega_over_c / args.radius
-    if abs(omega) * args.radius >= 1.0:
-        raise ValueError(f"--omega-over-c must lie strictly between -1 and 1 "
-                         f"(equatorial speed below c), got {args.omega_over_c:g}")
-    return omega
+# the flag that sets each library quantity a stationary or gyro-sim refusal names
+FLAGS = {"R": "--radius", "total": "--charge", "mass": "--mass", "omega R": "--omega-over-c",
+         "scale": "--perturb", "horizon": "--horizon", "r_max": "--r-max-over-R"}
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +152,13 @@ def cmd_renorm_flow(args) -> int:
         kind = None
     if kind != "log":
         raise ValueError(f"--mb-grid must look like log:LO:HI:N, got {args.mb_grid!r}")
-    if not (0.0 < lo < hi < 1.0):
-        raise ValueError("--mb-grid must lie strictly inside (0, 1) m_e")
     if n < 1:
         raise ValueError(f"--mb-grid needs at least one point, got N = {n}")
-    try:
-        rows = rf.flow_sweep(np.geomspace(lo, hi, n), k)
-    except ValueError as exc:   # a LO below what the flow can invert
+    try:   # eta_of_mb refuses an m_b outside (0, 1), a NaN or inf end included
+        with np.errstate(invalid="ignore"):
+            grid = np.geomspace(lo, hi, n)
+        rows = rf.flow_sweep(grid, k)
+    except ValueError as exc:
         raise ValueError(f"--mb-grid {args.mb_grid}: {exc}") from exc
 
     out = _out_dir(args)
@@ -189,23 +180,21 @@ def cmd_stationary(args) -> int:
     from .bare_particle import DensityProfile
     from .fields import stationary_state
 
-    _check_flags(args, positive=("radius", "r-max-over-R"), finite=("omega-over-c", "charge"))
     if args.n_radial < 2:
         raise ValueError(f"--n-radial must be at least 2, got {args.n_radial}")
-    omega = _subluminal_omega(args)
+    if not 0 < args.r_max_over_R < np.inf:
+        raise ValueError(f"--r-max-over-R must be positive and finite, got {args.r_max_over_R:g}")
     fe = DensityProfile(args.profile, -args.charge, args.radius)
-    st = stationary_state(fe, [0.0, 0.0, omega])
+    st = stationary_state(fe, [0.0, 0.0, args.omega_over_c / args.radius])
 
     out = _out_dir(args)
-    r = np.linspace(0.0, args.r_max_over_R * args.radius, args.n_radial)
-    table = st.profile_table(r)
+    table = st.profile_table(np.linspace(0.0, args.r_max_over_R * args.radius, args.n_radial))
     cols = ["r", "E_r", "alpha", "B_axial", "B_equatorial"]
     path = os.path.join(out, "stationary_profile.csv")
     _write_csv(path, cols, zip(*[table[c].tolist() for c in cols]))
     spath = os.path.join(out, "stationary_summary.json")
     _write_json(spath, st.summary())
-    print(path)
-    print(spath)
+    print(path, spath, sep="\n")
     return EXIT_OK
 
 
@@ -213,48 +202,41 @@ def cmd_gyro_sim(args) -> int:
     from .bare_particle import DensityProfile
     from .gyrodynamics import GyroSolver
 
-    _check_flags(args, positive=("cells-per-radius", "radius", "r-max-over-R", "mass", "horizon"),
-                 finite=("omega-over-c", "perturb", "charge"))
+    if args.cells_per_radius < 1:
+        raise ValueError(f"--cells-per-radius must be positive, got {args.cells_per_radius}")
     if args.mode == "picard" and args.picard_iters < 2:
         raise ValueError(f"--picard-iters must be at least 2, got {args.picard_iters}: a run "
                          f"contracts when its last gap is below its first, or 0")
-    omega = _subluminal_omega(args)
     fe = DensityProfile(args.profile, -args.charge, args.radius)
-    fm = DensityProfile(args.profile, args.mass, args.radius)
+    try:
+        fm = DensityProfile(args.profile, args.mass, args.radius)
+    except ValueError as exc:   # only its total can fail, fe having passed R
+        raise ValueError(f"--mass: {exc}") from exc
     solver = GyroSolver(fe, fm, dr=args.radius / args.cells_per_radius,
                         r_max=args.r_max_over_R * args.radius)
-    omega0 = np.array([0.0, 0.0, omega])
-    state = solver.make_state(omega0, scale=args.perturb)
-    written = []
+    state = solver.make_state(np.array([0.0, 0.0, args.omega_over_c / args.radius]),
+                              scale=args.perturb)
+    horizon = args.horizon * args.radius
 
     if args.mode == "picard":
-        res = solver.picard_iterate(state, n_max=args.picard_iters,
-                                    horizon=args.horizon * args.radius)
-        out = _out_dir(args)
-        path = os.path.join(out, "picard_gaps.csv")
-        _write_csv(path, ["iteration", "gap_w", "gap_pi", "gap_sb"],
+        res = solver.picard_iterate(state, n_max=args.picard_iters, horizon=horizon)
+        written = [os.path.join(_out_dir(args), "picard_gaps.csv")]
+        _write_csv(written[0], ["iteration", "gap_w", "gap_pi", "gap_sb"],
                    [[i, *gaps] for i, gaps
                     in enumerate(zip(res.gaps_w, res.gaps_pi, res.gaps_sb))])
-        written.append(path)
         peak = np.max([res.gaps_w, res.gaps_pi, res.gaps_sb], axis=0)
     else:
-        traj, fit = solver.run_to_stationary(
-            state, horizon=args.horizon * args.radius)
-        out = _out_dir(args)
-        path = os.path.join(out, "timeseries.csv")
+        traj, fit = solver.run_to_stationary(state, horizon=horizon)
+        written = [os.path.join(_out_dir(args), name) for name
+                   in ("timeseries.csv", "relaxation_fit.json", "energy_audit.json")]
         zeros = [0.0] * len(traj.t)
-        _write_csv(path, ["t", "omega_x", "omega_y", "omega_z",
-                          "sb_x", "sb_y", "sb_z", "W_b", "W_field_inside", "flux"],
+        _write_csv(written[0], ["t", "omega_x", "omega_y", "omega_z",
+                                "sb_x", "sb_y", "sb_z", "W_b", "W_field_inside", "flux"],
                    zip(traj.t.tolist(), zeros, zeros, traj.omega.tolist(), zeros, zeros,
                        traj.sb.tolist(), traj.W_b.tolist(), traj.W_field_inside.tolist(),
                        traj.flux.tolist()))
-        written.append(path)
-        fpath = os.path.join(out, "relaxation_fit.json")
-        _write_json(fpath, {"omega_inf": fit.omega_inf, "converged": fit.converged})
-        written.append(fpath)
-        apath = os.path.join(out, "energy_audit.json")
-        _write_json(apath, solver.energy_audit(traj))
-        written.append(apath)
+        _write_json(written[1], {"omega_inf": fit.omega_inf, "converged": fit.converged})
+        _write_json(written[2], solver.energy_audit(traj))
     for p in written:
         print(p)
     if args.mode == "picard" and not (np.all(np.isfinite(peak))
@@ -414,6 +396,7 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = None
     try:
         args = _shared_parser().parse_args(argv)
         if args.config:
@@ -424,7 +407,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        msg = str(exc)
+        if getattr(args, "command", None) in ("stationary", "gyro-sim"):
+            msg = next((f"{f}: {msg}" for q, f in FLAGS.items() if msg.startswith(q + " ")), msg)
+        print(f"error: {msg}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -111,19 +111,27 @@ class CFLError(ValueError):
     pass
 
 
+def _check_horizon(horizon: float) -> None:
+    """The one rule of a run's length, shared by `run` and `picard_iterate`."""
+    if not 0 < horizon < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon:g}")
+
+
 class GyroSolver:
     """Radial method-of-lines solver for the fixed-center gyration problem.
 
     Parameters
     ----------
-    fe, fm : charge and mass profiles (same support radius expected)
-    dr     : grid spacing (default R/20); R must sit on the grid
-    r_max  : outer radius (default 10 R)
+    fe, fm : charge and mass profiles (same support radius expected); the
+             mass must be positive
+    dr     : grid spacing (default R/20), positive and finite; R must sit
+             on the grid
+    r_max  : outer radius (default 10 R), finite and a cell beyond R
 
-    The outer boundary carries the local radiation condition that is
-    exact for the l=1 exterior family g'(t-r) + g(t-r)/r of r^2 w, which
-    in particular annihilates the static dipole tail.  The spin inversion
-    is capped at omega R = OMEGA_CAP.
+    ValueError refuses any other value.  The outer boundary carries the
+    local radiation condition that is exact for the l=1 exterior family
+    g'(t-r) + g(t-r)/r of r^2 w, which in particular annihilates the static
+    dipole tail.  The spin inversion is capped at omega R = OMEGA_CAP.
 
     The grid has `n` nodes r_i = i dr.  The charge support is its first
     `m` nodes: m is the index of the last nonzero `fe_nodes` entry plus one
@@ -149,15 +157,17 @@ class GyroSolver:
         R = fe.R
         if dr is None:
             dr = R / 20.0
+        if not 0 < dr < np.inf:
+            raise ValueError(f"dr must be positive and finite, got {dr:g}")
         n_in = int(round(R / dr))
         if abs(n_in * dr - R) > 1e-12 * R:
             dr = R / n_in  # snap the support radius onto the grid
         if r_max is None:
             r_max = 10.0 * R
-        n = int(round(r_max / dr))
+        n = int(round(r_max / dr)) if np.isfinite(r_max) else 0
         if n <= n_in:
-            raise ValueError(f"r_max = {r_max:g} must exceed the support radius "
-                             f"R = {R:g} by at least one cell")
+            raise ValueError(f"r_max must be positive, finite and exceed the support radius "
+                             f"R = {R:g} by at least one cell, got {r_max:g}")
         self.dr = dr
         self.r = np.arange(n + 1) * dr
         self.n = n + 1
@@ -293,16 +303,19 @@ class GyroSolver:
         is the zero dynamic field), with the bare spin matched to omega3.
         omega3 must lie on the z axis, the solver's fixed rotation axis.
 
-        s_b is sigma(|omega|) along omega on the solver's gyration curve;
-        |omega| R >= 1 raises ValueError.  Every scale keeps the Gauss
-        constraint satisfied (the toroidal sector is divergence-free).
+        s_b is sigma(|omega|) along omega on the solver's gyration curve.
+        Every scale keeps the Gauss constraint satisfied (the toroidal
+        sector is divergence-free).  ValueError refuses an omega off the z
+        axis or not below 1/R in magnitude, and a scale that is not finite.
         """
         omega3 = np.asarray(omega3, dtype=float)
         if omega3[0] or omega3[1]:
             raise ValueError(f"omega must lie on the z axis, got {omega3.tolist()}")
-        w = scale * self.stationary_profile(omega3[2])
         omega, mag = float(omega3[2]), float(np.linalg.norm(omega3))
         _check_subluminal(self.fm, mag)
+        if not np.isfinite(scale):
+            raise ValueError(f"scale must be finite, got {scale:g}")
+        w = scale * self.stationary_profile(omega3[2])
         sb = self.curve.sigma(mag) * omega / mag if mag else 0.0
         return GyroEvolutionState(w, np.zeros_like(w), sb, omega)
 
@@ -432,9 +445,9 @@ class GyroSolver:
         full grid's bit for bit.  s_e, the energy inside r_audit and the
         flux are evaluated over the time axis of each RECORD_BLOCK steps,
         row by row equal to one state's call, in memory flat in the horizon.
+        A horizon that is not positive and finite is refused (ValueError).
         """
-        if not horizon > 0:
-            raise ValueError(f"horizon must be positive, got {horizon:g}")
+        _check_horizon(horizon)
         if dt is None:
             dt = self.cfl_dt()
         r_audit = min(0.8 * self.r[-1], 4.0 * self.fe.R)
@@ -549,8 +562,7 @@ class GyroSolver:
         row k-1 into row k, one row at a time: np.cumsum along the leading
         axis of a field history gives the same bits 4-6 times slower.
         """
-        if not horizon > 0:
-            raise ValueError(f"Picard horizon must be positive, got {horizon:g}")
+        _check_horizon(horizon)
         if n_max < 1:
             raise ValueError(f"Picard needs at least one iteration, got n_max = {n_max}")
         if dt is None:

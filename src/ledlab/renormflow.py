@@ -157,9 +157,10 @@ def flow_point(eta: float, k: PhysicalConstants = NATURAL) -> RenormPoint:
 
 
 def eta_of_mb(m_b: float, k: PhysicalConstants = NATURAL) -> float:
-    """Invert m_b(eta); smooth and well conditioned for all m_b in (0, 1)."""
+    """Invert m_b(eta), smooth and well conditioned on (0, 1); ValueError
+    refuses any other m_b, NaN included."""
     if not (0.0 < m_b < 1.0):
-        raise ValueError("m_b must lie strictly between 0 and m_e = 1")
+        raise ValueError(f"m_b must lie strictly between 0 and m_e = 1, got {m_b:g}")
 
     def f(eta):
         return flow_point(eta, k).m_b - m_b
@@ -183,10 +184,7 @@ def eta_of_mb(m_b: float, k: PhysicalConstants = NATURAL) -> float:
 
 def flow_sweep(mb_grid, k: PhysicalConstants = NATURAL) -> list:
     """Table of RenormPoint rows over a bare-mass grid within (0, 1)."""
-    mb_grid = np.asarray(mb_grid, dtype=float)
-    if np.any(mb_grid <= 0) or np.any(mb_grid >= 1.0):
-        raise ValueError("grid must lie strictly inside (0, m_e)")
-    return [flow_point(eta_of_mb(float(mb), k), k) for mb in mb_grid]
+    return [flow_point(eta_of_mb(float(mb), k), k) for mb in np.asarray(mb_grid, dtype=float)]
 
 
 # ---------------------------------------------------------------------------

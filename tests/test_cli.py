@@ -1,5 +1,6 @@
 """Command-line front end: config precedence, config and data-file
-validation, output columns, exit codes, an admissibility report, the
+validation, output columns, exit codes, refusals that name their flag in
+one stderr line, an admissibility report, the
 default flow table and the default stationary outputs against pinned
 files, byte-identical reruns, the CSV
 writer against csv with one format per cell, and one shared parser that
@@ -11,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,22 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def _rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def _main(argv, capsys):
+    """The exit code of cli.main(argv) and its stderr lines, with one more
+    line per warning it issued, which a command-line run would print."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
+
+
+def _assert_one_line_refusal(code, lines):
+    """An exit 2, or an exit 3 that is not an internal error, prints one line."""
+    if code == cli.EXIT_DOMAIN or (code == cli.EXIT_NUMERICAL
+                                   and not any("internal error" in x for x in lines)):
+        assert len(lines) == 1, lines
 
 
 @pytest.fixture
@@ -151,9 +169,41 @@ def test_data_file_without_a_finite_average_writes_no_report(tmp_path, capsys, s
     path = tmp_path / "data.json"
     path.write_text(json.dumps(spec))
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert cli.main(["admissibility", "--data-file", str(path), "--out-dir", str(out)]) == code
-    assert word in capsys.readouterr().err
+    got, lines = _main(["admissibility", "--data-file", str(path), "--out-dir", str(out)], capsys)
+    assert got == code and word in lines[0]
+    _assert_one_line_refusal(got, lines)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, word", [
+    ({"profile": {"kind": "shell", "total": -1, "R": 1}, "model": "abraham_spin",
+      "E_curl": 1e308}, "numerical failure: the abraham_spin constraint"),
+    ({"profile": {"kind": "shell", "total": -1, "R": 1e300}, "model": "nodvik",
+      "B_uniform": [0, 0, 1]}, "numerical failure: the field moments"),
+])
+def test_overflowing_data_file_prints_one_line_in_a_subprocess(tmp_path, spec, word):
+    # numpy prints an overflow warning, source line included, unless the
+    # classifier's numerics run under np.errstate
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-W", "always", "-m", "ledlab.cli", "admissibility",
+                           "--data-file", str(path), "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    assert proc.stderr.splitlines() == [proc.stderr.strip()] and word in proc.stderr
+    assert not out.exists()
+
+
+def test_data_file_radius_is_not_the_radius_flag(tmp_path, capsys):
+    # the file's R is a quantity of the data, not --radius
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"profile": {"kind": "shell", "total": -1, "R": -1},
+                                "model": "nodvik"}))
+    out = tmp_path / "out"
+    code, lines = _main(["admissibility", "--data-file", str(path), "--out-dir", str(out)], capsys)
+    assert code == cli.EXIT_DOMAIN and lines == ["error: R must be positive and finite, got -1"]
     assert not out.exists()
 
 
@@ -293,11 +343,24 @@ def test_picard_exits_3_unless_its_gaps_contract(tmp_path, capsys, horizon, iter
     (["renorm-flow", "--mb-grid", "log:0.1:0.5:2.5"], cli.EXIT_DOMAIN),
     (["renorm-flow", "--mb-grid", "lin:0.1:0.5:3"], cli.EXIT_DOMAIN),
     (["renorm-flow", "--mb-grid", "log:0.1:nan:3"], cli.EXIT_DOMAIN),
+    (["renorm-flow", "--mb-grid", "log:0.1:inf:3"], cli.EXIT_DOMAIN),
+    (["renorm-flow", "--mb-grid", "log:inf:0.5:2"], cli.EXIT_DOMAIN),
+    (["renorm-flow", "--mb-grid", "log:-0.1:0.5:3"], cli.EXIT_DOMAIN),
+    (["renorm-flow", "--mb-grid", "log:0:0.5:3"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--r-max-over-R", "0.5"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--r-max-over-R", "inf"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--mass", "inf"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--mass", "-1"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--perturb", "inf"], cli.EXIT_DOMAIN),
+    (["gyro-sim", "--omega-over-c", "inf"], cli.EXIT_DOMAIN),
+    (["stationary", "--omega-over-c=-inf"], cli.EXIT_DOMAIN),
 ])
 def test_exit_codes(tmp_path, capsys, argv, code):
     out = tmp_path / "out"
-    assert cli.main([*argv, "--out-dir", str(out)]) == code
-    assert "internal error" not in capsys.readouterr().err
+    got, lines = _main([*argv, "--out-dir", str(out)], capsys)
+    assert got == code
+    assert not any("internal error" in x for x in lines)
+    _assert_one_line_refusal(got, lines)
     if code == cli.EXIT_DOMAIN:
         assert not out.exists()
 
@@ -309,43 +372,59 @@ def test_exit_codes(tmp_path, capsys, argv, code):
     (["--mode", "picard", "--picard-iters", "0"], "--picard-iters must be at least 2"),
     (["--mode", "picard", "--picard-iters", "-2"], "--picard-iters must be at least 2"),
     (["--mode", "picard", "--cells-per-radius", "0"], "--cells-per-radius"),
-    (["--omega-over-c", "nan"], "--omega-over-c must be finite"),
-    (["--perturb", "nan"], "--perturb must be finite"),
-    (["--radius", "nan"], "--radius must be positive"),
-    (["--r-max-over-R", "nan"], "--r-max-over-R must be positive"),
-    (["--mass", "0"], "--mass must be positive"),
-    (["--charge", "nan"], "--charge must be finite"),
-    (["--charge", "inf"], "--charge must be finite"),
-    (["--horizon", "inf"], "--horizon must be positive and finite"),
-    (["--horizon", "0"], "--horizon must be positive and finite"),
-    (["--mode", "picard", "--horizon", "inf"], "--horizon must be positive and finite"),
-    (["--omega-over-c", "1.0", "--horizon", "0.5"], "--omega-over-c must lie strictly between"),
-    (["--omega-over-c", "-1.5", "--mode", "picard"], "--omega-over-c must lie strictly between"),
+    (["--omega-over-c", "nan"], "--omega-over-c: omega R must be finite"),
+    (["--perturb", "nan"], "--perturb: scale must be finite"),
+    (["--radius", "nan"], "--radius: R must be positive"),
+    (["--r-max-over-R", "nan"], "--r-max-over-R: r_max must be positive"),
+    (["--mass", "0"], "--mass: mass must be positive"),
+    (["--charge", "nan"], "--charge: total must be finite"),
+    (["--charge", "inf"], "--charge: total must be finite"),
+    (["--horizon", "inf"], "--horizon: horizon must be positive and finite"),
+    (["--horizon", "0"], "--horizon: horizon must be positive and finite"),
+    (["--mode", "picard", "--horizon", "inf"], "--horizon: horizon must be positive and finite"),
+    (["--omega-over-c", "1.0", "--horizon", "0.5"],
+     "--omega-over-c: omega R must be finite and lie strictly between"),
+    (["--omega-over-c", "-1.5", "--mode", "picard"],
+     "--omega-over-c: omega R must be finite and lie strictly between"),
+    (["--r-max-over-R", "0.5"], "--r-max-over-R: r_max must be positive, finite and exceed the "
+                                "support radius"),
+    (["--mass", "inf"], "--mass: total must be finite"),
+    (["--mass", "-1"], "--mass: mass must be positive"),
+    (["--mode", "picard", "--charge", "inf"], "--charge: total must be finite"),
 ])
 def test_gyro_sim_refusal_names_the_flag(tmp_path, capsys, argv, flag):
-    assert cli.main(["gyro-sim", *argv, "--out-dir", str(tmp_path)]) == cli.EXIT_DOMAIN
-    assert f"error: {flag}" in capsys.readouterr().err
+    code, lines = _main(["gyro-sim", *argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert f"error: {flag}" in lines[0]
+    _assert_one_line_refusal(code, lines)
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["stationary", "--radius", "0"], "--radius must be positive"),
-    (["stationary", "--radius", "inf"], "--radius must be positive and finite"),
+    (["stationary", "--radius", "0"], "--radius: R must be positive"),
+    (["stationary", "--radius", "inf"], "--radius: R must be positive and finite"),
     (["stationary", "--r-max-over-R", "-1"], "--r-max-over-R must be positive"),
     (["stationary", "--n-radial", "1"], "--n-radial must be at least 2"),
-    (["stationary", "--omega-over-c", "nan"], "--omega-over-c must be finite"),
+    (["stationary", "--omega-over-c", "nan"], "--omega-over-c: omega R must be finite"),
     (["renorm-flow", "--mb-grid", "log:0.1:0.5:0"], "--mb-grid needs at least one point"),
     (["renorm-flow", "--mb-grid", "log:0.1:0.5:-3"], "--mb-grid needs at least one point"),
-    (["stationary", "--charge", "nan"], "--charge must be finite"),
+    (["stationary", "--charge", "nan"], "--charge: total must be finite"),
     (["renorm-flow", "--mb-grid", "log:0.1:0.5:x"], "--mb-grid must look like log:LO:HI:N"),
     (["renorm-flow", "--mb-grid", "log:0.1:x:3"], "--mb-grid must look like log:LO:HI:N"),
-    (["renorm-flow", "--mb-grid", "log:0.5:2.0:4"], "--mb-grid must lie strictly inside"),
-    (["stationary", "--omega-over-c", "1.5"], "--omega-over-c must lie strictly between"),
+    (["renorm-flow", "--mb-grid", "log:0.5:2.0:4"],
+     "--mb-grid log:0.5:2.0:4: m_b must lie strictly between 0 and m_e = 1"),
+    (["stationary", "--omega-over-c", "1.5"],
+     "--omega-over-c: omega R must be finite and lie strictly between"),
     (["stationary", "--omega-over-c", "-1", "--radius", "3"],
-     "--omega-over-c must lie strictly between"),
+     "--omega-over-c: omega R must be finite and lie strictly between"),
+    (["stationary", "--charge=-inf"], "--charge: total must be finite"),
+    (["renorm-flow", "--mb-grid", "log:0.1:inf:3"],
+     "--mb-grid log:0.1:inf:3: m_b must lie strictly between 0 and m_e = 1"),
 ])
 def test_stationary_and_flow_refusal_names_the_flag(tmp_path, capsys, argv, flag):
-    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == cli.EXIT_DOMAIN
-    assert f"error: {flag}" in capsys.readouterr().err
+    code, lines = _main([*argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert f"error: {flag}" in lines[0]
+    _assert_one_line_refusal(code, lines)
 
 
 @pytest.mark.parametrize("command, flag", [("admissibility", "--data-file"),

@@ -186,6 +186,22 @@ class TestFieldSpin:
         st = stationary_state(FE_SHELL, [0, 0, 0.0])
         np.testing.assert_allclose(field_spin(st), 0.0)
 
+    @pytest.mark.parametrize("fe", [FE_SHELL, FE_VOL])
+    def test_zero_omega_evaluates_no_poynting_integrand(self, fe, monkeypatch):
+        # the grid's integrand reads alpha at every node; at omega = 0 the
+        # Poynting form is zero before any node is built
+        calls = []
+        alpha = StationaryState.alpha
+        monkeypatch.setattr(StationaryState, "alpha",
+                            lambda self, r: calls.append(len(r)) or alpha(self, r))
+        for omega in (0.0, -0.0):
+            st = stationary_state(fe, [0, 0, omega])
+            assert field_spin_poynting(st).tolist() == [0.0, 0.0, 0.0]
+            assert field_spin(st).tolist() == [0.0, 0.0, omega]
+        assert calls == []
+        field_spin_poynting(stationary_state(fe, [0, 0, 1e-170]))
+        assert sum(calls) >= fields.POYNTING_NODES
+
     def test_shell_value(self):
         st = stationary_state(FE_SHELL, [0, 0, 0.5])
         s = field_spin(st)

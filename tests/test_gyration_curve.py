@@ -245,5 +245,5 @@ class TestInverse:
     def test_rejects_what_newton_cannot_invert(self):
         with pytest.raises(FloatingPointError):
             GyrationCurve(SHELL).invert(np.nan)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="mass must be positive"):
             GyrationCurve(DensityProfile.shell(-1.0, 1.0))

@@ -14,6 +14,7 @@ warm-started spin inversion."""
 import csv
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import mpmath as mp
@@ -321,7 +322,9 @@ class TestFixedAxis:
 
     @pytest.mark.parametrize("omega", [1.2, -1.0])
     def test_make_state_refuses_a_superluminal_omega(self, volume, omega):
-        with pytest.raises(ValueError, match=f"equatorial speed omega R = {abs(omega):g} >= c = 1"):
+        with pytest.raises(ValueError, match=re.escape(
+                "omega R must be finite and lie strictly between -1 and 1 (equatorial speed "
+                f"below c = 1), got |omega| R = {abs(omega):g}")):
             volume.make_state(np.array([0.0, 0.0, omega]))
 
     def test_make_state_carries_the_z_amplitudes(self, volume):
@@ -567,6 +570,7 @@ class TestPicardSweep:
         (dict(n_max=4, horizon=0.0), "horizon"),
         (dict(n_max=4, horizon=-0.5), "horizon"),
         (dict(n_max=4, horizon=float("nan")), "horizon"),
+        (dict(n_max=4, horizon=float("inf")), "horizon"),
         (dict(n_max=0, horizon=0.1), "n_max"),
         (dict(n_max=-2, horizon=0.1), "n_max"),
     ])

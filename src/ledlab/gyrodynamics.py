@@ -96,14 +96,19 @@ RECORD_BLOCK = 256      # time rows per pass of GyroSolver.run's field diagnosti
 
 @dataclass
 class PicardResult:
-    times: np.ndarray
-    gaps_w: np.ndarray
+    """`GyroSolver.picard_iterate` on the leading k nodes it sweeps (see
+    there): per iteration i the sup gaps to iterate i-1, of w and pi over
+    the leading k - i nodes, where both equal the full grid's, and of s_b;
+    and the last iterate, w and pi on the leading k - n_iter nodes, where
+    they equal the full grid's.  Both zones are all n nodes when k = n."""
+    times: np.ndarray        # (nt+1,)
+    gaps_w: np.ndarray       # (n_iter,)
     gaps_pi: np.ndarray
     gaps_sb: np.ndarray
     n_iter: int
-    w: np.ndarray            # (nt, n) final iterate
+    w: np.ndarray            # (nt+1, k - n_iter), or (nt+1, n) when k = n
     pi: np.ndarray
-    sb: np.ndarray
+    sb: np.ndarray           # (nt+1,)
     converged: bool
 
 
@@ -147,7 +152,9 @@ class GyroSolver:
     the rate for the torque, s_e of the field change for the spin), float
     arithmetic at the outer node and two float spin inversions of about
     three kernel passes each; `run` copies the slices that its records
-    read and evaluates them once per RECORD_BLOCK steps.
+    read and evaluates them once per RECORD_BLOCK steps.  `picard_iterate`
+    likewise sweeps only the leading k = min(n, p + 2 n_max + 2) nodes, p
+    those where the initial data moves, m for a state at rest (see there).
     """
 
     def __init__(self, fe: DensityProfile, fm: DensityProfile,
@@ -157,17 +164,20 @@ class GyroSolver:
         R = fe.R
         if dr is None:
             dr = R / 20.0
-        if not 0 < dr < np.inf:
-            raise ValueError(f"dr must be positive and finite, got {dr:g}")
-        n_in = int(round(R / dr))
+        cells = R / dr if 0 < dr < np.inf else 0.0
+        n_in = int(round(cells)) if cells < np.inf else 0
+        if n_in < 1:
+            raise ValueError(f"dr must be positive and below 2 R = {2.0 * R:g}, with R / dr finite, "
+                             f"so that R sits on the grid, got {dr:g}")
         if abs(n_in * dr - R) > 1e-12 * R:
             dr = R / n_in  # snap the support radius onto the grid
         if r_max is None:
             r_max = 10.0 * R
-        n = int(round(r_max / dr)) if np.isfinite(r_max) else 0
+        cells = r_max / dr
+        n = int(round(cells)) if np.isfinite(cells) else 0
         if n <= n_in:
             raise ValueError(f"r_max must be positive, finite and exceed the support radius "
-                             f"R = {R:g} by at least one cell, got {r_max:g}")
+                             f"R = {R:g} by at least one cell, with r_max / dr finite, got {r_max:g}")
         self.dr = dr
         self.r = np.arange(n + 1) * dr
         self.n = n + 1
@@ -425,7 +435,10 @@ class GyroSolver:
     # -- drivers -------------------------------------------------------------
     def _window(self, k: int) -> GyroSolver:
         """A shallow copy of the solver on the leading k nodes: node k-1 is
-        its outer node, where the outgoing law applies."""
+        its outer node, where the outgoing law applies.  The solver itself
+        when k spans the grid."""
+        if k >= self.n:
+            return self
         win = copy.copy(self)
         win.n, win.r, win.fe_nodes = k, self.r[:k], self.fe_nodes[:k]
         win._r_half4, win._lap_den = self._r_half4[:k - 1], self._lap_den[:k - 2]
@@ -455,11 +468,9 @@ class GyroSolver:
         i_audit = min(max(i_audit, int(round(self.fe.R / self.dr)) + 1), self.n - 2)
         n_steps = int(np.ceil(horizon / dt))
         k = min(self.n, i_audit + n_steps + 2)
-        win = self
-        if k < self.n:
-            win = self._window(k)
-            state = replace(state, w=state.w[:k], pi=state.pi[:k],
-                            lap=None if state.lap is None else state.lap[:k])
+        win = self._window(k)
+        state = replace(state, w=state.w[:k], pi=state.pi[:k],
+                        lap=None if state.lap is None else state.lap[:k])
 
         nt = n_steps + 1
         t, w_field, flux = np.empty(nt), np.empty(nt), np.empty(nt)
@@ -556,11 +567,36 @@ class GyroSolver:
         geometrically, after a transient whose length scales with
         horizon / dr (the norm of the discrete spatial operator).
 
-        One iteration costs one _accel over the (nt+1, n) history (with one
-        omega_many, torque and _outgoing) and three trapezoid running sums,
-        formed in place in the array they return.  The running sum adds
-        row k-1 into row k, one row at a time: np.cumsum along the leading
-        axis of a field history gives the same bits 4-6 times slower.
+        The initial data moves on its leading p nodes: p = m, or one past
+        the last nonzero (or NaN) rate if that lies beyond the support.
+        Beyond p the field is taken to be a static tail, a multiple of the
+        stationary profile's, as `make_state` builds it.  Each iteration
+        applies one laplacian, so iterate i differs from the initial data
+        only on its leading p + i nodes, and beyond them by round-off of the
+        static tail.  A grid cut at k nodes errs one node further inward per
+        iteration, so iterate i equals the full grid's on its leading k - i
+        nodes.  The sweep runs on the leading k = min(n, p + 2 n_max + 2)
+        nodes, and the w and pi gaps of iteration i (1-based) are taken over
+        the leading k - i of them (all n when k = n), which hold the p + i
+        that move.  A state from `step` has a rate of round-off out to the
+        outer node, so it is swept on the whole grid.
+
+        s_b reads only pi[:m], so s_b and its gaps equal the full grid's bit
+        for bit.  The w and pi gaps, and with them each iteration's largest
+        gap and the stop test, equal the full grid's unless the full grid's
+        largest is round-off of the static tail beyond the k - i nodes: from
+        a start at rest on the stationary state every gap after the first
+        is round-off, and the full grid's largest sits at its own outer
+        node, which no window holds.  w and pi of the last iterate are
+        returned on the k - n_iter nodes where they equal the full grid's.
+
+        One iteration costs one _accel over the (nt+1, k) history (with one
+        torque and _outgoing), one omega_many of the s_b rows that changed
+        since the last iteration (a cold `invert` is deterministic, so the
+        others keep their omega) and three trapezoid running sums, formed
+        in place in the array they return.  The running sum adds row k-1
+        into row k, one row at a time: np.cumsum along the leading axis of
+        a field history gives the same bits 4-6 times slower.
         """
         _check_horizon(horizon)
         if n_max < 1:
@@ -569,9 +605,13 @@ class GyroSolver:
             dt = self.cfl_dt()
         nt = int(np.ceil(horizon / dt))
         times = np.linspace(0.0, nt * dt, nt + 1)
+        moving = np.flatnonzero(state.pi)
+        p = max(self.m, int(moving[-1]) + 1 if moving.size else 0)
+        k = min(self.n, p + 2 * n_max + 2)
+        win = self._window(k)
 
-        w = np.repeat(state.w[None], nt + 1, axis=0)
-        pi = np.repeat(state.pi[None], nt + 1, axis=0)
+        w = np.repeat(state.w[None, :k], nt + 1, axis=0)
+        pi = np.repeat(state.pi[None, :k], nt + 1, axis=0)
         sb = np.full(nt + 1, state.sb)
 
         steps = np.diff(times)
@@ -587,8 +627,8 @@ class GyroSolver:
             np.add(f[1:], f[:-1], out=inc)
             inc *= steps[:, None]
             inc /= 2.0
-            for k in range(1, nt):
-                np.add(inc[k - 1], inc[k], out=inc[k])
+            for j in range(1, nt):
+                np.add(inc[j - 1], inc[j], out=inc[j])
             np.add(x0, 0.0, out=rows[0])
             np.add(x0, inc, out=inc)
             return out
@@ -599,21 +639,28 @@ class GyroSolver:
 
         gaps = []       # per iteration: sup gaps of w, pi and sb
         converged = False
-        rn2 = self._outer[0]
-        for _ in range(n_max):
-            omega = self.omega_many(sb)
-            rhs_pi = self._accel(w, omega)
-            a, b = self._outgoing(w[:, -2], w[:, -1], pi[:, -2])
+        rn2 = win._outer[0]
+        omega = np.empty(nt + 1)
+        sb_inverted = np.full(nt + 1, np.nan)   # the s_b rows omega holds; NaN equals no row
+        for i in range(1, n_max + 1):
+            changed = sb != sb_inverted
+            omega[changed] = win.omega_many(sb[changed])
+            sb_inverted = sb
+            rhs_pi = win._accel(w, omega)
+            a, b = win._outgoing(w[:, -2], w[:, -1], pi[:, -2])
             rhs_pi[:, -1] = a * pi[:, -1] + b / rn2
-            rhs_sb = self.torque(pi)
+            rhs_sb = win.torque(pi)
 
-            new = (integrate(state.w, pi), integrate(state.pi, rhs_pi),
+            new = (integrate(state.w[:k], pi), integrate(state.pi[:k], rhs_pi),
                    integrate(state.sb, rhs_sb))
-            gaps.append([gap(x, y) for x, y in zip(new, (w, pi, sb))])
+            exact = k if k == self.n else k - i   # the leading nodes iterate i has exact
+            gaps.append([gap(new[0][:, :exact], w[:, :exact]), gap(new[1][:, :exact], pi[:, :exact]),
+                         gap(new[2], sb)])
             w, pi, sb = new
             if stop_gap > 0 and len(gaps) >= 2 and max(gaps[-1] + gaps[-2]) < stop_gap:
                 converged = True
                 break
 
         gaps_w, gaps_pi, gaps_sb = np.array(gaps).reshape(-1, 3).T
-        return PicardResult(times, gaps_w, gaps_pi, gaps_sb, len(gaps), w, pi, sb, converged)
+        return PicardResult(times, gaps_w, gaps_pi, gaps_sb, len(gaps), w[:, :exact], pi[:, :exact],
+                            sb, converged)

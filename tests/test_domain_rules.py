@@ -5,7 +5,8 @@ opens with the quantity's name (the name `cli.FLAGS` maps to a flag):
     omega R   _check_subluminal: stationary_state, make_state, gyrational_mass
     scale     GyroSolver.make_state
     horizon   GyroSolver.run and GyroSolver.picard_iterate
-    dr, r_max GyroSolver.__init__
+    dr, r_max GyroSolver.__init__ (dr also below 2 R, so that R sits on the
+              grid, and R / dr and r_max / dr finite)
     mass      GyrationCurve
     m_b       renormflow.eta_of_mb, through flow_sweep
 """
@@ -80,6 +81,21 @@ def test_solver_refuses_an_r_max_that_is_not_finite_and_a_cell_beyond_r(r_max):
 @pytest.mark.parametrize("dr", [0.0, NAN, INF, -0.05])
 def test_solver_refuses_a_dr_that_is_not_positive_and_finite(dr):
     refuses("dr", GyroSolver, FE, FM, dr=dr)
+
+
+@pytest.mark.parametrize("dr", [2.5, 2.0, 1e300, 5e-324, 1e-310])
+def test_solver_refuses_a_dr_that_leaves_r_off_the_grid(dr):
+    # round(R / dr) is 0, no cell inside the support to snap R onto, or
+    # R / dr overflows
+    refuses("dr", GyroSolver, FE, FM, dr=dr, r_max=3.0 * dr)
+
+
+def test_solver_refuses_an_r_max_that_r_max_over_dr_overflows():
+    refuses("r_max", GyroSolver, FE, FM, dr=1e-300, r_max=1e10)
+
+
+def test_solver_snaps_r_onto_the_coarsest_grid():
+    assert GyroSolver(FE, FM, dr=1.9, r_max=4.0).dr == 1.0
 
 
 @pytest.mark.parametrize("mass", [0.0, -0.0, -2.0])

@@ -4,12 +4,13 @@ stationary fixed point, the CFL guard, the stationary operator bands, the
 spin coupling against node-by-node sums and a sequential node loop, the
 fixed-axis contracts of the state and the spin inversion, the laplacian
 against a node loop, the support-sliced stepper against a full-grid one,
-Picard against the stepper and bit for bit against a cumsum sweep, the
-run's batched records against each state's diagnostics, the shell's
-linear response against its closed-form transfer function, the relax
-run's verdict against the predicted equilibrium, a recorded relax time
-series, and the kernel passes, rejections and saturation of the
-warm-started spin inversion."""
+Picard against the stepper and bit for bit against a full-grid cumsum
+sweep on the nodes its window has exact, with its swept width and the
+spin rows it inverts, the run's batched records against each state's
+diagnostics, the shell's linear response against its closed-form
+transfer function, the relax run's verdict against the predicted
+equilibrium, a recorded relax time series, and the kernel passes,
+rejections and saturation of the warm-started spin inversion."""
 
 import csv
 import dataclasses
@@ -470,9 +471,12 @@ class TestSupportStepper:
 
 
 def cumsum_picard(s, state, n_max, horizon, stop_gap=0.0):
-    """The Picard sweep with np.cumsum over the time axis and fresh
-    temporaries: the trapezoid integral from t = 0 as a zero row plus a
-    cumulative sum of h (f[1:] + f[:-1]) / 2, added to the initial data."""
+    """The Picard sweep on the whole grid, with np.cumsum over the time
+    axis and fresh temporaries: the trapezoid integral from t = 0 as a zero
+    row plus a cumulative sum of h (f[1:] + f[:-1]) / 2, added to the
+    initial data.  Besides the sup gaps it keeps, per iteration, each
+    node's sup over time of the w and pi gaps (node_gaps_w, node_gaps_pi),
+    so that a test can take the gaps over any leading nodes."""
     dt = s.cfl_dt()
     nt = int(np.ceil(horizon / dt))
     times = np.linspace(0.0, nt * dt, nt + 1)
@@ -486,7 +490,7 @@ def cumsum_picard(s, state, n_max, horizon, stop_gap=0.0):
         np.cumsum(h * (f[1:] + f[:-1]) / 2.0, axis=0, out=out[1:])
         return out
 
-    gaps, converged = [], False
+    gaps, node_gaps, converged = [], [], False
     rn2 = s.r[-1] ** 2
     for _ in range(n_max):
         omega = s.omega_many(sb)
@@ -497,13 +501,66 @@ def cumsum_picard(s, state, n_max, horizon, stop_gap=0.0):
         new = (state.w[None] + cumint(pi), state.pi[None] + cumint(rhs_pi),
                state.sb + cumint(rhs_sb))
         gaps.append([float(np.max(np.abs(x - y))) for x, y in zip(new, (w, pi, sb))])
+        node_gaps.append([np.max(np.abs(x - y), axis=0) for x, y in zip(new[:2], (w, pi))])
         w, pi, sb = new
         if stop_gap > 0 and len(gaps) >= 2 and max(gaps[-1] + gaps[-2]) < stop_gap:
             converged = True
             break
     gaps_w, gaps_pi, gaps_sb = np.array(gaps).T
+    node_gaps_w, node_gaps_pi = (np.array(x) for x in zip(*node_gaps))
     return dict(times=times, gaps_w=gaps_w, gaps_pi=gaps_pi, gaps_sb=gaps_sb,
-                n_iter=len(gaps), w=w, pi=pi, sb=sb, converged=converged)
+                n_iter=len(gaps), w=w, pi=pi, sb=sb, converged=converged,
+                node_gaps_w=node_gaps_w, node_gaps_pi=node_gaps_pi)
+
+
+def picard_width(s, state, n_max):
+    """The leading nodes that picard_iterate sweeps: the p nodes where the
+    initial data moves (m, or one past the last rate that is not 0) and
+    2 n_max + 2 more."""
+    moving = np.flatnonzero(state.pi)
+    p = max(s.m, moving[-1] + 1 if moving.size else 0)
+    return min(s.n, p + 2 * n_max + 2)
+
+
+def peaks(gaps_w, gaps_pi, gaps_sb):
+    """Each iteration's largest gap, which the CLI's verdict reads."""
+    return np.max([gaps_w, gaps_pi, gaps_sb], axis=0)
+
+
+def assert_matches_the_full_grid_sweep(s, state, res, ref, n_max, peak=True):
+    """res of picard_iterate against cumsum_picard's full-grid sweep ref:
+    times, s_b, its gaps, n_iter and converged bit for bit, and (with peak)
+    each iteration's largest gap; the w and pi gaps of iteration i bit for
+    bit over the leading k - i nodes that a window k < n has exact (all n
+    when k = n), and w and pi on the k - n_iter nodes the last iterate has
+    exact, which are all that it returns."""
+    k = picard_width(s, state, n_max)
+    for key in ("times", "sb", "gaps_sb"):
+        assert getattr(res, key).tobytes() == ref[key].tobytes(), key
+    assert (res.n_iter, res.converged) == (ref["n_iter"], ref["converged"])
+    if peak:
+        got = peaks(res.gaps_w, res.gaps_pi, res.gaps_sb)
+        assert got.tobytes() == peaks(ref["gaps_w"], ref["gaps_pi"], ref["gaps_sb"]).tobytes()
+    zones = [k if k == s.n else k - i for i in range(1, res.n_iter + 1)]
+    for key in ("w", "pi"):
+        zone_gaps = np.array([row[:z].max() for row, z in zip(ref["node_gaps_" + key], zones)])
+        assert getattr(res, "gaps_" + key).tobytes() == zone_gaps.tobytes(), key
+        exact = zones[-1]
+        assert getattr(res, key).shape == (len(res.times), exact), key
+        assert getattr(res, key).tobytes() == ref[key][:, :exact].tobytes(), key
+
+
+def swept_widths(monkeypatch):
+    """The node counts of the histories that each laplacian call sees."""
+    widths = []
+    laplacian = GyroSolver.laplacian
+
+    def counted(self, w):
+        widths.append(w.shape[-1])
+        return laplacian(self, w)
+
+    monkeypatch.setattr(GyroSolver, "laplacian", counted)
+    return widths
 
 
 def picard_case(name):
@@ -520,39 +577,135 @@ def picard_case(name):
         return shell, cli_state, dict(n_max=3, horizon=0.5 * shell.cfl_dt())
     if name == "diverging":
         return shell, cli_state, dict(n_max=40, horizon=1.0)
-    # a rate that is not finite outside the support: inf and NaNs of both
-    # signs run through the field sums while s_b stays finite
+    # a rate that is not finite just outside the support, which widens the
+    # sweep by 4 nodes: inf and NaNs of both signs run through the field
+    # sums while s_b stays finite
     pi = cli_state.pi.copy()
-    pi[-12:-9] = [np.inf, -np.inf, np.nan]
+    m = shell.m
+    pi[m + 1:m + 4] = [np.inf, -np.inf, np.nan]
     return shell, dataclasses.replace(cli_state, pi=pi), dict(n_max=4, horizon=0.1)
 
 
+PICARD_CASES = ["converging_shell", "volume", "two_rows", "diverging", "non_finite"]
+# two_rows starts at rest on the stationary state, so every gap after the
+# first is round-off; the full grid's largest (8.7e-21 and 1.3e-21, in pi)
+# sits at its own outer node, whose outgoing law integrates the round-off
+# residue of the static tail, outside any window.  So the window does not
+# keep the largest gap of every iteration there.
+ROUNDOFF_PEAK = pytest.mark.xfail(strict=True, reason="the full grid's largest gap is round-off "
+                                  "at its own outer node, outside the window")
+
+
 class TestPicardSweep:
-    @pytest.mark.parametrize("name", ["converging_shell", "volume", "two_rows",
-                                      "diverging", "non_finite"])
+    """picard_iterate sweeps the leading k = min(n, p + 2 n_max + 2) nodes,
+    p those where the initial data moves, and keeps every bit of the
+    full-grid sweep on the nodes it has exact."""
+
+    @pytest.mark.parametrize("name", PICARD_CASES)
     def test_matches_the_cumsum_sweep_bit_for_bit(self, name):
         s, state, kwargs = picard_case(name)
         with np.errstate(all="ignore"):
             ref = cumsum_picard(s, state, **kwargs)
             res = s.picard_iterate(state, **kwargs)
-        for key, value in ref.items():
-            got = getattr(res, key)
-            if isinstance(value, np.ndarray):
-                assert got.shape == value.shape, key
-                assert got.tobytes() == value.tobytes(), key
-            else:
-                assert got == value, key
+        assert picard_width(s, state, kwargs["n_max"]) < s.n
+        # the largest gap of each iteration: test_keeps_each_iteration_s_largest_gap
+        assert_matches_the_full_grid_sweep(s, state, res, ref, kwargs["n_max"], peak=False)
         gaps = np.array([res.gaps_w, res.gaps_pi, res.gaps_sb])
         if name == "converging_shell":
             assert res.converged and res.n_iter < kwargs["n_max"]
         if name == "two_rows":
             assert len(res.times) == 2
+            assert res.gaps_pi[0] == ref["gaps_pi"][0] > 0.0
+            assert np.all(gaps[:, 1:] == 0.0) and 0.0 < ref["gaps_pi"][1:].max() < 1e-20
+            assert ref["node_gaps_pi"][1:, :-1].max() == 0.0
         if name == "diverging":
             assert np.all(np.isfinite(gaps)) and gaps[:, -1].max() > 1e10 * gaps[:, 0].max()
         if name == "non_finite":
             nan = res.w[np.isnan(res.w)]
             assert np.signbit(nan).any() and not np.signbit(nan).all()
             assert np.isinf(res.pi).any() and np.all(np.isfinite(res.sb))
+            assert np.isnan(gaps[:2]).all() and np.all(np.isfinite(res.gaps_sb))
+
+    @pytest.mark.parametrize("name", [pytest.param(name, marks=ROUNDOFF_PEAK)
+                                      if name == "two_rows" else name for name in PICARD_CASES])
+    def test_keeps_each_iteration_s_largest_gap(self, name):
+        s, state, kwargs = picard_case(name)
+        with np.errstate(all="ignore"):
+            ref = cumsum_picard(s, state, **kwargs)
+            res = s.picard_iterate(state, **kwargs)
+        got = peaks(res.gaps_w, res.gaps_pi, res.gaps_sb)
+        assert got.tobytes() == peaks(ref["gaps_w"], ref["gaps_pi"], ref["gaps_sb"]).tobytes()
+
+    @pytest.mark.parametrize("n_max", [1, 2])
+    @pytest.mark.parametrize("kind", ["shell", "volume"])
+    def test_one_and_two_iterations_match_the_full_grid(self, kind, n_max):
+        s = GyroSolver(getattr(DensityProfile, kind)(-1.0, 1.0),
+                       getattr(DensityProfile, kind)(MASS, 1.0))
+        state = perturbed_state(s)
+        ref = cumsum_picard(s, state, n_max, 0.15)
+        res = s.picard_iterate(state, n_max, 0.15)
+        assert picard_width(s, state, n_max) == s.m + 2 * n_max + 2 < s.n
+        assert_matches_the_full_grid_sweep(s, state, res, ref, n_max)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_window_edge_matches_the_full_grid(self, offset):
+        """m + 2 n_max + 2 = 31 nodes at n_max = 4 on grids of n = 31 + offset:
+        the sweep's width lands on n - 1 (a window of one node less), n and
+        n + 1 (both the whole grid)."""
+        s = GyroSolver(FE, FM, r_max=(30 + offset) / 20.0)
+        assert s.m + 2 * 4 + 2 == 31 and s.n == 31 + offset
+        state = perturbed_state(s)
+        ref = cumsum_picard(s, state, 4, 0.1)
+        res = s.picard_iterate(state, 4, 0.1)
+        assert res.w.shape[1] == (s.n if s.n <= 31 else 31 - res.n_iter)
+        assert_matches_the_full_grid_sweep(s, state, res, ref, 4)
+
+    @pytest.mark.parametrize("name, beyond", [("converging_shell", 0), ("diverging", 0),
+                                              ("two_rows", 0), ("non_finite", 4)])
+    def test_sweeps_the_domain_of_influence(self, name, beyond, monkeypatch):
+        """m + 2 n_max + 2 nodes from a state at rest outside the support,
+        and as many more as the rate reaches beyond it."""
+        s, state, kwargs = picard_case(name)
+        widths = swept_widths(monkeypatch)
+        with np.errstate(all="ignore"):
+            res = s.picard_iterate(state, **kwargs)
+        assert widths == [min(s.n, s.m + beyond + 2 * kwargs["n_max"] + 2)] * res.n_iter
+
+    def test_a_rate_beyond_the_support_widens_the_sweep(self, monkeypatch):
+        s = GyroSolver(FE, FM, r_max=40.0)
+        pi = np.zeros(s.n)
+        pi[s.m + 30] = 1e-3
+        state = dataclasses.replace(perturbed_state(s), pi=pi)
+        ref = cumsum_picard(s, state, 6, 0.15)
+        widths = swept_widths(monkeypatch)
+        res = s.picard_iterate(state, 6, 0.15)
+        assert widths == [s.m + 31 + 2 * 6 + 2] * 6
+        assert_matches_the_full_grid_sweep(s, state, res, ref, 6)
+
+    def test_a_stepped_state_is_swept_on_the_whole_grid(self, monkeypatch):
+        """step leaves a rate of round-off out to the outer node."""
+        s = GyroSolver(FE, FM)
+        state = stepped_state(s)
+        assert state.pi[-1] != 0.0
+        ref = cumsum_picard(s, state, 4, 0.1)
+        widths = swept_widths(monkeypatch)
+        res = s.picard_iterate(state, 4, 0.1)
+        assert widths == [s.n] * 4
+        assert_matches_the_full_grid_sweep(s, state, res, ref, 4)
+        for key in ("gaps_w", "gaps_pi", "w", "pi"):
+            assert getattr(res, key).tobytes() == ref[key].tobytes(), key
+
+    def test_inverts_only_the_spin_rows_that_changed(self, monkeypatch):
+        s, state, kwargs = picard_case("converging_shell")
+        ref = cumsum_picard(s, state, **kwargs)
+        calls = []
+        invert = bare_particle.GyrationCurve.invert
+        monkeypatch.setattr(bare_particle.GyrationCurve, "invert",
+                            lambda self, sb, start=None: calls.append(sb) or invert(self, sb, start))
+        res = s.picard_iterate(state, **kwargs)
+        rows = len(res.times)
+        assert res.n_iter > 40 and 0 < len(calls) < res.n_iter * rows / 2
+        assert_matches_the_full_grid_sweep(s, state, res, ref, kwargs["n_max"])
 
     def test_leaves_the_state_alone_and_returns_fresh_arrays(self):
         s = GyroSolver(FE, FM)

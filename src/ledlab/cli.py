@@ -375,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run time in units of R/c")
     sp.add_argument("--cells-per-radius", type=int, default=20)
     sp.add_argument("--r-max-over-R", type=float, default=10.0)
-    sp.add_argument("--picard-iters", type=int, default=40)
+    sp.add_argument("--picard-iters", type=int, default=20,
+                    help="iterations of --mode picard: pi, then w and s_b from it")
 
     sp = sub.add_parser("admissibility", help="singular-limit data classifier")
     common(sp)

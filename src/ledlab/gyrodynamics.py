@@ -155,6 +155,9 @@ class GyroSolver:
     read and evaluates them once per RECORD_BLOCK steps.  `picard_iterate`
     likewise sweeps only the leading k = min(n, p + 2 n_max + 2) nodes, p
     those where the initial data moves, m for a state at rest (see there).
+    Each of its iterations integrates pi, then w and s_b from that pi, for
+    one laplacian of the (nt+1, k) history, nt+1 spin inversions and three
+    running sums, and it stops after the first whose gaps are below stop_gap.
     """
 
     def __init__(self, fe: DensityProfile, fm: DensityProfile,
@@ -559,13 +562,16 @@ class GyroSolver:
                        stop_gap: float = 0.0) -> PicardResult:
         """Successive integration of the quasi-explicit system.
 
-        Iterate n+1 integrates the stepper's right-hand sides (_accel, the
-        outgoing law and torque) evaluated on iterate n over [0, horizon]
-        (trapezoid in time), starting from histories constant at the
-        initial data.  Gap diagnostics are sup-norms between consecutive
-        iterates; in the contraction regime the tail gaps shrink
-        geometrically, after a transient whose length scales with
-        horizon / dr (the norm of the discrete spatial operator).
+        Starting from histories constant at the initial data, iteration i
+        integrates over [0, horizon] (trapezoid in time) pi from the
+        stepper's _accel and outgoing law on iterate i-1, then w and s_b
+        (torque) from that new pi: the Gauss-Seidel order, which from rest
+        (pi = 0) reaches at iteration i the Jacobi order's iterate 2i.  Gap
+        diagnostics are sup-norms between consecutive iterates; in the
+        contraction regime the tail gaps shrink geometrically, after a
+        transient whose length scales with horizon / dr (the norm of the
+        discrete spatial operator).  The sweep stops, converged, after the
+        first iteration whose three gaps are all below stop_gap.
 
         The initial data moves on its leading p nodes: p = m, or one past
         the last nonzero (or NaN) rate if that lies beyond the support.
@@ -591,12 +597,11 @@ class GyroSolver:
         returned on the k - n_iter nodes where they equal the full grid's.
 
         One iteration costs one _accel over the (nt+1, k) history (with one
-        torque and _outgoing), one omega_many of the s_b rows that changed
-        since the last iteration (a cold `invert` is deterministic, so the
-        others keep their omega) and three trapezoid running sums, formed
-        in place in the array they return.  The running sum adds row k-1
-        into row k, one row at a time: np.cumsum along the leading axis of
-        a field history gives the same bits 4-6 times slower.
+        torque and _outgoing), one omega_many of the nt+1 s_b rows and three
+        trapezoid running sums, formed in place in the array they return.
+        The running sum adds row k-1 into row k, one row at a time: np.cumsum
+        along the leading axis of a field history gives the same bits 4-6
+        times slower.
         """
         _check_horizon(horizon)
         if n_max < 1:
@@ -638,29 +643,20 @@ class GyroSolver:
             return float(np.abs(d, out=d).max())
 
         gaps = []       # per iteration: sup gaps of w, pi and sb
-        converged = False
         rn2 = win._outer[0]
-        omega = np.empty(nt + 1)
-        sb_inverted = np.full(nt + 1, np.nan)   # the s_b rows omega holds; NaN equals no row
         for i in range(1, n_max + 1):
-            changed = sb != sb_inverted
-            omega[changed] = win.omega_many(sb[changed])
-            sb_inverted = sb
-            rhs_pi = win._accel(w, omega)
+            rhs_pi = win._accel(w, win.omega_many(sb))
             a, b = win._outgoing(w[:, -2], w[:, -1], pi[:, -2])
             rhs_pi[:, -1] = a * pi[:, -1] + b / rn2
-            rhs_sb = win.torque(pi)
-
-            new = (integrate(state.w[:k], pi), integrate(state.pi[:k], rhs_pi),
-                   integrate(state.sb, rhs_sb))
+            new_pi = integrate(state.pi[:k], rhs_pi)
+            new = (integrate(state.w[:k], new_pi), new_pi, integrate(state.sb, win.torque(new_pi)))
             exact = k if k == self.n else k - i   # the leading nodes iterate i has exact
             gaps.append([gap(new[0][:, :exact], w[:, :exact]), gap(new[1][:, :exact], pi[:, :exact]),
                          gap(new[2], sb)])
             w, pi, sb = new
-            if stop_gap > 0 and len(gaps) >= 2 and max(gaps[-1] + gaps[-2]) < stop_gap:
-                converged = True
+            if max(gaps[-1]) < stop_gap:
                 break
 
-        gaps_w, gaps_pi, gaps_sb = np.array(gaps).reshape(-1, 3).T
+        gaps_w, gaps_pi, gaps_sb = np.array(gaps).T
         return PicardResult(times, gaps_w, gaps_pi, gaps_sb, len(gaps), w[:, :exact], pi[:, :exact],
-                            sb, converged)
+                            sb, max(gaps[-1]) < stop_gap)

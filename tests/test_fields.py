@@ -234,6 +234,15 @@ class TestFieldSpin:
         with pytest.raises(NumericalFailure):
             field_spin(st)
 
+    @pytest.mark.parametrize("fe", [FE_SHELL, FE_VOL])
+    def test_disagreement_at_a_tiny_omega_raises(self, fe, monkeypatch):
+        # a 2-norm squares a gap of 1e-171 to 0
+        st = stationary_state(fe, [0, 0, 1e-170])
+        assert field_spin(st)[2] > 0.0
+        monkeypatch.setattr(fields, "field_spin_poynting", lambda st: np.zeros(3))
+        with pytest.raises(NumericalFailure):
+            field_spin(st)
+
     @pytest.mark.parametrize("fe", [FE_SHELL, FE_VOL, DensityProfile.volume(0.7, 2.5)])
     def test_potential_form_oracle(self, fe):
         # int x cross A f d^3x over the 3-d support rule, exact for the

@@ -132,9 +132,10 @@ def _entry(spec, key, ok, expected, default=None):
     return value
 
 
-# the flag that sets each library quantity a stationary or gyro-sim refusal names
+# the flags that set each library quantity a stationary or gyro-sim refusal names
 FLAGS = {"R": "--radius", "total": "--charge", "mass": "--mass", "omega R": "--omega-over-c",
-         "scale": "--perturb", "horizon": "--horizon", "r_max": "--r-max-over-R"}
+         "scale": "--perturb", "horizon": "--horizon", "r_max": "--r-max-over-R",
+         "|s_b + s_e|": "--perturb (with --omega-over-c, --mass, --charge)"}
 
 
 # ---------------------------------------------------------------------------

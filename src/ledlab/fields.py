@@ -112,7 +112,9 @@ class StationaryState:
 
     def E(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(x, axis=-1)
+        r = np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] + x[:, 2] * x[:, 2])
+        if np.all(r > 0):
+            return (self.e_radial(r) / r)[:, None] * x
         out = np.zeros_like(x)
         pos = r > 0
         out[pos] = (self.e_radial(r[pos]) / r[pos])[:, None] * x[pos]
@@ -120,17 +122,16 @@ class StationaryState:
 
     def B(self, x) -> np.ndarray:
         """curl A for A = alpha(r) (w x x):
-        B = (2 alpha + r alpha') w - alpha' r (w.x^) x^."""
+        B = (2 alpha + r alpha') w - alpha' r (w.x^) x^, each row summed in
+        one fixed order, so that a point's B does not depend on its batch."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(x, axis=-1)
+        r = np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] + x[:, 2] * x[:, 2])
         a = self.alpha(r)
         ap = self.alpha_prime(r)
-        out = np.tile((2.0 * a + r * ap)[:, None] * self.omega3, (1, 1))
-        pos = r > 0
-        xhat = np.zeros_like(x)
-        xhat[pos] = x[pos] / r[pos, None]
-        out -= (ap * r * (xhat @ self.omega3))[:, None] * xhat
-        return out
+        xhat = np.divide(x, r[:, None], out=np.zeros_like(x), where=(r > 0)[:, None])
+        w = self.omega3
+        w_xhat = xhat[:, 0] * w[0] + xhat[:, 1] * w[1] + xhat[:, 2] * w[2]
+        return (2.0 * a + r * ap)[:, None] * w - (ap * r * w_xhat)[:, None] * xhat
 
     def profile_table(self, r) -> dict:
         """Radial field profiles for export: E_r and the l=1 mode data."""

@@ -21,7 +21,7 @@ self-field with radial E.  Terms 2 and 4 are small against M_b g for
 electron-matched stationary data, which is what makes the worldline
 equation invertible.
 
-Every node integral is built from four-vectors: contravariant components,
+Node integrands are built from four-vectors: contravariant components,
 signature (-,+,+,+), in units with c = 1.  Dots contract through g and
 F is antisymmetric, so v.F = -F.v.  The anticommutator of two
 antisymmetric tensors is symmetric, hence term 2 is symmetric by
@@ -29,6 +29,14 @@ construction:
 
     sum_k w_k [x(x)x, [F_k, Om]_+]_+ = M + M^T,
     M = sum_k w_k x_k (x) ((x_k.F_k).Om + (x_k.Om).F_k).
+
+Each integrand is linear in G = (E, B) and of degree <= 2 in x, so the
+nodes enter only through the moments t^{mn} = sum_k w_k y_k^m y_k^n G_k
+of y = (1, xi) = u + x, one matmul of the ten monomials y^m y^n against
+E and B.  For phi linear in y and in G, sum_k w_k y_k^m phi(y_k, G_k) is
+the node formula on 16 moment nodes, sum_n phi(e_n, t^{mn}).  The
+supplied time derivative has degree 3 in x; it is summed node by node,
+as is force_dot_u's coupling, an independent check of minkowski_force.
 """
 
 from __future__ import annotations
@@ -45,6 +53,11 @@ METRIC.flags.writeable = False
 
 _E0 = np.array([1.0, 0.0, 0.0, 0.0])     # u, the rest-frame four-velocity
 _SPACE = np.diag([0.0, 1.0, 1.0, 1.0])   # projector onto the space of u, through g
+
+# the ten monomials y^m y^n (m <= n) of the moment block, and the row of
+# each (m, n) among them
+_MONOMIALS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+_PAIR = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
 
 
 def _frozen(a, shape) -> np.ndarray:
@@ -130,15 +143,22 @@ def gyration_tensor(omega3) -> Rank2Tensor:
 def _slice(snapshot: FieldSnapshot, fe: DensityProfile, omega3):
     """Quadrature on the rest-frame slice through the centre.
 
-    Returns (w, x4, e, b, om): weights carrying the measure f_e d^3 xi,
-    the slice four-vectors x4 = (0, xi), E and B at the nodes, and the
-    gyration tensor of omega3.
+    Returns (w, x4, e, b, om, t): weights carrying the measure f_e d^3 xi,
+    the slice four-vectors x4 = (0, xi), E and B at the nodes, the
+    gyration tensor of omega3, and the moments of G = (E, B),
+    t[m, n] = sum_k w_k y_k^m y_k^n G_k with y = (1, xi), shape (4, 4, 6).
     """
     xi, w = fe.support_rule()
     x4 = np.concatenate([np.zeros((len(xi), 1)), xi], axis=1)
     e, b = snapshot.eb(x4[:, 1:])
     om = gyration_tensor(np.zeros(3) if omega3 is None else omega3)
-    return w, x4, e, b, om
+    y = x4.T.copy()
+    y[0] = 1.0
+    wy = w * y
+    p = np.empty((len(_MONOMIALS), len(w)))
+    for row, (m, n) in zip(p, _MONOMIALS):   # row by row: no gathered temporaries
+        np.multiply(wy[m], y[n], out=row)
+    return w, x4, e, b, om, np.concatenate([p @ e, p @ b], axis=1)[_PAIR]
 
 
 def _f_dot_vec(e, b, v4):
@@ -164,9 +184,24 @@ def _x_anticommutator(x4, e, b, om: Rank2Tensor):
     return -_row_dot(_f_dot_vec(e, b, x4), om) - _f_dot_vec(e, b, _row_dot(x4, om))
 
 
-def _spin_orbit(w, x4, e, b, om: Rank2Tensor):
+def _moment_sum(t, phi):
+    """sum_k w_k y_k^m phi(y_k, G_k) for m = 0..3, for a node formula
+    phi(y, e, b) linear in y and in G: phi on the moment nodes
+    (e_n, t[m, n]), summed over n."""
+    g = t.reshape(16, 6)
+    out = phi(np.tile(np.eye(4), (4, 1)), g[:, :3], g[:, 3:])
+    return out.reshape(4, 4, *out.shape[1:]).sum(axis=1)
+
+
+def _force_rows(t, om: Rank2Tensor):
+    """sum_k w_k y_k^m F_k.U_k, with U = e0 - Om.x linear in y (Om.u = 0);
+    row 0 is the Minkowski force."""
+    return _moment_sum(t, lambda y, e, b: _f_dot_vec(e, b, y[:, :1] * _E0 - y @ om.operator.T))
+
+
+def _spin_orbit(t, om: Rank2Tensor):
     """sum_k w_k [x(x)x, [F_k, Om]_+]_+ = M + M^T."""
-    m = (w[:, None] * x4).T @ _x_anticommutator(x4, e, b, om)
+    m = _SPACE @ _moment_sum(t, lambda y, e, b: _x_anticommutator(y @ _SPACE, e, b, om))
     return m + m.T
 
 
@@ -177,19 +212,19 @@ def _spin_orbit(w, x4, e, b, om: Rank2Tensor):
 def minkowski_force(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None) -> FourVector:
     """Abraham-Lorentz type Minkowski force int F.U f_e over the slice,
     with element velocity U = e0 - Om.x."""
-    w, x4, e, b, om = _slice(snapshot, fe, omega3)
-    return FourVector(w @ _f_dot_vec(e, b, _E0 - x4 @ om.operator.T))
+    *_, om, t = _slice(snapshot, fe, omega3)
+    return FourVector(_force_rows(t, om)[0])
 
 
 def force_dot_u(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None):
     """f.u = -f^0 evaluated two ways: from minkowski_force and from the
-    gyration coupling.
+    gyration coupling, summed node by node.
 
     Both vanish identically for a particle without spin; for Omega != 0
     they agree to quadrature tolerance.  Returns (direct, coupling).
     """
     direct = -float(minkowski_force(snapshot, fe, omega3).c[0])
-    w, x4, e, b, om = _slice(snapshot, fe, omega3)
+    w, x4, e, b, om, _ = _slice(snapshot, fe, omega3)
     fu = _f_dot_vec(e, b, np.broadcast_to(_E0, x4.shape))
     coupling = -float(w @ _inner_nodes(_row_dot(x4, om), fu))
     return direct, coupling
@@ -198,9 +233,8 @@ def force_dot_u(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None):
 def minkowski_torque(snapshot: FieldSnapshot, fe: DensityProfile,
                      omega3=None) -> Rank2Tensor:
     """Minkowski torque int x ^ (F.U)_perp f_e; antisymmetric, t.u = 0."""
-    w, x4, e, b, om = _slice(snapshot, fe, omega3)
-    fu = _f_dot_vec(e, b, _E0 - x4 @ om.operator.T)
-    m = (w[:, None] * x4).T @ fu @ _SPACE
+    *_, om, t = _slice(snapshot, fe, omega3)
+    m = _SPACE @ _force_rows(t, om) @ _SPACE
     return Rank2Tensor(m - m.T)
 
 
@@ -215,8 +249,8 @@ def nodvik_mass(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None) -> Ran
     expected to carry the reduced field (total minus the co-moving
     Coulomb + dipole self-field).
     """
-    w, x4, e, b, om = _slice(snapshot, fe, omega3)
-    return Rank2Tensor(-_spin_orbit(w, x4, e, b, om))
+    *_, om, t = _slice(snapshot, fe, omega3)
+    return Rank2Tensor(-_spin_orbit(t, om))
 
 
 @dataclass(frozen=True)
@@ -241,33 +275,35 @@ def pseudo_inertia(snapshot: FieldSnapshot, fe: DensityProfile,
     derivative.  omega_dot3 and m_gyro_dot feed the effective-force terms
     that involve the gyration rate of change.
     """
-    w, x4, e, b, om = _slice(snapshot, fe, omega3)
-    e_dot, b_dot = snapshot.eb_dot(x4[:, 1:])
+    w, x4, e, b, om, t = _slice(snapshot, fe, omega3)
     om_dot = gyration_tensor(omega_dot3)
+
+    def f_dot_u(e, b):
+        return _f_dot_vec(e, b, np.broadcast_to(_E0, (len(e), 4)))
 
     bare = Rank2Tensor(m_gyro * METRIC)
 
     # term 2: -int [x(x)x, [F, Om]_+]_+ f_e
-    t2 = Rank2Tensor(-_spin_orbit(w, x4, e, b, om))
+    t2 = Rank2Tensor(-_spin_orbit(t, om))
 
-    # term 3: slice derivative of x(x)x (x.Om.F.u) f_e
-    uu = np.broadcast_to(_E0, x4.shape)
-    fu = _f_dot_vec(e, b, uu)
-    x_om = _row_dot(x4, om)
-    s_dot = _inner_nodes(x_om, _f_dot_vec(e_dot, b_dot, uu))
-    ws = (w * _inner_nodes(x_om, fu)) @ x4
-    t3 = Rank2Tensor(np.outer(_E0, ws) + np.outer(ws, _E0)
-                     + ((w * s_dot)[:, None] * x4).T @ x4)
+    # term 3: slice derivative of x(x)x (x.Om.F.u) f_e; and
+    # f~ = -m_gyro_dot u + int (F.U + (x.Om.F_dot.u + x.[F, Om_dot]_+.u) x) f_e
+    ws = _SPACE @ _moment_sum(t, lambda y, e, b: _inner_nodes(_row_dot(y @ _SPACE, om),
+                                                              f_dot_u(e, b)))
+    m3 = np.outer(_E0, ws) + np.outer(ws, _E0)
+    g34 = _SPACE @ _moment_sum(t, lambda y, e, b: _x_anticommutator(y @ _SPACE, e, b, om_dot)
+                               @ METRIC @ _E0)
+    if snapshot.e_dot_fn is not None or snapshot.b_dot_fn is not None:   # degree 3 in x
+        e_dot, b_dot = snapshot.eb_dot(x4[:, 1:])
+        ws_dot = w * _inner_nodes(_row_dot(x4, om), f_dot_u(e_dot, b_dot))
+        m3 = m3 + (ws_dot[:, None] * x4).T @ x4
+        g34 = g34 + ws_dot @ x4
+    t3 = Rank2Tensor(m3)
 
-    # term 4: -int (F.u) (x) x f_e  (not symmetrizable)
-    t4 = Rank2Tensor(-(w[:, None] * fu).T @ x4)
+    # term 4: -int (F.u) (x) x f_e  (not symmetrizable), from t[m, 0] = sum_k w_k y_k^m G_k
+    t4 = Rank2Tensor(-(_SPACE @ f_dot_u(t[:, 0, :3], t[:, 0, 3:])).T)
 
     m_tilde = Rank2Tensor(bare.m + t2.m + t3.m + t4.m)
-
-    # f~ = -m_gyro_dot u + int (F.U + (x.Om.F_dot.u + x.[F, Om_dot]_+.u) x) f_e
-    g2 = w @ _f_dot_vec(e, b, _E0 - x4 @ om.operator.T)
-    s4 = _x_anticommutator(x4, e, b, om_dot) @ METRIC @ _E0
-    g34 = (w * (s_dot + s4)) @ x4
-    f_tilde = FourVector(-m_gyro_dot * _E0 + g2 + g34)
+    f_tilde = FourVector(-m_gyro_dot * _E0 + _force_rows(t, om)[0] + g34)
 
     return PseudoInertia(m_tilde, f_tilde, bare, t2, t3, t4)

@@ -9,6 +9,7 @@ opens with the quantity's name (the name `cli.FLAGS` maps to a flag):
               grid, and R / dr and r_max / dr finite)
     mass      GyrationCurve
     m_b       renormflow.eta_of_mb, through flow_sweep
+    |s_b + s_e| GyroSolver.predicted_equilibrium (beyond sigma(cap) + kappa cap)
 """
 
 import numpy as np
@@ -39,8 +40,18 @@ def refuses(name, call, *args, **kwargs):
 
 
 def test_every_name_a_stationary_or_gyro_sim_refusal_opens_with_has_a_flag():
-    assert set(cli.FLAGS) == {"R", "total", "mass", "omega R", "scale", "horizon", "r_max"}
+    assert set(cli.FLAGS) == {"R", "total", "mass", "omega R", "scale", "horizon", "r_max",
+                              "|s_b + s_e|"}
     assert all(flag.startswith("--") for flag in cli.FLAGS.values())
+
+
+def test_predicted_equilibrium_refuses_a_spin_beyond_the_cap(solver):
+    # the bound depends on --perturb, --omega-over-c, --mass and --charge,
+    # and FLAGS names all four
+    state = solver.make_state(np.array([0.0, 0.0, 0.3]), scale=100.0)
+    refuses("|s_b + s_e|", solver.predicted_equilibrium, state)
+    assert all(f in cli.FLAGS["|s_b + s_e|"]
+               for f in ("--perturb", "--omega-over-c", "--mass", "--charge"))
 
 
 @pytest.mark.parametrize("omega", [NAN, INF, -INF, 1.0, -1.2])

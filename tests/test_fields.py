@@ -94,6 +94,25 @@ class TestStationaryPotentials:
         with pytest.raises(ValueError):
             stationary_state(FE_SHELL, [0, 0, 1.5])
 
+    @pytest.mark.parametrize("omega3", [[0.0, 0.0, 0.35], [0.1, -0.2, 0.3]])
+    @pytest.mark.parametrize("fe", [FE_SHELL, FE_VOL], ids=["shell", "volume"])
+    def test_a_point_s_fields_do_not_depend_on_its_batch(self, fe, omega3):
+        # E and B of a batch holding the origin and points inside the 1e-12 R
+        # band of the surface, row by row against the points one at a time;
+        # and an all-r > 0 batch with and without the origin appended
+        st = stationary_state(fe, omega3)
+        band = 1e-12 * fe.R
+        surface = fe.R * np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.6, 0.0, 0.8]])
+        positive = np.concatenate([fe.support_rule()[0][::97], surface * (1.0 - 0.5 * band),
+                                   surface * (1.0 + 0.5 * band), surface,
+                                   np.random.default_rng(3).normal(size=(40, 3))])
+        origin = np.zeros((1, 3))
+        for field in (st.E, st.B):
+            batch = field(np.concatenate([positive, origin]))
+            for point, row in zip(np.concatenate([positive, origin]), batch):
+                assert field(point).tobytes() == row.tobytes()
+            assert field(positive).tobytes() == batch[:-1].tobytes()
+
 
 class TestMagneticMoment:
     def test_zero_omega(self):

@@ -5,9 +5,11 @@ anticommutators, and its exact symmetry; rotation covariance; q E and
 mu x B in uniform fields; no force, no power and no term 3 in the
 stationary self-field, whose term 4 is the electrostatic virial; no
 Nodvik mass without spin; the gyration tensor's space block and
-element-velocity convention; every assembly bit for bit against the
-general-frame formulas at u = e0, with the gyration tensor built as a
-Levi-Civita dual; the read-only value types."""
+element-velocity convention; every assembly against the general-frame
+formulas at u = e0, with the gyration tensor built as a Levi-Civita dual,
+within 64 eps sum|w| max(|E|, |B|) R^2 (the field moments sum in another
+order than the nodes), also in a non-polynomial field with non-constant
+time derivatives; the read-only value types."""
 
 from itertools import permutations
 
@@ -323,14 +325,30 @@ def ref_pseudo_inertia(snap, fe, omega3, m_gyro, omega_dot3=(0.0, 0.0, 0.0),
     return bare + t2 + t3 + t4, f_tilde, bare, t2, t3, t4
 
 
-def bits(arrays):
-    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+def assert_matches_the_reference(snap, fe, omega3, m_gyro):
+    """Every public assembly entry within 64 eps sum|w_k| max(|E|, |B|) R^2
+    of the general-frame formulas."""
+    pts, w = fe.support_rule()
+    field = max(np.linalg.norm(f, axis=1).max() for f in snap.eb(pts))
+    tol = 64.0 * np.finfo(float).eps * np.abs(w).sum() * field * fe.R**2
+    pairs = []
+    for extra in ({}, dict(omega_dot3=(0.0, 0.01, -0.02), m_gyro_dot=0.3)):
+        p = pseudo_inertia(snap, fe, omega3, m_gyro, **extra)
+        pairs += zip([p.m_tilde.m, p.f_tilde.c, p.bare_term.m, p.field_term_1.m,
+                      p.field_term_2.m, p.field_term_3.m],
+                     ref_pseudo_inertia(snap, fe, omega3, m_gyro, **extra))
+    for o3 in (omega3, OMEGA3, None):
+        pairs += zip([minkowski_torque(snap, fe, omega3=o3).m, nodvik_mass(snap, fe, omega3=o3).m,
+                      minkowski_force(snap, fe, omega3=o3).c],
+                     [ref_torque(snap, fe, o3), ref_nodvik(snap, fe, o3), ref_force(snap, fe, o3)])
+    for got, want in pairs:
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
 
 
 @pytest.mark.parametrize("field", ["self", "self+uniform"])
 @pytest.mark.parametrize("omega_r_over_c", [0.1, 0.35, 0.6])
 @pytest.mark.parametrize("kind", ["shell", "volume"])
-def test_rest_frame_assembly_is_bit_identical_to_the_general_frame_formulas(
+def test_rest_frame_assembly_matches_the_general_frame_formulas_to_64_eps(
         kind, omega_r_over_c, field):
     fe, fm = (getattr(DensityProfile, kind)(q, 1.0) for q in (-1.0, 2.0))
     omega3 = np.array([0.0, 0.0, omega_r_over_c])
@@ -340,14 +358,23 @@ def test_rest_frame_assembly_is_bit_identical_to_the_general_frame_formulas(
         snap = self_plus_uniform(fe, omega3,
                                  e_dot_fn=lambda p: np.tile([0.01, -0.02, 0.03], (len(p), 1)),
                                  b_dot_fn=lambda p: np.tile([0.02, 0.0, -0.01], (len(p), 1)))
-    m_gyro = gyrational_mass(fm, omega_r_over_c)
-    for extra in ({}, dict(omega_dot3=(0.0, 0.01, -0.02), m_gyro_dot=0.3)):
-        p = pseudo_inertia(snap, fe, omega3, m_gyro, **extra)
-        got = [p.m_tilde.m, p.f_tilde.c, p.bare_term.m, p.field_term_1.m, p.field_term_2.m,
-               p.field_term_3.m]
-        assert bits(got) == bits(ref_pseudo_inertia(snap, fe, omega3, m_gyro, **extra))
-    for o3 in (omega3, OMEGA3, None):
-        assert bits([minkowski_torque(snap, fe, omega3=o3).m,
-                     nodvik_mass(snap, fe, omega3=o3).m,
-                     minkowski_force(snap, fe, omega3=o3).c]) == bits(
-            [ref_torque(snap, fe, o3), ref_nodvik(snap, fe, o3), ref_force(snap, fe, o3)])
+    assert_matches_the_reference(snap, fe, omega3, gyrational_mass(fm, omega_r_over_c))
+
+
+@pytest.mark.parametrize("omega_r_over_c", [0.1, 0.6])
+def test_rest_frame_assembly_matches_the_general_frame_formulas_in_a_non_polynomial_field(
+        omega_r_over_c):
+    # on the ball every node integrand is then a non-polynomial function of
+    # the node, the time derivatives included
+    fe, fm = DensityProfile.volume(-1.0, 1.0), DensityProfile.volume(2.0, 1.0)
+    omega3 = np.array([0.1, -0.2, omega_r_over_c])
+    st = stationary_state(fe, omega3)
+
+    def wave(p, a, b, c):
+        return np.stack([np.sin(a * p[:, 1]), np.cos(b * p[:, 2]), np.sin(c * p[:, 0])], axis=-1)
+
+    snap = FieldSnapshot(lambda p: st.E(p) + 0.05 * wave(p, 1.0, 1.0, 1.0),
+                         lambda p: st.B(p) + 0.03 * wave(p, 2.0, -1.5, 0.5),
+                         e_dot_fn=lambda p: 0.02 * wave(p, -1.0, 3.0, 2.0),
+                         b_dot_fn=lambda p: 0.01 * wave(p, 1.5, 0.5, -2.0))
+    assert_matches_the_reference(snap, fe, omega3, gyrational_mass(fm, np.linalg.norm(omega3)))

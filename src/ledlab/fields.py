@@ -113,12 +113,8 @@ class StationaryState:
     def E(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] + x[:, 2] * x[:, 2])
-        if np.all(r > 0):
-            return (self.e_radial(r) / r)[:, None] * x
-        out = np.zeros_like(x)
-        pos = r > 0
-        out[pos] = (self.e_radial(r[pos]) / r[pos])[:, None] * x[pos]
-        return out
+        coef = np.divide(self.e_radial(r), r, out=np.zeros_like(r), where=r > 0)
+        return np.multiply(coef[:, None], x, out=np.zeros_like(x), where=(r > 0)[:, None])
 
     def B(self, x) -> np.ndarray:
         """curl A for A = alpha(r) (w x x):

@@ -15,28 +15,35 @@ worldline equation is assembled term by term:
          - int x(x)x (x.Om.F.u) f_e  u.grad delta(u.x)   (term 3)
          - int (F.u)(x)x f_e                             (term 4)
 
-Term 3 turns into slice derivatives of the integrand (the supplied field
-time derivative enters here); it vanishes identically for a stationary
+with contravariant components, signature (-,+,+,+) and c = 1.  Om is the
+gyration tensor of the angular velocity omega; the element velocity of a
+rigidly gyrating charge is U = e0 - Om.x = (1, omega cross x).  Term 3
+turns into slice derivatives of the integrand (the supplied field time
+derivative enters here); it vanishes identically for a stationary
 self-field with radial E.  Terms 2 and 4 are small against M_b g for
 electron-matched stationary data, which is what makes the worldline
 equation invertible.
 
-Node integrands are built from four-vectors: contravariant components,
-signature (-,+,+,+), in units with c = 1.  Dots contract through g and
-F is antisymmetric, so v.F = -F.v.  The anticommutator of two
-antisymmetric tensors is symmetric, hence term 2 is symmetric by
-construction:
+At u = e0 a slice point is x = (0, x) and F.(v0, v) = (E.v, v0 E + v cross B),
+so every integrand is linear in (E, B) and of degree <= 2 in x: the nodes
+enter only through the field moments S = sum_k w_k G_k, X_i = sum_k w_k x_i G_k
+and Q_ij = sum_k w_k x_i x_j G_k of G = E, B, one matmul of ten monomials
+against E and B.  With v(omega)_i = sum_k w_k x_i E.(omega cross x):
 
-    sum_k w_k [x(x)x, [F_k, Om]_+]_+ = M + M^T,
-    M = sum_k w_k x_k (x) ((x_k.F_k).Om + (x_k.Om).F_k).
+    force     f^0 = omega . sum_k w_k x cross E,
+              f = S_E + X_B omega - omega tr X_B
+    torque    T - T^T with T = X_E + Q_B.omega - (sum_l Q_B[., l, l]) (x) omega
+    term 2    -(M + M^T), where column 0 of space row i of M is -v(omega)_i
+              and its space block is
+              sum_k omega_k Q_B[i, k, j] + omega_j sum_l Q_B[i, l, l] - 2 (Q_B.omega)_ij
+    term 3    e0 (x) (0, v(omega)) + (0, v(omega)) (x) e0
+              + sum_k w_k (omega cross x).(dE/dt) x (x) x
+    term 4    space block -X_E^T
 
-Each integrand is linear in G = (E, B) and of degree <= 2 in x, so the
-nodes enter only through the moments t^{mn} = sum_k w_k y_k^m y_k^n G_k
-of y = (1, xi) = u + x, one matmul of the ten monomials y^m y^n against
-E and B.  For phi linear in y and in G, sum_k w_k y_k^m phi(y_k, G_k) is
-the node formula on 16 moment nodes, sum_n phi(e_n, t^{mn}).  The
-supplied time derivative has degree 3 in x; it is summed node by node,
+and f~ = -(dM_b/dt) e0 + f + (0, v(omega_dot) + sum_k w_k (omega cross x).(dE/dt) x).
+The supplied time derivative has degree 3 in x and is summed node by node,
 as is force_dot_u's coupling, an independent check of minkowski_force.
+The torque is antisymmetric and term 2 symmetric by construction.
 """
 
 from __future__ import annotations
@@ -52,10 +59,9 @@ METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 METRIC.flags.writeable = False
 
 _E0 = np.array([1.0, 0.0, 0.0, 0.0])     # u, the rest-frame four-velocity
-_SPACE = np.diag([0.0, 1.0, 1.0, 1.0])   # projector onto the space of u, through g
 
-# the ten monomials y^m y^n (m <= n) of the moment block, and the row of
-# each (m, n) among them
+# the ten monomials y^m y^n (m <= n) of y = (1, x), and the row of each
+# (m, n) among them
 _MONOMIALS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 _PAIR = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
 
@@ -87,34 +93,22 @@ class Rank2Tensor:
     def __post_init__(self):
         object.__setattr__(self, "m", _frozen(self.m, (4, 4)))
 
-    @property
-    def operator(self) -> np.ndarray:
-        """Matrix of the left action on contravariant components, T @ g."""
-        return self.m @ METRIC
-
 
 @dataclass(frozen=True)
 class FieldSnapshot:
     """E and B as vectorized callables over (N, 3) space points.
 
-    For time-dependent assemblies the Lorentz-time derivatives dE/dt and
-    dB/dt may be supplied; omitted derivatives are treated as zero
-    (stationary snapshot).
+    For time-dependent assemblies the Lorentz-time derivative dE/dt may be
+    supplied; omitted, it is zero (stationary snapshot).  dB/dt does not
+    enter at u = e0, where F_dot.u = (0, dE/dt).
     """
 
     e_fn: callable
     b_fn: callable
     e_dot_fn: callable = None
-    b_dot_fn: callable = None
 
     def eb(self, pts):
         return np.asarray(self.e_fn(pts), dtype=float), np.asarray(self.b_fn(pts), dtype=float)
-
-    def eb_dot(self, pts):
-        n = len(pts)
-        e = np.zeros((n, 3)) if self.e_dot_fn is None else np.asarray(self.e_dot_fn(pts), dtype=float)
-        b = np.zeros((n, 3)) if self.b_dot_fn is None else np.asarray(self.b_dot_fn(pts), dtype=float)
-        return e, b
 
 
 def stationary_snapshot(st) -> FieldSnapshot:
@@ -123,85 +117,51 @@ def stationary_snapshot(st) -> FieldSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# slice quadrature and per-node four-vectors
+# slice quadrature and field moments
 # ---------------------------------------------------------------------------
 
-def gyration_tensor(omega3) -> Rank2Tensor:
-    """Gyration tensor of the angular velocity omega3.
-
-    Its space block is -[omega]x and every other entry is zero, so
-    Omega . x = -(0, omega x x); the element four-velocity of a rigidly
-    gyrating charge is then U = e0 - Omega . x with space part omega x x.
-    """
-    wx, wy, wz = np.asarray(omega3, dtype=float)
-    return Rank2Tensor(np.array([[0.0, 0.0, 0.0, 0.0],
-                                 [0.0, 0.0, wz, -wy],
-                                 [0.0, -wz, 0.0, wx],
-                                 [0.0, wy, -wx, 0.0]]))
-
-
-def _slice(snapshot: FieldSnapshot, fe: DensityProfile, omega3):
+def _moments(snapshot: FieldSnapshot, fe: DensityProfile):
     """Quadrature on the rest-frame slice through the centre.
 
-    Returns (w, x4, e, b, om, t): weights carrying the measure f_e d^3 xi,
-    the slice four-vectors x4 = (0, xi), E and B at the nodes, the
-    gyration tensor of omega3, and the moments of G = (E, B),
-    t[m, n] = sum_k w_k y_k^m y_k^n G_k with y = (1, xi), shape (4, 4, 6).
+    Returns (x, w, s, xm, q): the support nodes x and weights w carrying
+    the measure f_e d^3 x, and the moments of G = (E, B), s = sum_k w_k G_k,
+    xm[i] = sum_k w_k x_i G_k and q[i, j] = sum_k w_k x_i x_j G_k, each
+    with a last axis of 6 (E then B).
     """
-    xi, w = fe.support_rule()
-    x4 = np.concatenate([np.zeros((len(xi), 1)), xi], axis=1)
-    e, b = snapshot.eb(x4[:, 1:])
-    om = gyration_tensor(np.zeros(3) if omega3 is None else omega3)
-    y = x4.T.copy()
-    y[0] = 1.0
+    x, w = fe.support_rule()
+    e, b = snapshot.eb(x)
+    y = np.concatenate([np.ones((1, len(w))), x.T])
     wy = w * y
     p = np.empty((len(_MONOMIALS), len(w)))
     for row, (m, n) in zip(p, _MONOMIALS):   # row by row: no gathered temporaries
         np.multiply(wy[m], y[n], out=row)
-    return w, x4, e, b, om, np.concatenate([p @ e, p @ b], axis=1)[_PAIR]
+    t = np.concatenate([p @ e, p @ b], axis=1)[_PAIR]
+    return x, w, t[0, 0], t[0, 1:], t[1:, 1:]
 
 
-def _f_dot_vec(e, b, v4):
-    """(F . v)^mu per node: time part E.v_space, space part v0 E + v_space x B."""
-    out = np.empty((len(e), 4))
-    out[:, 0] = np.einsum("ki,ki->k", e, v4[:, 1:])
-    out[:, 1:] = v4[:, :1] * e + np.cross(v4[:, 1:], b)
-    return out
+def _cross(m):
+    """sum_k w_k ... x_k cross G_k from the moment sum_k w_k ... x_k (x) G_k
+    over its last two axes."""
+    return np.stack([m[..., 1, 2] - m[..., 2, 1], m[..., 2, 0] - m[..., 0, 2],
+                     m[..., 0, 1] - m[..., 1, 0]], axis=-1)
 
 
-def _row_dot(v4, t: Rank2Tensor):
-    """v . T per node (row action through g)."""
-    return v4 @ METRIC @ t.m
+def _omega(omega3):
+    return np.zeros(3) if omega3 is None else np.asarray(omega3, dtype=float)
 
 
-def _inner_nodes(a4, b4):
-    """a . b per node."""
-    return np.einsum("ka,ka->k", a4 @ METRIC, b4)
+def _force(s, xm, om):
+    """sum_k w_k F_k.U_k = (omega . sum_k w_k x cross E, S_E + X_B omega - omega tr X_B)."""
+    x_b = xm[:, 3:]
+    return np.concatenate([[om @ _cross(xm[:, :3])], s[:3] + x_b @ om - om * np.trace(x_b)])
 
 
-def _x_anticommutator(x4, e, b, om: Rank2Tensor):
-    """x . [F, Om]_+ = (x.F).Om + (x.Om).F per node, with v.F = -F.v."""
-    return -_row_dot(_f_dot_vec(e, b, x4), om) - _f_dot_vec(e, b, _row_dot(x4, om))
-
-
-def _moment_sum(t, phi):
-    """sum_k w_k y_k^m phi(y_k, G_k) for m = 0..3, for a node formula
-    phi(y, e, b) linear in y and in G: phi on the moment nodes
-    (e_n, t[m, n]), summed over n."""
-    g = t.reshape(16, 6)
-    out = phi(np.tile(np.eye(4), (4, 1)), g[:, :3], g[:, 3:])
-    return out.reshape(4, 4, *out.shape[1:]).sum(axis=1)
-
-
-def _force_rows(t, om: Rank2Tensor):
-    """sum_k w_k y_k^m F_k.U_k, with U = e0 - Om.x linear in y (Om.u = 0);
-    row 0 is the Minkowski force."""
-    return _moment_sum(t, lambda y, e, b: _f_dot_vec(e, b, y[:, :1] * _E0 - y @ om.operator.T))
-
-
-def _spin_orbit(t, om: Rank2Tensor):
+def _spin_orbit(q, om):
     """sum_k w_k [x(x)x, [F_k, Om]_+]_+ = M + M^T."""
-    m = _SPACE @ _moment_sum(t, lambda y, e, b: _x_anticommutator(y @ _SPACE, e, b, om))
+    q_b = q[..., 3:]
+    m = np.zeros((4, 4))
+    m[1:, 0] = -_cross(q[..., :3]) @ om
+    m[1:, 1:] = om @ q_b + np.outer(np.trace(q_b, axis1=1, axis2=2), om) - 2.0 * q_b @ om
     return m + m.T
 
 
@@ -211,31 +171,32 @@ def _spin_orbit(t, om: Rank2Tensor):
 
 def minkowski_force(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None) -> FourVector:
     """Abraham-Lorentz type Minkowski force int F.U f_e over the slice,
-    with element velocity U = e0 - Om.x."""
-    *_, om, t = _slice(snapshot, fe, omega3)
-    return FourVector(_force_rows(t, om)[0])
+    with element velocity U = (1, omega cross x)."""
+    _, _, s, xm, _ = _moments(snapshot, fe)
+    return FourVector(_force(s, xm, _omega(omega3)))
 
 
 def force_dot_u(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None):
     """f.u = -f^0 evaluated two ways: from minkowski_force and from the
-    gyration coupling, summed node by node.
+    gyration coupling -sum_k w_k (omega cross x_k).E_k, summed node by node.
 
     Both vanish identically for a particle without spin; for Omega != 0
     they agree to quadrature tolerance.  Returns (direct, coupling).
     """
     direct = -float(minkowski_force(snapshot, fe, omega3).c[0])
-    w, x4, e, b, om, _ = _slice(snapshot, fe, omega3)
-    fu = _f_dot_vec(e, b, np.broadcast_to(_E0, x4.shape))
-    coupling = -float(w @ _inner_nodes(_row_dot(x4, om), fu))
+    x, w = fe.support_rule()
+    e, _ = snapshot.eb(x)
+    coupling = -float(w @ np.einsum("ki,ki->k", np.cross(_omega(omega3), x), e))
     return direct, coupling
 
 
 def minkowski_torque(snapshot: FieldSnapshot, fe: DensityProfile,
                      omega3=None) -> Rank2Tensor:
     """Minkowski torque int x ^ (F.U)_perp f_e; antisymmetric, t.u = 0."""
-    *_, om, t = _slice(snapshot, fe, omega3)
-    m = _SPACE @ _force_rows(t, om) @ _SPACE
-    return Rank2Tensor(m - m.T)
+    _, _, _, xm, q = _moments(snapshot, fe)
+    om, q_b = _omega(omega3), q[..., 3:]
+    t = xm[:, :3] + q_b @ om - np.outer(np.trace(q_b, axis1=1, axis2=2), om)
+    return Rank2Tensor(np.pad(t - t.T, ((1, 0), (1, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +210,8 @@ def nodvik_mass(snapshot: FieldSnapshot, fe: DensityProfile, omega3=None) -> Ran
     expected to carry the reduced field (total minus the co-moving
     Coulomb + dipole self-field).
     """
-    *_, om, t = _slice(snapshot, fe, omega3)
-    return Rank2Tensor(-_spin_orbit(t, om))
+    *_, q = _moments(snapshot, fe)
+    return Rank2Tensor(-_spin_orbit(q, _omega(omega3)))
 
 
 @dataclass(frozen=True)
@@ -275,35 +236,27 @@ def pseudo_inertia(snapshot: FieldSnapshot, fe: DensityProfile,
     derivative.  omega_dot3 and m_gyro_dot feed the effective-force terms
     that involve the gyration rate of change.
     """
-    w, x4, e, b, om, t = _slice(snapshot, fe, omega3)
-    om_dot = gyration_tensor(omega_dot3)
-
-    def f_dot_u(e, b):
-        return _f_dot_vec(e, b, np.broadcast_to(_E0, (len(e), 4)))
+    x, w, s, xm, q = _moments(snapshot, fe)
+    om, om_dot = _omega(omega3), _omega(omega_dot3)
+    cross_e = _cross(q[..., :3])
 
     bare = Rank2Tensor(m_gyro * METRIC)
+    t2 = Rank2Tensor(-_spin_orbit(q, om))
 
-    # term 2: -int [x(x)x, [F, Om]_+]_+ f_e
-    t2 = Rank2Tensor(-_spin_orbit(t, om))
-
-    # term 3: slice derivative of x(x)x (x.Om.F.u) f_e; and
-    # f~ = -m_gyro_dot u + int (F.U + (x.Om.F_dot.u + x.[F, Om_dot]_+.u) x) f_e
-    ws = _SPACE @ _moment_sum(t, lambda y, e, b: _inner_nodes(_row_dot(y @ _SPACE, om),
-                                                              f_dot_u(e, b)))
-    m3 = np.outer(_E0, ws) + np.outer(ws, _E0)
-    g34 = _SPACE @ _moment_sum(t, lambda y, e, b: _x_anticommutator(y @ _SPACE, e, b, om_dot)
-                               @ METRIC @ _E0)
-    if snapshot.e_dot_fn is not None or snapshot.b_dot_fn is not None:   # degree 3 in x
-        e_dot, b_dot = snapshot.eb_dot(x4[:, 1:])
-        ws_dot = w * _inner_nodes(_row_dot(x4, om), f_dot_u(e_dot, b_dot))
-        m3 = m3 + (ws_dot[:, None] * x4).T @ x4
-        g34 = g34 + ws_dot @ x4
+    # term 3 and f~ (module docstring); cross_e @ omega is v(omega)
+    m3 = np.zeros((4, 4))
+    m3[0, 1:] = m3[1:, 0] = cross_e @ om
+    f_tilde = -m_gyro_dot * _E0 + _force(s, xm, om)
+    f_tilde[1:] += cross_e @ om_dot
+    if snapshot.e_dot_fn is not None:   # degree 3 in x
+        ws_dot = w * np.einsum("ki,ki->k", np.cross(om, x),
+                               np.asarray(snapshot.e_dot_fn(x), dtype=float))
+        m3[1:, 1:] += (ws_dot[:, None] * x).T @ x
+        f_tilde[1:] += ws_dot @ x
     t3 = Rank2Tensor(m3)
 
-    # term 4: -int (F.u) (x) x f_e  (not symmetrizable), from t[m, 0] = sum_k w_k y_k^m G_k
-    t4 = Rank2Tensor(-(_SPACE @ f_dot_u(t[:, 0, :3], t[:, 0, 3:])).T)
+    # term 4: -int (F.u) (x) x f_e with F.u = (0, E), not symmetrizable
+    t4 = Rank2Tensor(np.pad(-xm[:, :3].T, ((1, 0), (1, 0))))
 
     m_tilde = Rank2Tensor(bare.m + t2.m + t3.m + t4.m)
-    f_tilde = FourVector(-m_gyro_dot * _E0 + _force_rows(t, om)[0] + g34)
-
-    return PseudoInertia(m_tilde, f_tilde, bare, t2, t3, t4)
+    return PseudoInertia(m_tilde, FourVector(f_tilde), bare, t2, t3, t4)

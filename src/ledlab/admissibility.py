@@ -11,8 +11,13 @@ averages <g> = (-e)^{-1} int g f_e d^3x the constraints read
   Abraham no-spin c <E> + qdot x <B> = 0
 
 with t_E = int x cross E f_e and sigma_B = int x (x.B) f_e, in units with
-c = 1.  Each model is classified by assembling the constraints as one
-linear system in the unknown (qdot, omega): inconsistent when no solution
+c = 1.  Every moment is linear in the field and of degree at most 2 in x,
+so field_moments forms them all in one pass on the cached support rule:
+two matrix products of the weighted monomials with E and B, of which
+each moment is a 3-vector contraction.
+
+Each model is classified by assembling the constraints as one linear
+system in the unknown (qdot, omega): inconsistent when no solution
 exists, consistent when the data impose no restriction, conditionally
 consistent when a lower-dimensional admissible family remains.  The
 emitted family is the minimum-norm particular solution plus a nullspace
@@ -78,8 +83,13 @@ class Moments:
 
 
 def field_moments(data: InitialData) -> Moments:
-    """Moments of the data on the support rule; a zero or subnormal total
-    raises ValueError, a moment that is not finite NumericalFailure."""
+    """Moments of the data on the support rule, from the (10, N) matrix P of
+    the weighted monomials w {1, x, y, z, xx, xy, xz, yy, yz, zz} on its N
+    nodes: P E holds S_E = sum w E and X_E[i] = sum w x_i E, P B holds S_B,
+    X_B and Q_B[ij] = sum w x_i x_j B, and <E> = S_E/q, <B> = S_B/q,
+    t_E = eps . X_E, sigma_B,i = sum_j Q_B[i,j,j], <x (x) B> = X_B/q.  A
+    zero or subnormal total raises ValueError, a moment that is not finite
+    NumericalFailure."""
     q = data.fe.total
     if not abs(q) >= sys.float_info.min:   # the smallest normal double
         raise ValueError(f"the profile's total charge {q:g} is zero or subnormal: "
@@ -88,13 +98,22 @@ def field_moments(data: InitialData) -> Moments:
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.asarray(data.e_fn(pts), dtype=float)
         b = np.asarray(data.b_fn(pts), dtype=float)
-        mean_e = np.einsum("k,ki->i", w, e) / q
-        mean_b = np.einsum("k,ki->i", w, b) / q
-        torque_e = np.einsum("k,ki->i", w, np.cross(pts, e))
-        sigma_b = np.einsum("k,ki->i", w, pts * np.einsum("ki,ki->k", pts, b)[:, None])
+        x = pts.T
+        p = np.empty((10, len(w)))
+        p[0] = w
+        np.multiply(w, x, out=p[1:4])
+        np.multiply(p[1], x, out=p[4:7])
+        np.multiply(p[2], x[1:], out=p[7:9])
+        np.multiply(p[3], x[2], out=p[9])
+        t_e = p[:4] @ e
+        t_b = p @ b
+        mean_e = t_e[0] / q
+        mean_b = t_b[0] / q
+        torque_e = (t_e[1:] - t_e[1:].T)[[1, 2, 0], [2, 0, 1]]
+        sigma_b = np.trace(t_b[[[4, 5, 6], [5, 7, 8], [6, 8, 9]]], axis1=1, axis2=2)
         mean_xce = torque_e / q
         mean_xxb = sigma_b / q
-        xb = np.einsum("k,ki,kj->ij", w, pts, b) / q
+        xb = t_b[1:4] / q
         xb_traceless = xb - np.trace(xb) * np.eye(3)
     if not np.isfinite(np.concatenate((mean_e, mean_b, torque_e, sigma_b, mean_xce, mean_xxb,
                                        xb_traceless.ravel()))).all():

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -136,20 +136,30 @@ class DensityProfile:
     def support_rule(self):
         """3-d product rule: points (N,3) and weights with
         sum w_k g(x_k) ~ int g(x) f(|x|) d^3x, of ORDER_R radial, ORDER_THETA
-        polar and ORDER_PHI azimuthal nodes."""
-        r, wr = self.radial_rule()
-        mu, wmu = _gauss(ORDER_THETA)
-        phi = 2.0 * np.pi * np.arange(ORDER_PHI) / ORDER_PHI
-        wphi = np.full(ORDER_PHI, 1.0 / ORDER_PHI)
-        # radial weights carry f(r) 4 pi r^2 dr; the angular rule averages
-        # over the sphere, so combined weights reproduce the 3-d measure
-        st = np.sqrt(1.0 - mu**2)
-        pts = np.empty((len(r), len(mu), len(phi), 3))
-        pts[..., 0] = r[:, None, None] * st[None, :, None] * np.cos(phi)[None, None, :]
-        pts[..., 1] = r[:, None, None] * st[None, :, None] * np.sin(phi)[None, None, :]
-        pts[..., 2] = r[:, None, None] * mu[None, :, None]
-        w = (wr[:, None, None] * (0.5 * wmu)[None, :, None] * wphi[None, None, :])
-        return pts.reshape(-1, 3), w.reshape(-1)
+        polar and ORDER_PHI azimuthal nodes, built once per profile and
+        orders and read-only, like `_gauss` (the key keeps the sign of a zero
+        total, since -0.0 == 0.0)."""
+        return _support_rule(self, math.copysign(1.0, self.total), ORDER_R, ORDER_THETA, ORDER_PHI)
+
+
+@lru_cache(maxsize=4)   # a ball's rule holds 0.9 MB: a sweep over R cannot grow the cache
+def _support_rule(profile, sign, order_r, order_theta, order_phi):
+    """`sign` and `order_r` only key the cache: radial_rule reads ORDER_R."""
+    r, wr = profile.radial_rule()
+    mu, wmu = _gauss(order_theta)
+    phi = 2.0 * np.pi * np.arange(order_phi) / order_phi
+    wphi = np.full(order_phi, 1.0 / order_phi)
+    # radial weights carry f(r) 4 pi r^2 dr; the angular rule averages
+    # over the sphere, so combined weights reproduce the 3-d measure
+    st = np.sqrt(1.0 - mu**2)
+    pts = np.empty((len(r), len(mu), len(phi), 3))
+    pts[..., 0] = r[:, None, None] * st[None, :, None] * np.cos(phi)[None, None, :]
+    pts[..., 1] = r[:, None, None] * st[None, :, None] * np.sin(phi)[None, None, :]
+    pts[..., 2] = r[:, None, None] * mu[None, :, None]
+    w = (wr[:, None, None] * (0.5 * wmu)[None, :, None] * wphi[None, None, :])
+    pts, w = pts.reshape(-1, 3), w.reshape(-1)
+    pts.flags.writeable = w.flags.writeable = False
+    return pts, w
 
 
 # ---------------------------------------------------------------------------

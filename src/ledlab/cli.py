@@ -58,10 +58,14 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, obj):
-    """obj as indented JSON, keys sorted; an array in obj is a TypeError."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """obj as indented JSON, keys sorted, in one write; an array in obj is a
+    TypeError.  An existing file is overwritten in place and then cut to
+    length: truncating it to zero first makes ext4 flush it on close, about
+    80 us against 8 us for an admissibility report."""
+    data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()
 
 
 def _open_input(path):

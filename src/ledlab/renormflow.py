@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -47,23 +48,23 @@ class PhysicalConstants:
     alpha = 1.0 / 137.036
     anomaly = 0.001159652
 
-    @property
+    @cached_property
     def e(self) -> float:
         return float(np.sqrt(self.alpha))
 
-    @property
+    @cached_property
     def mu_bohr(self) -> float:
         return 0.5 * self.e
 
-    @property
+    @cached_property
     def a_eff(self) -> float:
         return self.anomaly if self.include_anomaly else 0.0
 
-    @property
+    @cached_property
     def mu_e(self) -> float:
         return (1.0 + self.a_eff) * self.mu_bohr
 
-    @property
+    @cached_property
     def R_endpoint(self) -> float:
         """Flow endpoint 3 mu_e / e = (3/2)(1 + a)."""
         return 3.0 * self.mu_e / self.e
@@ -162,8 +163,9 @@ def eta_of_mb(m_b: float, k: PhysicalConstants = NATURAL) -> float:
     if not (0.0 < m_b < 1.0):
         raise ValueError(f"m_b must lie strictly between 0 and m_e = 1, got {m_b:g}")
 
-    def f(eta):
-        return flow_point(eta, k).m_b - m_b
+    def f(eta):   # flow_point's m_b, in its float operations
+        x = float(np.tanh(eta))
+        return x * _num_factor(k.R_endpoint / x, k) / eta - m_b
 
     # eta ~ NUM(R0)/m_b for small m_b, eta ~ x for m_b near 1
     guess = max(_num_factor(k.R_endpoint, k) / m_b, 1e-8)

@@ -1,17 +1,27 @@
 """Oracle tests of the initial-data classifiers: every emitted family
 member satisfies the model's constraint equations, inconsistent data
-violate them, and data without a finite average are refused."""
+violate them, and data without a finite average are refused.  The field
+moments match their closed forms on uniform and curl fields, and the
+einsum and np.cross formulas they had before the one moment pass, within
+MOMENT_TOL of each moment's scale; on those formulas' moments every
+scenario keeps its verdict and family dimension."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ledlab import admissibility
 from ledlab.admissibility import (
     SCENARIOS,
     ZERO_TOL,
+    Moments,
     build_scenario,
     constraint_residuals,
+    field_moments,
     make_initial_data,
     run_check,
 )
@@ -62,3 +72,108 @@ def test_the_smallest_normal_total_is_classified():
     data = make_initial_data(DensityProfile.shell(-np.finfo(float).tiny, 1.0),
                              e_uniform=(1.0, 0.0, 0.0))
     assert run_check(data, "abraham_spin").verdict == "inconsistent"
+
+
+# ---------------------------------------------------------------------------
+# the field moments against closed forms and against the einsum formulas
+# ---------------------------------------------------------------------------
+
+# largest moment error, in units of the moment's scale (moment_scales); the
+# one moment pass and the einsum formulas sum in different orders, and
+# differ by at most 1.1e-15 on the scenarios and 2e-13 on random data
+MOMENT_TOL = 1e-12
+VERDICTS = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                       / "admissibility_verdicts.json").read_text())
+
+
+def einsum_moments(data) -> Moments:
+    """The moments as einsums over the support nodes, with np.cross for the
+    torque: the formulas of field_moments before its one moment pass."""
+    q = data.fe.total
+    pts, w = data.fe.support_rule()
+    e = np.asarray(data.e_fn(pts), dtype=float)
+    b = np.asarray(data.b_fn(pts), dtype=float)
+    torque_e = np.einsum("k,ki->i", w, np.cross(pts, e))
+    sigma_b = np.einsum("k,ki->i", w, pts * np.einsum("ki,ki->k", pts, b)[:, None])
+    xb = np.einsum("k,ki,kj->ij", w, pts, b) / q
+    return Moments(np.einsum("k,ki->i", w, e) / q, np.einsum("k,ki->i", w, b) / q,
+                   torque_e, sigma_b, torque_e / q, sigma_b / q,
+                   xb - np.trace(xb) * np.eye(3),
+                   e_scale=float(np.max(np.abs(e))), b_scale=float(np.max(np.abs(b))),
+                   radius=data.fe.R)
+
+
+def moment_scales(data, m: Moments) -> dict:
+    """|q| R^d max|G| bounds a moment of degree d in x of the field G, since
+    the weights share the sign of q; an average drops the |q|."""
+    q, r = abs(data.fe.total), data.fe.R
+    return {"mean_E": m.e_scale, "mean_B": m.b_scale, "torque_E": q * r * m.e_scale,
+            "sigma_B": q * r * r * m.b_scale, "mean_x_cross_E": r * m.e_scale,
+            "mean_x_xdotB": r * r * m.b_scale, "xB_traceless": r * m.b_scale}
+
+
+def scaled_errors(data, got: Moments, ref: dict) -> dict:
+    """Largest error of each moment of `got` against `ref`, over its scale;
+    a moment of a zero field must be exactly zero."""
+    scales = moment_scales(data, got)
+    return {name: float(np.max(np.abs(np.asarray(value) - np.asarray(ref[name]))))
+            / max(scales[name], np.finfo(float).tiny)
+            for name, value in got.as_dict().items()}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_moments_match_the_einsum_formulas_on_every_scenario(name):
+    data, _ = build_scenario(name)
+    m = field_moments(data)
+    ref = einsum_moments(data)
+    assert (m.e_scale, m.b_scale, m.radius) == (ref.e_scale, ref.b_scale, ref.radius)
+    errors = scaled_errors(data, m, ref.as_dict())
+    assert max(errors.values()) <= MOMENT_TOL, errors
+
+
+def family_projector(report):
+    """Orthogonal projector onto the span of the family basis: the basis of a
+    degenerate null space is arbitrary, its span is not."""
+    basis = np.array(report.family_basis).reshape(-1, 6)
+    return basis.T @ basis
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_the_einsum_moments_give_every_verdict_and_family(name, monkeypatch):
+    data, model = build_scenario(name)
+    report = run_check(data, model)
+    monkeypatch.setattr(admissibility, "field_moments", einsum_moments)
+    before = run_check(data, model)
+    assert report.verdict == before.verdict == VERDICTS[name]
+    assert report.dim_family == before.dim_family
+    np.testing.assert_allclose(family_projector(report), family_projector(before),
+                               rtol=0.0, atol=1e-12)
+
+
+vector = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["shell", "volume"]), e0=vector, b0=vector,
+       e_curl=st.floats(-1.0, 1.0), q=st.floats(0.1, 10.0), negative=st.booleans(),
+       radius=st.floats(0.1, 10.0), coulomb=st.booleans())
+def test_moments_of_uniform_and_curl_fields_are_their_closed_forms(
+        kind, e0, b0, e_curl, q, negative, radius, coulomb):
+    q = -q if negative else q
+    fe = DensityProfile(kind, q, radius)
+    data = make_initial_data(fe, e_uniform=e0, b_uniform=b0, include_coulomb=coulomb,
+                             e_curl=e_curl)
+    m = field_moments(data)
+    # the curl field e_c (-y, x, 0) has x cross E = e_c (-xz, -yz, x^2 + y^2),
+    # and <x x^T> = <r^2> I / 3, <r^2> = R^2 (shell) or 3 R^2 / 5 (ball)
+    r2 = radius**2 * (1.0 if kind == "shell" else 0.6)
+    b0 = np.array(b0)
+    closed = {"mean_E": e0, "mean_B": b0,
+              "torque_E": np.array([0.0, 0.0, (2.0 / 3.0) * q * e_curl * r2]),
+              "sigma_B": q * r2 * b0 / 3.0, "mean_x_cross_E": [0.0, 0.0, (2.0 / 3.0) * e_curl * r2],
+              "mean_x_xdotB": r2 * b0 / 3.0, "xB_traceless": np.zeros((3, 3))}
+    errors = scaled_errors(data, m, closed)
+    assert max(errors.values()) <= MOMENT_TOL, errors
+    ref = einsum_moments(data)
+    errors = scaled_errors(data, m, ref.as_dict())
+    assert max(errors.values()) <= MOMENT_TOL, errors

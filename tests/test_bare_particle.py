@@ -328,6 +328,31 @@ def test_quadrature_rules_are_the_uncached_rules_bit_for_bit(fp, orders, monkeyp
             assert_bits(got, ref)
 
 
+@pytest.mark.parametrize("fp", [DensityProfile.shell(-1.0, 1.0), DensityProfile.volume(2.5, 0.7)])
+def test_support_rule_is_cached_read_only_and_keyed_by_the_orders(fp, monkeypatch):
+    first = fp.support_rule()
+    second = fp.support_rule()
+    assert all(got is ref for got, ref in zip(second, first))
+    assert DensityProfile(fp.kind, fp.total, fp.R).support_rule()[0] is first[0]
+    for arr in first:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    set_orders(monkeypatch, 7, 5, 3)
+    other = fp.support_rule()
+    assert other[0] is not first[0]
+    for got, ref in zip(other, uncached_support_rule(fp, 7, 5, 3)):
+        assert_bits(got, ref)
+
+
+@pytest.mark.parametrize("kind", ["shell", "volume"])
+def test_support_rules_of_zero_totals_keep_the_sign_of_zero(kind):
+    for total in (0.0, -0.0, 0.0):
+        fp = DensityProfile(kind, total, 1.0)
+        for got, ref in zip(fp.support_rule(), uncached_support_rule(fp, 24, 48, 24)):
+            assert_bits(got, ref)
+
+
 @pytest.mark.parametrize("kind", ["shell", "volume"])
 @pytest.mark.parametrize("total, R", [(1.0, np.nan), (np.nan, 2.0), (-np.inf, 1.0),
                                       (1.0, np.inf), (np.inf, np.inf)])

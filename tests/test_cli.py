@@ -8,6 +8,7 @@ writer against csv with one format per cell, and one shared parser that
 
 import csv
 import filecmp
+import io
 import json
 import os
 import subprocess
@@ -494,6 +495,38 @@ def test_write_csv_matches_csv_with_a_format_per_cell(tmp_path):
     cli._write_csv(tmp_path / "got.csv", header, rows)
     reference_csv(tmp_path / "ref.csv", header, rows)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _assert_json_dump_and_a_newline(path, obj):
+    cli._write_json(path, obj)
+    ref = io.StringIO()
+    json.dump(obj, ref, indent=2, sort_keys=True)
+    assert path.read_bytes() == (ref.getvalue() + "\n").encode()
+
+
+@pytest.mark.parametrize("obj", [
+    {"z": -0.0, "a": 0.0, "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf")},
+    [5e-324, -5e-324, 1e308, 0.1 + 0.2, 2**53 + 1, True, None, "é\n\"q\""],
+    {"b": [[1.0, [2.0, {"y": [], "x": {}}]], []], "a": {"d": [-0.0], "c": {"e": [[]]}}},
+    [], {}, 1.5, "text",
+])
+def test_write_json_is_json_dump_and_a_newline(tmp_path, obj):
+    _assert_json_dump_and_a_newline(tmp_path / "got.json", obj)
+
+
+def test_write_json_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
+    _assert_json_dump_and_a_newline(tmp_path / "got.json", {"long": list(range(100))})
+    _assert_json_dump_and_a_newline(tmp_path / "got.json", {"short": 1})
+
+
+def test_write_json_of_the_reports_is_json_dump_and_a_newline(tmp_path):
+    from ledlab import admissibility, fields, renormflow
+    shell = DensityProfile.shell(-1.0, 1.0)
+    for obj in [renormflow.limit_constants(),
+                fields.stationary_state(shell, [0.0, 0.0, 0.3]).summary(),
+                *(admissibility.run_check(*admissibility.build_scenario(name)).as_dict()
+                  for name in ("uniform-B-abraham", "curlE-uniform-B-nodvik"))]:
+        _assert_json_dump_and_a_newline(tmp_path / "got.json", obj)
 
 
 def _files(path):

@@ -14,12 +14,14 @@ perfbench string constant that is neither a docstring nor part of an
 f-string; a bare identifier of the same spelling (a local variable, an
 argument) is no use of the method.  ORACLE_METHODS are the exceptions,
 methods kept only as independent checks.  The package's re-export list
-in src/ledlab/__init__.py counts as neither.  Every defaulted parameter
-must be passed, by keyword, by position or through `*`/`**`, by some call
-of its function's name in src/ledlab or perfbench/: a default that no run
+in src/ledlab/__init__.py counts as neither.  Every defaulted parameter,
+a dataclass field with a default included, must be passed, by keyword,
+by position or through `*`/`**`, by some call of its function's (or
+class's) name in src/ledlab or perfbench/: a default that no run
 overrides is a constant, and UNPASSED_PARAMETERS are the exceptions.
 Importing every module of the package must not load scipy, which is a
-test-only dependency, nor build the CLI parser or a Gauss-Legendre rule.
+test-only dependency, nor build the CLI parser, a Gauss-Legendre rule or
+a support rule.
 """
 
 import ast
@@ -71,6 +73,9 @@ UNPASSED_PARAMETERS = (
     # of the force layer in the next change of the benchmark (ROADMAP.md)
     "pseudo_inertia.omega_dot3",
     "pseudo_inertia.m_gyro_dot",
+    # the supplied dE/dt of a time-dependent snapshot (term 3), which also
+    # goes with the force layer
+    "FieldSnapshot.e_dot_fn",
 )
 
 
@@ -233,8 +238,8 @@ def test_importing_every_module_loads_no_scipy():
 
 
 def test_importing_every_module_builds_no_parser_and_no_rule():
-    # the CLI parser and the Gauss-Legendre rules are built on first use,
-    # so that importing the package costs neither
+    # the CLI parser, the Gauss-Legendre rules and the support rules are
+    # built on first use, so that importing the package costs none of them
     count = ("import argparse\nbuilt = []\ninit = argparse.ArgumentParser.__init__\n"
              "def counted(self, *args, **kwargs):\n"
              "    built.append(1)\n"
@@ -242,8 +247,9 @@ def test_importing_every_module_builds_no_parser_and_no_rule():
              "argparse.ArgumentParser.__init__ = counted\n")
     check = ("from ledlab import bare_particle, cli\n"
              "print(len(built), cli._shared_parser.cache_info().currsize,\n"
-             "      bare_particle._gauss.cache_info().currsize)\n")
-    assert _after_importing_every_module(check, before=count) == "0 0 0"
+             "      bare_particle._gauss.cache_info().currsize,\n"
+             "      bare_particle._support_rule.cache_info().currsize)\n")
+    assert _after_importing_every_module(check, before=count) == "0 0 0 0"
 
 
 def _call_name(call):
@@ -268,15 +274,26 @@ def call_sites():
     return sites
 
 
+def _is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
 def defaulted_parameters():
     """(qualified parameter, call name, position or None) of each defaulted
     parameter of a top-level function or of a method of a top-level class
     in src/ledlab, but not of ORACLES and ORACLE_METHODS, which no run
-    calls.  Calls of a class name are calls of its __init__, and a method's
-    positions start after self."""
+    calls, and of each field with a default of a top-level dataclass.
+    Calls of a class name are calls of its __init__, a method's positions
+    start after self, and a field's position is its place among the fields."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields = [item for item in node.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+                out += [(f"{node.name}.{item.target.id}", node.name, i)
+                        for i, item in enumerate(fields) if item.value is not None]
             defs = [(None, node)] if isinstance(node, ast.FunctionDef) else []
             if isinstance(node, ast.ClassDef):
                 defs = [(node.name, item) for item in node.body if isinstance(item, ast.FunctionDef)]

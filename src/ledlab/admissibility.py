@@ -167,46 +167,37 @@ class ConstraintReport:
 
 def _classify(a_rows: np.ndarray, b_rows: np.ndarray, scale: float,
               model: str, moments: Moments, active: np.ndarray) -> ConstraintReport:
-    """Solve A y = b in the least-squares sense and classify.
+    """Solve A y = b in the least-squares sense and classify, from one SVD
+    A = U S V^T (Golub and Van Loan, Matrix Computations, sec. 5.5): the
+    rank counts the singular values above 1e-12 of the largest, V's last
+    rows span the null space, and y = V_r (U_r^T b / S_r) is the
+    minimum-norm solution.  A zero A has rank 0 and V = I.
 
     `active` masks which unknowns the model owns (Nodvik: omega only;
     no-spin Abraham: qdot only); inactive unknowns are reported free.
     """
     n_active = int(np.count_nonzero(active))
     a = a_rows[:, active]
-    thresh = max(ZERO_TOL * max(scale, 1e-300), 1e-13 * max(scale, 1e-300))
-
-    if a.size and np.linalg.norm(a) > 0:
-        y_act, *_ = np.linalg.lstsq(a, b_rows, rcond=None)
-        resid = float(np.linalg.norm(a @ y_act - b_rows))
-        u, s, vt = np.linalg.svd(a)
-        rank = int(np.sum(s > max(s[0], 1e-300) * 1e-12)) if s.size else 0
-        null = vt[rank:].T
-    else:
-        y_act = np.zeros(n_active)
-        resid = float(np.linalg.norm(b_rows))
-        rank = 0
-        null = np.eye(n_active)
-
+    u, s, vt = np.linalg.svd(a)
+    rank = int(np.sum(s > max(s[0], 1e-300) * 1e-12))
+    y_act = vt[:rank].T @ ((u[:, :rank].T @ b_rows) / s[:rank])
+    resid = float(np.linalg.norm(a @ y_act - b_rows))
     dim = n_active - rank
-    if resid > thresh:
+    if resid > ZERO_TOL * max(scale, 1e-300):
         return ConstraintReport(model, "inconsistent", moments, 0, n_active,
                                 None, [], resid,
                                 "constraints admit no solution")
     y_full = np.zeros(6)
     y_full[active] = y_act
-    basis = []
-    for col in null.T:
-        v = np.zeros(6)
-        v[active] = col
-        basis.append(v)
+    basis = np.zeros((dim, 6))
+    basis[:, active] = vt[rank:]
     verdict = "consistent" if dim == n_active else "conditionally-consistent"
     desc = (f"{dim}-parameter family of admissible data"
             if verdict == "conditionally-consistent"
             else "no restriction beyond the field constraints")
     return ConstraintReport(model, verdict, moments, dim, n_active,
                             {"qdot0": y_full[:3], "omega0": y_full[3:]},
-                            basis, resid, desc)
+                            list(basis), resid, desc)
 
 
 def nodvik_check(data: InitialData) -> ConstraintReport:

@@ -46,6 +46,8 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
+from .roots import bracketed_root
+
 
 # ---------------------------------------------------------------------------
 # density profiles
@@ -279,8 +281,9 @@ class GyrationCurve:
     def invert(self, s: float, start: float = None) -> float:
         """|omega| with sigma(|omega|) = s for one float s: Newton on floats,
         cold or from `start`, any guess in [0, cap] (module docstring), with
-        each iterate clamped to the cap and bisection if `_accepts` fails.
-        s >= sigma_cap raises ValueError, a NaN FloatingPointError."""
+        each iterate clamped to the cap and `bracketed_root` on [0, cap] if
+        `_accepts` fails.  s >= sigma_cap raises ValueError, a NaN
+        FloatingPointError."""
         if not s < self.sigma_cap:
             if s != s:
                 raise FloatingPointError("spin magnitude is not finite")
@@ -297,20 +300,9 @@ class GyrationCurve:
             if abs(step) <= 1e-13 * w:
                 break
         if not self._accepts(f, s, w, df):
-            w = self._bisect(s)
+            w = bracketed_root(lambda x: self.sigma(x) - s, 0.0, cap,
+                               xtol=4.0 * _EPS * cap, rtol=4.0 * _EPS)
         return w
-
-    def _bisect(self, s: float) -> float:
-        lo, hi = 0.0, self.omega_cap
-        for _ in range(1100):   # enough halvings for any double root
-            mid = 0.5 * (lo + hi)
-            if self.sigma(mid) > s:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 2.0 * _EPS * hi:
-                break
-        return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -202,16 +202,16 @@ class GyroSolver:
 
     # -- grid setup ---------------------------------------------------------
     def _discretize_profile(self, fe: DensityProfile) -> np.ndarray:
+        """f_e on the nodes: a shell's delta at R; a ball's density on [0, R]
+        with the node R at half weight, the trapezoid end of an integrand
+        that jumps there, so that every coupling is second order in dr."""
         f = np.zeros(self.n)
+        i = int(round(fe.R / self.dr))
         if fe.kind == "shell":
-            i = int(round(fe.R / self.dr))
             f[i] = fe.total / (4.0 * np.pi * fe.R**2 * self.dr)
-            return f
-        f[self.r <= fe.R] = fe.total * 3.0 / (4.0 * np.pi * fe.R**3)
-        # normalize the trapezoid mass on the grid to the exact total
-        mass = np.sum(f * 4.0 * np.pi * self.r**2 * self.dr)
-        if mass != 0:
-            f *= fe.total / mass
+        else:
+            f[:i + 1] = fe.total * 3.0 / (4.0 * np.pi * fe.R**3)
+            f[i] *= 0.5
         return f
 
     # -- discrete operators --------------------------------------------------

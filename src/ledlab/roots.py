@@ -1,7 +1,8 @@
 """Bracketed root of a scalar function.
 
-One routine serves the renormalization flow's inversion m_b -> eta and
-the relax run's predicted equilibrium: both solve f(x) = 0 for a
+One routine serves three roots: the renormalization flow's inversion
+m_b -> eta, the relax run's predicted equilibrium and the spin inversion's
+fallback when Newton misses its residual test.  Each solves f(x) = 0 for a
 continuous, monotone f whose values at the bracket's ends differ in sign.
 """
 

@@ -4,20 +4,24 @@ violate them, and data without a finite average are refused.  The field
 moments match their closed forms on uniform and curl fields, and the
 einsum and np.cross formulas they had before the one moment pass, within
 MOMENT_TOL of each moment's scale; on those formulas' moments every
-scenario keeps its verdict and family dimension."""
+scenario keeps its verdict and family dimension.  The one-SVD classifier
+gives the verdicts, families and particular solutions of the lstsq and
+SVD pair it replaced."""
 
 import itertools
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ledlab import admissibility
 from ledlab.admissibility import (
     SCENARIOS,
     ZERO_TOL,
+    ConstraintReport,
     Moments,
     build_scenario,
     constraint_residuals,
@@ -177,3 +181,115 @@ def test_moments_of_uniform_and_curl_fields_are_their_closed_forms(
     ref = einsum_moments(data)
     errors = scaled_errors(data, m, ref.as_dict())
     assert max(errors.values()) <= MOMENT_TOL, errors
+
+
+# ---------------------------------------------------------------------------
+# the one-SVD classifier against the lstsq and SVD pair it replaced
+# ---------------------------------------------------------------------------
+
+def lstsq_classify(a_rows, b_rows, scale, model, moments, active):
+    """The classifier before its one SVD: lstsq for the particular solution
+    and its residual, a second factorization for the rank and the null
+    space, and a zero matrix handled apart."""
+    n_active = int(np.count_nonzero(active))
+    a = a_rows[:, active]
+    thresh = max(ZERO_TOL * max(scale, 1e-300), 1e-13 * max(scale, 1e-300))
+    if a.size and np.linalg.norm(a) > 0:
+        y_act, *_ = np.linalg.lstsq(a, b_rows, rcond=None)
+        resid = float(np.linalg.norm(a @ y_act - b_rows))
+        u, s, vt = np.linalg.svd(a)
+        rank = int(np.sum(s > max(s[0], 1e-300) * 1e-12)) if s.size else 0
+        null = vt[rank:].T
+    else:
+        y_act = np.zeros(n_active)
+        resid = float(np.linalg.norm(b_rows))
+        rank = 0
+        null = np.eye(n_active)
+    dim = n_active - rank
+    if resid > thresh:
+        return ConstraintReport(model, "inconsistent", moments, 0, n_active, None, [], resid,
+                                "constraints admit no solution")
+    y_full = np.zeros(6)
+    y_full[active] = y_act
+    basis = []
+    for col in null.T:
+        v = np.zeros(6)
+        v[active] = col
+        basis.append(v)
+    verdict = "consistent" if dim == n_active else "conditionally-consistent"
+    return ConstraintReport(model, verdict, moments, dim, n_active,
+                            {"qdot0": y_full[:3], "omega0": y_full[3:]}, basis, resid, "")
+
+
+def assert_classified_as_by_lstsq(data, model):
+    """Same verdict, family dimension and family span as lstsq_classify, a
+    residual within 1e-12 of the moment scale the check passes its
+    classifier, and a particular solution within 1e-12 of the larger of
+    that scale and the solution's size: a field B near zero makes the
+    solution ~ |E| / |B| (1.3e41 at |B| = 5.6e-42), and both factorizations
+    agree with it to round-off relative to its size.
+
+    Returns False, comparing nothing, where the Frobenius norm of a nonzero
+    A underflows to 0 (entries below about 1e-154), which sent
+    lstsq_classify into its zero-matrix branch."""
+    scales, underflow = [], []
+
+    def reference(a_rows, b_rows, scale, model, moments, active):
+        scales.append(scale)
+        a = a_rows[:, active]
+        underflow.append(np.linalg.norm(a) == 0.0 < np.max(np.abs(a)))
+        return lstsq_classify(a_rows, b_rows, scale, model, moments, active)
+
+    with mock.patch.object(admissibility, "_classify", reference):
+        ref = run_check(data, model)
+    if underflow[0]:
+        return False
+    report = run_check(data, model)
+    assert (report.verdict, report.dim_family) == (ref.verdict, ref.dim_family)
+    assert report.residual == pytest.approx(ref.residual, rel=0.0, abs=1e-12 * scales[0])
+    if ref.particular is None:
+        assert report.particular is None and report.family_basis == []
+        return True
+    np.testing.assert_allclose(family_projector(report), family_projector(ref),
+                               rtol=0.0, atol=1e-12)
+    y, y_ref = (np.concatenate([r.particular["qdot0"], r.particular["omega0"]])
+                for r in (report, ref))
+    size = max(scales[0], float(np.max(np.abs(y_ref))))
+    np.testing.assert_allclose(y, y_ref, rtol=0.0, atol=1e-12 * size)
+    return True
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_one_svd_classifies_every_scenario_as_lstsq_did(name):
+    assert assert_classified_as_by_lstsq(*build_scenario(name))
+
+
+@pytest.mark.parametrize("b_z", [1.0, 1e-188, 1e-308])
+def test_a_field_too_small_to_square_keeps_its_rank(b_z):
+    # |B| e_z alone: qdot along B is free, whatever |B|; lstsq_classify took
+    # B below 1e-154 for zero, since its norm test squares the entries
+    data = make_initial_data(DensityProfile.shell(-1.0, 1.0), b_uniform=(0.0, 0.0, b_z),
+                             include_coulomb=False)
+    report = run_check(data, "abraham_nospin")
+    assert (report.verdict, report.dim_family) == ("conditionally-consistent", 1)
+    np.testing.assert_allclose(np.abs(report.family_basis[0]), [0, 0, 1, 0, 0, 0])
+
+
+def test_a_solution_beyond_the_largest_double_is_a_numerical_failure():
+    # qdot x B = -E with E = e_z and a subnormal B = b e_y needs |qdot| = 1/b;
+    # lstsq_classify took this B for zero and called the data inconsistent
+    data = make_initial_data(DensityProfile.shell(-1.0, 1.0), e_uniform=(0.0, 0.0, 1.0),
+                             b_uniform=(0.0, 2.2e-309, 0.0), include_coulomb=False)
+    with pytest.raises(NumericalFailure):
+        run_check(data, "abraham_nospin")
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["shell", "volume"]), e0=vector, b0=vector,
+       e_curl=st.floats(-1.0, 1.0), radius=st.floats(0.1, 10.0), coulomb=st.booleans(),
+       model=st.sampled_from(sorted(admissibility.CHECKS)))
+def test_one_svd_classifies_random_data_as_lstsq_did(kind, e0, b0, e_curl, radius, coulomb,
+                                                     model):
+    data = make_initial_data(DensityProfile(kind, -1.0, radius), e_uniform=e0, b_uniform=b0,
+                             include_coulomb=coulomb, e_curl=e_curl)
+    assume(assert_classified_as_by_lstsq(data, model))

@@ -497,6 +497,14 @@ def test_write_csv_matches_csv_with_a_format_per_cell(tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_write_csv_over_a_longer_file_is_a_fresh_write(tmp_path):
+    header = ["a", "b"]
+    cli._write_csv(tmp_path / "fresh.csv", header, [[0.5, -1.0]])
+    cli._write_csv(tmp_path / "rerun.csv", header, [[float(i), 1.0 / 3.0] for i in range(100)])
+    cli._write_csv(tmp_path / "rerun.csv", header, [[0.5, -1.0]])
+    assert (tmp_path / "rerun.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
 def _assert_json_dump_and_a_newline(path, obj):
     cli._write_json(path, obj)
     ref = io.StringIO()

@@ -9,7 +9,8 @@ made with.  A change that moves an output rewrites the digests with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names the run and the reason in CHANGES.md.
+and names the run and the reason in CHANGES.md; before it writes, it
+prints each run whose digests moved and the streams and files that moved.
 """
 
 import contextlib
@@ -87,11 +88,26 @@ def test_run_matches_its_digests(tmp_path, golden, argv):
         f"made with numpy {golden['numpy']}, run with numpy {np.__version__}")
 
 
+def moved(old: dict, new: dict) -> list:
+    """The streams and files whose digests differ between two digest
+    records of one run, a file that only one of them has included."""
+    out = [key for key in ("exit_code", "stdout", "stderr") if old.get(key) != new[key]]
+    files = old.get("files", {})
+    return out + [name for name in sorted(set(files) | set(new["files"]))
+                  if files.get(name) != new["files"].get(name)]
+
+
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text())["runs"] if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         runs = {}
         for i, argv in enumerate(RUNS):
             runs[" ".join(argv)] = replay(argv, Path(tmp) / str(i))
             if runs[" ".join(argv)].pop("warnings"):
                 sys.exit(f"{' '.join(argv)} issued warnings")
+    changed = {name: moved(old.get(name, {}), digests) for name, digests in runs.items()}
+    for name, what in changed.items():
+        if what:
+            print(f"{name}: {', '.join(what)}")
+    print(f"{sum(map(bool, changed.values()))} of {len(runs)} runs moved")
     GOLDEN.write_text(json.dumps({"numpy": np.__version__, "runs": runs}, indent=1) + "\n")

@@ -236,11 +236,19 @@ class TestInverse:
         assert abs(curve.sigma(w) - s) <= 16 * np.finfo(float).eps * w * slope
 
     def test_bisection_fallback(self, monkeypatch):
-        # one Newton step cannot reach the residual test; bisection can
+        # one Newton step cannot reach the residual test; the package's
+        # bracketed root can, once per inversion, on either profile
         monkeypatch.setattr(bare_particle, "NEWTON_MAX", 1)
-        curve = GyrationCurve(VOLUME)
+        calls = []
+        root = bare_particle.bracketed_root
+        monkeypatch.setattr(bare_particle, "bracketed_root",
+                            lambda *a, **k: calls.append(1) or root(*a, **k))
         w = np.array([0.1, 0.5, 0.95])
-        np.testing.assert_allclose([curve.invert(curve.sigma(x)) for x in w], w, rtol=1e-14)
+        for fm in (SHELL, VOLUME):
+            calls.clear()
+            curve = GyrationCurve(fm)
+            np.testing.assert_allclose([curve.invert(curve.sigma(x)) for x in w], w, rtol=1e-14)
+            assert len(calls) == len(w)
 
     def test_rejects_what_newton_cannot_invert(self):
         with pytest.raises(FloatingPointError):

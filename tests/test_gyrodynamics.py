@@ -9,7 +9,8 @@ sweeps, every other Jacobi iterate from rest and the Gauss-Seidel ones
 from a moving start, on the nodes its window has exact, with its swept
 width, the run's batched records against each state's diagnostics, the
 shell's linear response against its closed-form transfer function, the
-relax run's verdict against the predicted equilibrium, a recorded relax
+field-spin coupling of both profiles against its closed form at second
+order in dr, the relax run's verdict against the predicted equilibrium, a recorded relax
 time series, and the kernel passes, rejections and saturation of the
 warm-started spin inversion."""
 
@@ -806,6 +807,43 @@ class TestLinearResponse:
     def test_transform_converges_at_second_order(self, errors):
         for coarse, fine in ((20, 40), (40, 80)):
             assert np.all(errors[coarse] >= 3.5 * errors[fine]), (errors[coarse], errors[fine])
+
+
+class TestSecondOrderCoupling:
+    """kappa, the field spin of the discrete stationary mode per unit omega,
+    against its closed form (2/9) q^2 R (shell) and (4/35) q^2 R (ball).
+    With the ball's node at R at half weight, the trapezoid end, both are
+    second order in dr: kappa / closed - 1 is -5.0e-3, -1.2e-3, -3.1e-4,
+    -7.8e-5, -1.9e-5 (shell) and 7.8e-3, 1.9e-3, 4.8e-4, 1.2e-4, 3.0e-5
+    (ball) at R/10 to R/160, ratios 3.98-4.09 per halving."""
+
+    CELLS = (10, 20, 40, 80, 160)
+
+    @staticmethod
+    def solver(kind, cells):
+        return GyroSolver(DensityProfile(kind, FE.total, 1.0), DensityProfile(kind, MASS, 1.0),
+                          dr=1.0 / cells)
+
+    @pytest.mark.parametrize("kind, closed", [("shell", 2.0 / 9.0), ("volume", 4.0 / 35.0)])
+    def test_kappa_converges_to_its_closed_form_at_second_order(self, kind, closed):
+        errors = []
+        for cells in self.CELLS:
+            s = self.solver(kind, cells)
+            kappa = float(s.field_spin_support(s.stationary_profile(1.0)))
+            errors.append(abs(kappa / (closed * FE.total**2 * FE.R) - 1.0))
+        assert errors[1] <= 2.5e-3
+        assert all(a >= 3.5 * b for a, b in zip(errors, errors[1:])), errors
+
+    @pytest.mark.parametrize("kind", ["shell", "volume"])
+    def test_omega_inf_of_the_default_relax_converges_at_second_order(self, kind):
+        # ratios 3.97-4.11 of successive differences; the ball reads
+        # 0.2824220 at R/20, and 0.2820495 with a full weight at R
+        omega_inf = []
+        for cells in self.CELLS:
+            s = self.solver(kind, cells)
+            omega_inf.append(s.predicted_equilibrium(s.make_state(np.array([0.0, 0.0, 0.3]), 0.5)))
+        steps = np.abs(np.diff(omega_inf))
+        assert np.all(steps[:-1] >= 3.5 * steps[1:]), steps
 
 
 def _gyro_sim(tmp_path, *flags):

@@ -72,7 +72,9 @@ ORDER_PHI = 24
 @dataclass(frozen=True)
 class DensityProfile:
     """Spherically symmetric radial measure with compact support [0, R]:
-    a uniform shell of radius R or a uniform ball (kind 'volume').
+    a uniform shell of radius R or a uniform ball (kind 'volume'), with its
+    quadrature rules and moments; the fields a charge profile sources, with
+    a shell's surface jump, are the radial model of `fields`.
 
     kind   'shell' | 'volume'
     total  integral of the measure (m_b for mass, -e for charge)
@@ -118,22 +120,6 @@ class DensityProfile:
         if self.kind == "shell":
             return self.total * self.R**n
         return self.total * 3.0 / (n + 3.0) * self.R**n
-
-    def surface_step(self, r, inside, outside) -> np.ndarray:
-        """`inside` below R and `outside` above it.  Points within rounding
-        distance 1e-12 R of the surface take the midpoint value, the
-        distributional value of a shell's jump on its support."""
-        band = 1e-12 * self.R
-        return np.where(r < self.R - band, inside,
-                        np.where(r > self.R + band, outside, 0.5 * (inside + outside)))
-
-    def enclosed(self, r) -> np.ndarray:
-        """Cumulative integral of the measure up to radius r, midpoint-valued
-        on a shell (surface_step)."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        if self.kind == "shell":
-            return self.surface_step(r, 0.0, self.total)
-        return self.total * np.clip(r / self.R, 0.0, 1.0) ** 3
 
     def support_rule(self):
         """3-d product rule: points (N,3) and weights with

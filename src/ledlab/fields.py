@@ -8,11 +8,13 @@ potential plus a purely l=1 toroidal vector potential
 
 so every stationary functional (energy, magnetic moment, field spin in
 both its potential and Poynting representations) reduces to radial
-integrals.  For the two profiles, a shell and a uniform ball, the inner
-integrals int f s^4 and int f s are closed forms, and so are the field
-energy and the potential form of the field spin, which a Poynting grid
-integral checks.  Outside the support the fields are exactly point
-charge plus point dipole.  Gaussian units with c = 1.
+integrals.  For the two profiles, a shell and a uniform ball, the
+enclosed charge and the inner integrals int f s^4 and int f s are closed
+forms, and so are the field energy and the potential form of the field
+spin, which a Poynting grid integral checks.  StationaryState holds this
+radial model, its only home, with a shell's jumps midpoint-valued on its
+surface.  Outside the support the fields are exactly point charge plus
+point dipole.  Gaussian units with c = 1.
 """
 
 from __future__ import annotations
@@ -36,30 +38,17 @@ SPIN_CHECK_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
-# radial building blocks
-# ---------------------------------------------------------------------------
-
-def _p4(fe: DensityProfile, r):
-    """int_0^r f s^4 ds, midpoint-valued at surface jumps."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if fe.kind == "shell":
-        return fe.surface_step(r, 0.0, fe.total / (4.0 * np.pi * fe.R**2) * fe.R**4)
-    rho = fe.total * 3.0 / (4.0 * np.pi * fe.R**3)
-    return rho * np.minimum(r, fe.R) ** 5 / 5.0
-
-
-def _q1(fe: DensityProfile, r):
-    """int_r^R f s ds, midpoint-valued at surface jumps."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if fe.kind == "shell":
-        return fe.surface_step(r, fe.total / (4.0 * np.pi * fe.R**2) * fe.R, 0.0)
-    rho = fe.total * 3.0 / (4.0 * np.pi * fe.R**3)
-    return rho * (fe.R**2 - np.minimum(r, fe.R) ** 2) / 2.0
-
-
-# ---------------------------------------------------------------------------
 # the stationary bound state
 # ---------------------------------------------------------------------------
+
+def _surface_step(fe: DensityProfile, r, inside, outside) -> np.ndarray:
+    """`inside` below R and `outside` above it.  Points within rounding
+    distance 1e-12 R of the surface take the midpoint value, the
+    distributional value of a shell's jump on its support."""
+    band = 1e-12 * fe.R
+    return np.where(r < fe.R - band, inside,
+                    np.where(r > fe.R + band, outside, 0.5 * (inside + outside)))
+
 
 @dataclass(frozen=True)
 class StationaryState:
@@ -78,37 +67,42 @@ class StationaryState:
         _check_subluminal(self.fe, np.linalg.norm(om))
         object.__setattr__(self, "omega3", om)
 
-    # radial scalar models ------------------------------------------------
+    # the radial model ------------------------------------------------------
     def e_radial(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.zeros_like(r)
-        pos = r > 0
-        out[pos] = self.fe.enclosed(r[pos]) / r[pos] ** 2
-        return out
-
-    def alpha(self, r):
-        """Radial coefficient of the stationary vector potential A = alpha (w x x)."""
+        """E_r = Q / r^2 with Q the charge within r; 0 at the origin."""
         fe = self.fe
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        pos = r > 0
-        out[pos] = (4.0 * np.pi / 3.0) * (_p4(fe, r[pos]) / r[pos] ** 3 + _q1(fe, r[pos]))
-        out[~pos] = (4.0 * np.pi / 3.0) * _q1(fe, np.zeros(1))[0]
-        return out
+        if fe.kind == "shell":
+            q = _surface_step(fe, r, 0.0, fe.total)
+        else:
+            q = fe.total * np.clip(r / fe.R, 0.0, 1.0) ** 3
+        return np.divide(q, r**2, out=np.zeros_like(r), where=r > 0)
 
-    def alpha_prime(self, r):
-        """d alpha / dr = -4 pi r^-4 int_0^r f s^4 ds."""
+    def alpha_slope(self, r):
+        """(alpha, d alpha/dr) of the potential A = alpha (w x x) from one
+        evaluation of P = int_0^r f s^4 ds and S = int_r^R f s ds:
+        alpha = (4 pi / 3)(P / r^3 + S) and alpha' = -4 pi P / r^4, which
+        are (4 pi / 3) S and 0 at the origin."""
+        fe = self.fe
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.zeros_like(r)
+        if fe.kind == "shell":
+            dens = fe.total / (4.0 * np.pi * fe.R**2)
+            p = _surface_step(fe, r, 0.0, dens * fe.R**4)
+            s = _surface_step(fe, r, dens * fe.R, 0.0)
+        else:
+            rho = fe.total * 3.0 / (4.0 * np.pi * fe.R**3)
+            rc = np.minimum(r, fe.R)
+            p, s = rho * rc**5 / 5.0, rho * (fe.R**2 - rc**2) / 2.0
         pos = r > 0
-        out[pos] = -4.0 * np.pi * _p4(self.fe, r[pos]) / r[pos] ** 4
-        return out
+        # -0.0 is the identity of +, so the origin keeps S's sign of zero
+        a = (4.0 * np.pi / 3.0) * (np.divide(p, r**3, out=np.full_like(r, -0.0), where=pos) + s)
+        return a, np.divide(-4.0 * np.pi * p, r**4, out=np.zeros_like(r), where=pos)
 
     # vector fields --------------------------------------------------------
     def A(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.linalg.norm(x, axis=-1)
-        return self.alpha(r)[:, None] * np.cross(self.omega3, x)
+        return self.alpha_slope(r)[0][:, None] * np.cross(self.omega3, x)
 
     def E(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -122,8 +116,7 @@ class StationaryState:
         one fixed order, so that a point's B does not depend on its batch."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] + x[:, 2] * x[:, 2])
-        a = self.alpha(r)
-        ap = self.alpha_prime(r)
+        a, ap = self.alpha_slope(r)
         xhat = np.divide(x, r[:, None], out=np.zeros_like(x), where=(r > 0)[:, None])
         w = self.omega3
         w_xhat = xhat[:, 0] * w[0] + xhat[:, 1] * w[1] + xhat[:, 2] * w[2]
@@ -133,15 +126,9 @@ class StationaryState:
         """Radial field profiles for export: E_r and the l=1 mode data."""
         r = np.asarray(r, dtype=float)
         wmag = np.linalg.norm(self.omega3)
-        a = self.alpha(r)
-        ap = self.alpha_prime(r)
-        return {
-            "r": r,
-            "E_r": self.e_radial(r),
-            "alpha": a,
-            "B_axial": 2.0 * a * wmag,
-            "B_equatorial": (2.0 * a + r * ap) * wmag,
-        }
+        a, ap = self.alpha_slope(r)
+        return {"r": r, "E_r": self.e_radial(r), "alpha": a, "B_axial": 2.0 * a * wmag,
+                "B_equatorial": (2.0 * a + r * ap) * wmag}
 
     def summary(self) -> dict:
         return {
@@ -197,8 +184,7 @@ def field_spin_poynting(st: StationaryState) -> np.ndarray:
     rb = POYNTING_R_MAX * R
 
     def integrand(r):
-        a = st.alpha(r)
-        ap = st.alpha_prime(r)
+        a, ap = st.alpha_slope(r)
         return st.e_radial(r) * (2.0 * a + r * ap) * r**3
 
     def simpson(r):

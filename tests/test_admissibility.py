@@ -36,16 +36,36 @@ CASES = [f"{base}-{model}" for base in SCENARIOS
          for model in ("nodvik", "abraham-nospin", "abraham")]
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_family_members_satisfy_the_constraints(name):
-    data, model = build_scenario(name)
+def check_family(data, model) -> ConstraintReport:
+    """The model's report on data, whose family members satisfy the
+    constraints, or whose zero start violates them when it is inconsistent."""
     report = run_check(data, model)
     if report.verdict == "inconsistent":
         assert constraint_residuals(data, model, np.zeros(3), np.zeros(3)) > ZERO_TOL
-        return
+        return report
     for coeffs in itertools.product((-1.5, 0.0, 2.0), repeat=report.dim_family):
         member = report.family_member(coeffs)
         assert constraint_residuals(data, model, member["qdot0"], member["omega0"]) <= 1e-12
+    return report
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_family_members_satisfy_the_constraints(name):
+    check_family(*build_scenario(name))
+
+
+@pytest.mark.parametrize("fe", [DensityProfile.volume(-1.0, 1.0), DensityProfile.shell(-1.0, 0.5),
+                                DensityProfile.shell(-1.0, 3.0)],
+                         ids=["ball", "shell-R0.5", "shell-R3"])
+@pytest.mark.parametrize("model", admissibility.CHECKS)
+@pytest.mark.parametrize("base", SCENARIOS)
+def test_family_members_satisfy_the_constraints_on_other_profiles(base, model, fe):
+    # a scenario's fields on the ball (its Coulomb E from the closed-form
+    # enclosed charge) and on shells of other radii keep the unit shell's
+    # verdict and family dimension
+    report = check_family(make_initial_data(fe, **SCENARIOS[base]), model)
+    unit = run_check(make_initial_data(DensityProfile.shell(-1.0, 1.0), **SCENARIOS[base]), model)
+    assert (report.verdict, report.dim_family) == (unit.verdict, unit.dim_family)
 
 
 def test_family_member_needs_one_coefficient_per_basis_vector():

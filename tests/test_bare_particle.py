@@ -65,11 +65,6 @@ class TestProfiles:
         r2 = np.einsum("k,ki,ki->", w, pts, pts)
         assert r2 == pytest.approx(VOLUME.moment(2), rel=1e-10)
 
-    def test_enclosed_midpoint_convention(self):
-        assert SHELL.enclosed(1.0)[0] == pytest.approx(0.5)
-        assert SHELL.enclosed(0.5)[0] == 0.0
-        assert SHELL.enclosed(2.0)[0] == pytest.approx(1.0)
-
 
 class TestGyrationalMass:
     def test_static_limit(self):

@@ -7,8 +7,6 @@ from ledlab import bare_particle, fields
 from ledlab.bare_particle import DensityProfile
 from ledlab.fields import (
     NumericalFailure,
-    _p4,
-    _q1,
     StationaryState,
     field_energy,
     field_spin,
@@ -47,9 +45,11 @@ def ball_rule(edges, n_r=48):
 
 class TestStationaryPotentials:
     def test_shell_steps_take_the_midpoint_value_on_the_surface(self):
-        # enclosed, _p4 and _q1 of a shell, each the three-way np.where
-        # written out, bit for bit, on both sides of the 1e-12 R band
+        # e_radial and alpha_slope of a shell against the three-way np.where
+        # of Q, P = int_0^r f s^4 and S = int_r^R f s written out, bit for
+        # bit, on both sides of the 1e-12 R band
         fe = DensityProfile.shell(-1.3, 0.7)
+        st = stationary_state(fe, [0, 0, 0.5])
         R, band = fe.R, 1e-12 * fe.R
         r = R + band * np.array([-1e9, -2.0, -0.5, 0.0, 0.5, 2.0, 1e9])
 
@@ -58,10 +58,52 @@ class TestStationaryPotentials:
 
         p4 = fe.total / (4.0 * np.pi * R**2) * R**4
         q1 = fe.total / (4.0 * np.pi * R**2) * R
-        np.testing.assert_array_equal(fe.enclosed(r), where(0.0, fe.total, 0.5 * fe.total))
-        np.testing.assert_array_equal(_p4(fe, r), where(0.0, p4, 0.5 * p4))
-        np.testing.assert_array_equal(_q1(fe, r), where(q1, 0.0, 0.5 * q1))
-        assert np.count_nonzero(_q1(fe, r) == 0.5 * q1) == 3
+        p = where(0.0, p4, 0.5 * p4)
+        e_r = where(0.0, fe.total, 0.5 * fe.total) / r**2
+        a, ap = st.alpha_slope(r)
+        assert st.e_radial(r).tobytes() == e_r.tobytes()
+        assert a.tobytes() == ((4.0 * np.pi / 3.0) * (p / r**3 + where(q1, 0.0, 0.5 * q1))).tobytes()
+        assert ap.tobytes() == (-4.0 * np.pi * p / r**4).tobytes()
+        assert np.count_nonzero(p == 0.5 * p4) == 3
+
+    def test_enclosed_midpoint_convention(self):
+        # r^2 E_r is the charge within r, half of it on the shell's surface
+        st = stationary_state(DensityProfile.shell(1.0, 1.0), [0, 0, 0])
+        assert st.e_radial(1.0)[0] == pytest.approx(0.5)
+        assert st.e_radial(0.5)[0] == 0.0
+        assert 4.0 * st.e_radial(2.0)[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("total", [-1.3, 0.0, -0.0])
+    @pytest.mark.parametrize("kind", ["shell", "volume"])
+    def test_origin_takes_the_limits_of_the_radial_model(self, kind, total):
+        # E_r = alpha' = 0 and alpha = (4 pi / 3) S(0), bit for bit, with
+        # S(0)'s sign of zero at a charge of -0.0
+        fe = DensityProfile(kind, total, 0.7)
+        st = stationary_state(fe, [0, 0, 0.5])
+        if kind == "shell":
+            s0 = fe.total / (4.0 * np.pi * fe.R**2) * fe.R
+        else:
+            s0 = fe.total * 3.0 / (4.0 * np.pi * fe.R**3) * fe.R**2 / 2.0
+        a, ap = st.alpha_slope(np.zeros(1))
+        assert st.e_radial(0.0).tobytes() == ap.tobytes() == np.zeros(1).tobytes()
+        assert a.tobytes() == np.array([(4.0 * np.pi / 3.0) * s0]).tobytes()
+
+    def test_each_field_makes_one_radial_call_per_quantity(self, monkeypatch):
+        # P and S are evaluated once per set of radii, E_r once; the Poynting
+        # grid has two Simpson pieces
+        calls = []
+        for name in ("e_radial", "alpha_slope"):
+            method = getattr(StationaryState, name)
+            monkeypatch.setattr(StationaryState, name, lambda self, r, method=method, name=name:
+                                calls.append(name) or method(self, r))
+        st = stationary_state(FE_VOL, [0, 0, 0.5])
+        x = FE_VOL.support_rule()[0][::97]
+        for call, expect in ((st.A, ["alpha_slope"]), (st.B, ["alpha_slope"]), (st.E, ["e_radial"]),
+                             (lambda x: st.profile_table(x[:, 0]), ["alpha_slope", "e_radial"]),
+                             (lambda x: field_spin_poynting(st), ["alpha_slope", "e_radial"] * 2)):
+            calls.clear()
+            call(x)
+            assert calls == expect
 
     def test_vector_potential_continuity(self):
         # alpha from its defining radial quadrature evaluated on both sides
@@ -81,14 +123,15 @@ class TestStationaryPotentials:
             hi = alpha_oracle(fe, fe.R * (1 + 1e-9))
             # one-sided evaluations at R(1 -+ 1e-9) agree to O(1e-9)
             assert lo == pytest.approx(hi, rel=1e-8)
-            got = stationary_state(fe, [0, 0, 0]).alpha(np.array([fe.R]))[0]
+            got = stationary_state(fe, [0, 0, 0]).alpha_slope(np.array([fe.R]))[0][0]
             assert got == pytest.approx(0.5 * (lo + hi), rel=1e-8)
 
     def test_shell_alpha_closed_forms(self):
         # alpha = -e/(3 R) inside, -e R^2/(3 r^3) outside (total = -e)
         st = stationary_state(FE_SHELL, [0, 0, 0.5])
-        assert st.alpha(np.array([0.3]))[0] == pytest.approx(-1.0 / 3.0, rel=1e-14)
-        assert st.alpha(np.array([2.0]))[0] == pytest.approx(-1.0 / 24.0, rel=1e-14)
+        a = st.alpha_slope(np.array([0.3, 2.0]))[0]
+        assert a[0] == pytest.approx(-1.0 / 3.0, rel=1e-14)
+        assert a[1] == pytest.approx(-1.0 / 24.0, rel=1e-14)
 
     def test_superluminal_rejected(self):
         with pytest.raises(ValueError):
@@ -156,7 +199,7 @@ class TestFieldEnergy:
 
         def dens(r):
             r = np.array([r])
-            a, ap = st.alpha(r), st.alpha_prime(r)
+            a, ap = st.alpha_slope(r)
             b2 = x**2 * (4 * a**2 + (8 * r / 3) * a * ap + (2 / 3) * r**2 * ap**2)
             return 0.5 * float(((st.e_radial(r) ** 2 + b2) * r**2)[0])
 
@@ -177,7 +220,7 @@ class TestFieldEnergy:
 
         def dens(r):
             r = np.array([float(r)])
-            a, ap = st.alpha(r), st.alpha_prime(r)
+            a, ap = st.alpha_slope(r)
             b2 = x**2 * (4 * a**2 + (8 * r / 3) * a * ap + (2 / 3) * r**2 * ap**2)
             return 0.5 * float(((st.e_radial(r) ** 2 + b2) * r**2)[0])
 
@@ -210,9 +253,9 @@ class TestFieldSpin:
         # the grid's integrand reads alpha at every node; at omega = 0 the
         # Poynting form is zero before any node is built
         calls = []
-        alpha = StationaryState.alpha
-        monkeypatch.setattr(StationaryState, "alpha",
-                            lambda self, r: calls.append(len(r)) or alpha(self, r))
+        alpha_slope = StationaryState.alpha_slope
+        monkeypatch.setattr(StationaryState, "alpha_slope",
+                            lambda self, r: calls.append(len(r)) or alpha_slope(self, r))
         for omega in (0.0, -0.0):
             st = stationary_state(fe, [0, 0, omega])
             assert field_spin_poynting(st).tolist() == [0.0, 0.0, 0.0]
@@ -368,7 +411,7 @@ class TestExteriorMultipole:
         resid = conv - coeff * pattern
         assert np.linalg.norm(resid) / np.linalg.norm(conv) < 1e-8
         # and the amplitude matches the implementation's alpha at r = 2
-        assert coeff == pytest.approx(0.6 * st.alpha(np.array([2.0]))[0], rel=1e-8)
+        assert coeff == pytest.approx(0.6 * st.alpha_slope(np.array([2.0]))[0][0], rel=1e-8)
 
 
 class TestComovingFields:

@@ -1,4 +1,4 @@
-"""The CLI matrix as a characterization test: 29 runs replayed in process
+"""The CLI matrix as a characterization test: 31 runs replayed in process
 through `cli.main`, each compared with the sha256 digests recorded in
 `tests/data/golden.json` of every data file it writes, of its stdout (the
 output directory masked), of its stderr and of its exit code.
@@ -10,7 +10,8 @@ made with.  A change that moves an output rewrites the digests with
     PYTHONPATH=src python tests/test_golden.py
 
 and names the run and the reason in CHANGES.md; before it writes, it
-prints each run whose digests moved and the streams and files that moved.
+prints each run whose digests moved and the streams and files that moved,
+and each run that the old golden.json lacks as new.
 """
 
 import contextlib
@@ -35,6 +36,10 @@ RUNS = [
     ["stationary", "--profile", "volume"],
     ["stationary", "--profile", "volume", "--n-radial", "2000", "--omega-over-c", "0.9"],
     ["stationary", "--omega-over-c", "-0.3", "--radius", "2.5", "--charge", "0.7"],
+    # linspace(0, 2, 11) holds r = 0 and r = R exactly: the origin row and
+    # the shell's midpoint values
+    ["stationary", "--n-radial", "11", "--r-max-over-R", "2"],
+    ["stationary", "--profile", "volume", "--n-radial", "11", "--r-max-over-R", "2"],
     ["selfcheck"],
     ["renorm-flow", "--report"],
     ["gyro-sim"],
@@ -91,10 +96,28 @@ def test_run_matches_its_digests(tmp_path, golden, argv):
 def moved(old: dict, new: dict) -> list:
     """The streams and files whose digests differ between two digest
     records of one run, a file that only one of them has included."""
-    out = [key for key in ("exit_code", "stdout", "stderr") if old.get(key) != new[key]]
-    files = old.get("files", {})
+    out = [key for key in ("exit_code", "stdout", "stderr") if old[key] != new[key]]
+    files = old["files"]
     return out + [name for name in sorted(set(files) | set(new["files"]))
                   if files.get(name) != new["files"].get(name)]
+
+
+def report(old: dict, runs: dict) -> list:
+    """The rewrite's account of the runs against the old digests: each run
+    the old record lacks as new, each run that moved with what moved in it,
+    then a count of both."""
+    new = [name for name in runs if name not in old]
+    changed = {name: moved(old[name], runs[name]) for name in runs if name in old}
+    return ([f"{name}: new" for name in new]
+            + [f"{name}: {', '.join(what)}" for name, what in changed.items() if what]
+            + [f"{len(new)} new and {sum(map(bool, changed.values()))} moved of {len(runs)} runs"])
+
+
+def test_the_rewrite_reports_new_runs_apart_from_moved_ones(golden):
+    first, second, third = list(golden["runs"])[:3]
+    runs = {name: golden["runs"][name] for name in (first, second, third)}
+    old = {first: dict(runs[first], stdout="0" * 64), second: runs[second]}
+    assert report(old, runs) == [f"{third}: new", f"{first}: stdout", "1 new and 1 moved of 3 runs"]
 
 
 if __name__ == "__main__":
@@ -105,9 +128,5 @@ if __name__ == "__main__":
             runs[" ".join(argv)] = replay(argv, Path(tmp) / str(i))
             if runs[" ".join(argv)].pop("warnings"):
                 sys.exit(f"{' '.join(argv)} issued warnings")
-    changed = {name: moved(old.get(name, {}), digests) for name, digests in runs.items()}
-    for name, what in changed.items():
-        if what:
-            print(f"{name}: {', '.join(what)}")
-    print(f"{sum(map(bool, changed.values()))} of {len(runs)} runs moved")
+    print("\n".join(report(old, runs)))
     GOLDEN.write_text(json.dumps({"numpy": np.__version__, "runs": runs}, indent=1) + "\n")

@@ -759,37 +759,65 @@ class TestPicardSweep:
 
 
 class TestLinearResponse:
-    """The shell's exact linear response.  Kick the bare spin of the
-    stationary state at omega by dS and keep the field: s_b + s_e stays
-    S + dS, and the Laplace transform of d omega(t) = omega(t) - omega is
+    """The exact linear response of the shell and of the ball.  Kick the
+    bare spin of the stationary state at omega by dS and keep the field:
+    s_b + s_e stays S + dS, and the Laplace transform of d omega(t) =
+    omega(t) - omega is
 
-        d omega^(s) / dS = H(s) = 1 / (s [sigma'(omega) + (2 q^2 R / 3 c^2) x i_1(x) k_1(x)]),
+        d omega^(s) / dS = H(s) = 1 / (s [sigma'(omega) + F(s)]),
 
-    x = s R / c, with i_1(x) = (x cosh x - sinh x) / x^2 and k_1(x) =
-    e^-x (1/x + 1/x^2) the regular and outgoing l = 1 radial functions
-    (their Wronskian is -1/x^2; x i_1 k_1 -> 1/3 gives the static field-spin
-    coefficient).  The run stops at 17 R/c, before a wave reflected at
-    r_max = 10 R could return to the shell, and its trapezoid transform
-    must converge to H at second order in dr."""
+    with F(s) = (2 s / 3) int int rho(r) rho(r') r^3 r'^3 i_1(s r<) k_1(s r>)
+    dr dr' (c = 1, rho = 4 pi f_e), i_1(x) = (x cosh x - sinh x) / x^2 and
+    k_1(x) = e^-x (1/x + 1/x^2) the regular and outgoing l = 1 radial
+    functions (their Wronskian is -1/x^2).  On the shell F = (2 q^2 R / 3)
+    x i_1(x) k_1(x), x = s R.  On the ball, rho = 3 q / R^3, the inner
+    integral is r^3 i_2(s r) / s, so F = (4 rho^2 / 3) int_0^R r^6 k_1(s r)
+    i_2(s r) dr.  As s -> 0, F tends to the static field-spin coefficients
+    (2/9) q^2 R and (4/35) q^2 R.  sigma' is the mpmath derivative of the
+    shell's closed form, or of the ball's integral over shells of mass
+    3 m r^2 dr / R^3.  The run stops at 17 R/c, before a wave reflected at
+    r_max = 10 R could return to the support, and its trapezoid transform
+    must converge to H at second order in dr: at R/20 the errors are about
+    3e-4 (shell) and 1e-4, 4e-5, 3.5e-4 (ball) at s = 1, 2 and 4."""
 
     OMEGA, KICK, HORIZON, S = 0.3, 1e-6, 17.0, (1.0, 2.0, 4.0)
 
     @staticmethod
-    def transfer(s, omega):
+    def spin(kind, omega):
+        """|s_b|(omega) at the working precision."""
+        if kind == "shell":
+            return shell_spin(omega, None)
+
+        def shell(r):
+            b = omega * r
+            return 3 * MASS * r**3 / FM.R**3 * ((1 + b**2) / (2 * b**2) * mp.atanh(b) - 1 / (2 * b))
+
+        return mp.quad(shell, [0, FM.R])
+
+    @classmethod
+    def transfer(cls, kind, s, omega):
         with mp.workdps(30):
-            slope = mp.diff(lambda w: shell_spin(w, None), mp.mpf(omega))
-            x = mp.mpf(s) * FE.R     # c = 1
-            i1 = (x * mp.cosh(x) - mp.sinh(x)) / x**2
-            k1 = mp.exp(-x) * (1 / x + 1 / x**2)
-            field = 2 * FE.total**2 * FE.R / 3 * x * i1 * k1
+            slope = mp.diff(lambda w: cls.spin(kind, w), mp.mpf(omega))
+            x = mp.mpf(s) * FE.R
+            if kind == "shell":
+                i1 = (x * mp.cosh(x) - mp.sinh(x)) / x**2
+                k1 = mp.exp(-x) * (1 / x + 1 / x**2)
+                field = 2 * FE.total**2 * FE.R / 3 * x * i1 * k1
+            else:
+                def i2k1(z):   # i_2 through I_{5/2}, which does not cancel at small z
+                    return mp.sqrt(mp.pi / (2 * z)) * mp.besseli(2.5, z) * mp.exp(-z) * (1 / z + 1 / z**2)
+
+                rho = 3 * FE.total / FE.R**3
+                field = 4 * rho**2 / 3 * mp.quad(lambda r: r**6 * i2k1(s * r), [0, FE.R])
             return float(1 / (mp.mpf(s) * (slope + field)))
 
-    @pytest.fixture(scope="class")
-    def errors(self):
+    @pytest.fixture(scope="class", params=["shell", "volume"])
+    def errors(self, request):
         """Relative error of the transform at each s, per cells per R."""
-        out = {}
+        kind, out = request.param, {}
         for cells in (20, 40, 80):
-            s = GyroSolver(FE, FM, dr=1.0 / cells, r_max=10.0)
+            s = GyroSolver(DensityProfile(kind, FE.total, FE.R), DensityProfile(kind, MASS, FM.R),
+                           dr=1.0 / cells, r_max=10.0)
             state = s.make_state(np.array([0.0, 0.0, self.OMEGA]))
             d_s = self.KICK * state.sb
             sb = state.sb + d_s
@@ -798,8 +826,17 @@ class TestLinearResponse:
             d_omega = traj.omega - self.OMEGA
             out[cells] = np.array([
                 abs(np.trapezoid(np.exp(-x * traj.t) * d_omega, traj.t) / d_s
-                    / self.transfer(x, self.OMEGA) - 1.0) for x in self.S])
+                    / self.transfer(kind, x, self.OMEGA) - 1.0) for x in self.S])
         return out
+
+    @pytest.mark.parametrize("kind, static", [("shell", 2.0 / 9.0), ("volume", 4.0 / 35.0)],
+                             ids=["shell", "volume"])
+    def test_field_term_tends_to_the_static_field_spin(self, kind, static):
+        # s H(s) -> 1 / (sigma' + F(0)), F(0) the static coefficient; F(s)
+        # - F(0) is O(s^2)
+        slope = float(mp.diff(lambda w: self.spin(kind, w), mp.mpf(self.OMEGA)))
+        got = 1e-7 * self.transfer(kind, 1e-7, self.OMEGA)
+        assert got == pytest.approx(1.0 / (slope + static * FE.total**2 * FE.R), rel=1e-12)
 
     def test_transform_matches_the_transfer_function_at_the_default_grid(self, errors):
         assert np.all(errors[20] < 1e-3), errors[20]

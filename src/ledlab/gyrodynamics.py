@@ -24,8 +24,10 @@ d/dt [gyrational energy + field energy inside r] + flux(r) = 0 up to
 discretization error.
 
 The time integrator is a kick-drift-kick leapfrog with the torque
-applied in half-kicks; the outer boundary carries a local outgoing
-condition for the l=1 exterior (see GyroSolver).  A generalized
+applied in half-kicks and the half-step gyration speed from a tangent
+predictor, so that a step makes one spin inversion (see GyroSolver.step);
+the outer boundary carries a local outgoing condition for the l=1
+exterior (see GyroSolver).  A generalized
 Picard iteration over time histories solves the same semidiscrete
 system by successive integration and is compared against the stepper.
 """
@@ -147,17 +149,20 @@ class GyroSolver:
 
     A grid cut short errs one node further inward per step, so `run` steps
     only the k = min(n, i_audit + n_steps + 2) nodes that its records
-    depend on (see there).  A step costs one laplacian of those k nodes,
-    two kicks of them, two running sums over the m support nodes (s_e of
-    the rate for the torque, s_e of the field change for the spin), float
-    arithmetic at the outer node and two float spin inversions of about
-    three kernel passes each; `run` copies the slices that its records
-    read and evaluates them once per RECORD_BLOCK steps.  `picard_iterate`
-    likewise sweeps only the leading k = min(n, p + 2 n_max + 2) nodes, p
-    those where the initial data moves, m for a state at rest (see there).
-    Each of its iterations integrates pi, then w and s_b from that pi, for
-    one laplacian of the (nt+1, k) history, nt+1 spin inversions and three
-    running sums, and it stops after the first whose gaps are below stop_gap.
+    depend on (see there), in place on buffers it allocates once.  A step
+    costs one laplacian of those k nodes, two kicks of them, two running
+    sums over the m support nodes (s_e of the rate for the torque, s_e of
+    the field change for the spin), float arithmetic at the outer node, one
+    sigma_slope pass for the half-step predictor and one float spin
+    inversion of about two kernel passes: three passes a step (see `step`).
+    `run` copies the slices that its records read and evaluates them once
+    per RECORD_BLOCK steps.  `picard_iterate` likewise sweeps only the
+    leading k = min(n, p + 2 n_max + 2) nodes, p those where the initial
+    data moves, m for a state at rest (see there).  Each of its iterations
+    integrates pi, then w and s_b from that pi, for one laplacian of the
+    (nt+1, k) history, nt+1 spin inversions warm-started at the last
+    iterate's |omega| and three running sums, and it stops after the first
+    whose gaps are below stop_gap.
     """
 
     def __init__(self, fe: DensityProfile, fm: DensityProfile,
@@ -215,20 +220,20 @@ class GyroSolver:
         return f
 
     # -- discrete operators --------------------------------------------------
-    def laplacian(self, w: np.ndarray) -> np.ndarray:
+    def laplacian(self, w: np.ndarray, out: np.ndarray, flux: np.ndarray) -> np.ndarray:
         """Conservative form (r^4 w')' / r^4 of d^2_r + (4/r) d_r over the
-        whole grid; w is (..., n).
+        whole grid, written into out and returned; w and out are (..., n),
+        flux (..., n-1) scratch for the staggered fluxes.
 
         Flux form makes the semidiscrete field energy balance telescope
         exactly to the boundary, which is what the energy audit measures.
         Origin row by even symmetry of w; the outer row is 0, because the
         outgoing law advances that node.  The flux coefficients and row
-        denominators are cached at set-up and the rows are formed in place,
-        so a call allocates the output and one flux array.
+        denominators are cached at set-up and the rows are formed in the
+        caller's arrays, so a call allocates nothing.
         """
         dr = self.dr
-        out = np.empty_like(w)
-        flux = np.subtract(w[..., 1:], w[..., :-1])
+        np.subtract(w[..., 1:], w[..., :-1], out=flux)
         flux *= self._r_half4
         flux /= dr
         interior = out[..., 1:-1]
@@ -272,14 +277,15 @@ class GyroSolver:
             return abs(0.0 * sb)   # +0.0, in the shape of sb
         return self.curve.invert(smag, start) * sb / smag
 
-    def omega_many(self, sb: np.ndarray) -> np.ndarray:
+    def omega_many(self, sb: np.ndarray, start: np.ndarray) -> np.ndarray:
         """Spin inversion along a time series (nt,), one `invert` per row,
+        warm-started at the row's guess of |omega| in `start` (nt,), and
         saturated at the admissibility cap for transient iterates (the
         physical stepper keeps the hard error)."""
         curve = self.curve
         smag = np.abs(sb)
-        wmag = np.array([curve.omega_cap if s >= curve.sigma_cap else curve.invert(s)
-                         for s in smag.tolist()])
+        wmag = np.array([curve.omega_cap if s >= curve.sigma_cap else curve.invert(s, guess)
+                         for s, guess in zip(smag.tolist(), start.tolist())])
         out = np.zeros_like(sb)
         pos = smag > 0
         out[pos] = sb[pos] * (wmag[pos] / smag[pos])
@@ -336,16 +342,19 @@ class GyroSolver:
     def _accel(self, w: np.ndarray, omega: np.ndarray) -> np.ndarray:
         """d_t pi = (r^4 w')' / r^4 + 4 pi f_e omega over a history: w is
         (nt, n) and omega (nt,)."""
-        a = self.laplacian(w)
+        a = self.laplacian(w, np.empty_like(w), np.empty_like(w[:, 1:]))
         a[:, :self.m] += self._source_coef * omega[:, None]
         return a
 
-    def _kick(self, pi: np.ndarray, lap: np.ndarray, source: np.ndarray, h: float) -> None:
-        """pi += h d_t pi below the outer node, in place; lap is laplacian(w)
-        and source the support term 4 pi f_e omega."""
-        m = self.m
-        pi[:m] += h * (lap[:m] + source)
-        pi[m:-1] += h * lap[m:-1]
+    @staticmethod
+    def _kick(pi: np.ndarray, lap: np.ndarray, source: np.ndarray, h: float,
+              acc: np.ndarray) -> None:
+        """pi += h d_t pi below the outer node, in place; lap is laplacian(w),
+        source the term 4 pi f_e omega below the outer node and acc scratch
+        like it."""
+        np.add(lap[:-1], source, out=acc)
+        acc *= h
+        pi[:-1] += acc
 
     def _outer_law(self) -> tuple:
         """r_n^2, r_m^2, a = -1/dr - 1/r_n, 1/dr and 1/r_n of the outgoing
@@ -370,36 +379,54 @@ class GyroSolver:
         pi[-1] = v_new / rn2
 
     def step(self, state: GyroEvolutionState, dt: float) -> GyroEvolutionState:
-        """One kick-drift-kick step with a conservative torque coupling.
+        """One kick-drift-kick step with a conservative torque coupling, on
+        copies of the state's arrays: `run` takes the same steps in place.
 
-        The torque is applied as -(2/3) int f r^2 (w_new - w_old), the
-        exact negative of the field-spin change over the step: s_b + s_e is
-        then conserved to machine precision, independent of dt.
+        The field is driven by the half-step gyration speed of the tangent
+        predictor omega + (dt/2) torque / sigma'(|omega|), from one
+        sigma_slope pass and no inversion.  It misses sigma^-1 of the
+        half-step spin by O(dt^2), which enters w through dt times the
+        source, so the scheme stays second order in dt.  The torque is
+        applied as -(2/3) int f r^2 (w_new - w_old), the exact negative of
+        the field-spin change over the step: s_b + s_e is then conserved to
+        machine precision, independent of dt.  The one spin inversion, of
+        the new s_b, starts at the same tangent's |omega|, so Newton takes
+        one correction and its stopping pass: three kernel passes a step.
         """
+        w, pi, lap, sb, omega = next(self._advance(state, dt))
+        return GyroEvolutionState(w, pi, sb, omega, state.t + dt, lap)
+
+    def _advance(self, state: GyroEvolutionState, dt: float):
+        """The steps of `step` from state, on copies of its arrays advanced
+        in place: yields (w, pi, lap, sb, omega) after each step.  w is
+        double-buffered, and one scratch array holds the laplacian's fluxes,
+        the kicks and the spin change in turn, so a step allocates no array
+        of the grid's width; the next step overwrites what it yielded.  A dt
+        above the CFL limit raises CFLError at the first step."""
         if dt > self.cfl_limit * (1.0 + 1e-12):
             raise CFLError(f"dt = {dt:g} exceeds the CFL limit {self.cfl_limit:g}")
-        m, h = self.m, 0.5 * dt
-        w0 = state.w
-        pi = state.pi.copy()
-
-        # predictor for the half-step gyration speed
-        om_half = self.omega_of_sb(state.sb + h * float(self.torque(pi)),
-                                   abs(state.omega))
-        source = self._source_coef * om_half
-
-        lap = state.lap if state.lap is not None else self.laplacian(w0)
-        self._kick(pi, lap, source, h)
-        self._boundary_kick(w0, pi, h)
-
-        w = w0 + dt * pi
-
-        lap = self.laplacian(w)
-        self._kick(pi, lap, source, h)
-        self._boundary_kick(w, pi, h)
-
-        sb = state.sb - float(self.field_spin_support(w[:m] - w0[:m]))
-        omega = self.omega_of_sb(sb, abs(om_half))
-        return GyroEvolutionState(w, pi, sb, omega, state.t + dt, lap)
+        m, h, curve = self.m, 0.5 * dt, self.curve
+        w0, w, pi = state.w.copy(), np.empty_like(state.w), state.pi.copy()
+        coef = (4.0 * np.pi) * self.fe_nodes[:-1]   # _source_coef, 0 beyond the support
+        acc, source = np.empty_like(coef), np.empty_like(coef)
+        lap = (self.laplacian(w0, np.empty_like(w0), acc) if state.lap is None
+               else state.lap.copy())
+        sb, omega = state.sb, state.omega
+        while True:
+            slope = curve.sigma_slope(abs(omega))[1]
+            np.multiply(coef, omega + h * float(self.torque(pi)) / slope, out=source)
+            self._kick(pi, lap, source, h, acc)
+            self._boundary_kick(w0, pi, h)
+            np.multiply(pi, dt, out=w)
+            w += w0
+            self.laplacian(w, lap, acc)
+            self._kick(pi, lap, source, h, acc)
+            self._boundary_kick(w, pi, h)
+            sb_new = sb - float(self.field_spin_support(np.subtract(w[:m], w0[:m], out=acc[:m])))
+            guess = min(abs(omega + (sb_new - sb) / slope), curve.omega_cap)
+            sb, omega = sb_new, self.omega_of_sb(sb_new, guess)
+            w0, w = w, w0
+            yield w0, pi, lap, sb, omega
 
     # -- diagnostics ------------------------------------------------------------
     def dynamic_energy_inside(self, w: np.ndarray, pi: np.ndarray, i_audit: int):
@@ -458,7 +485,9 @@ class GyroSolver:
         after t steps w is exact below k - t, pi and lap below k - t - 1.
         So the run steps only the leading min(n, i_audit + n_steps + 2)
         nodes, the domain of dependence of its records, and they equal the
-        full grid's bit for bit.  s_e, the energy inside r_audit and the
+        full grid's bit for bit.  It takes the steps of `step` in place, on
+        one set of buffers, so its records equal those of repeated `step`
+        calls bit for bit.  s_e, the energy inside r_audit and the
         flux are evaluated over the time axis of each RECORD_BLOCK steps,
         row by row equal to one state's call, in memory flat in the horizon.
         A horizon that is not positive and finite is refused (ValueError).
@@ -471,9 +500,9 @@ class GyroSolver:
         i_audit = min(max(i_audit, int(round(self.fe.R / self.dr)) + 1), self.n - 2)
         n_steps = int(np.ceil(horizon / dt))
         k = min(self.n, i_audit + n_steps + 2)
-        win = self._window(k)
-        state = replace(state, w=state.w[:k], pi=state.pi[:k],
-                        lap=None if state.lap is None else state.lap[:k])
+        steps = self._window(k)._advance(
+            replace(state, w=state.w[:k], pi=state.pi[:k],
+                    lap=None if state.lap is None else state.lap[:k]), dt)
 
         nt = n_steps + 1
         t, w_field, flux = np.empty(nt), np.empty(nt), np.empty(nt)
@@ -481,12 +510,14 @@ class GyroSolver:
         block = min(nt, RECORD_BLOCK)
         w_rec = np.empty((block, i_audit + 2))
         pi_rec = np.empty((block, i_audit + 1))
+        w, pi, s_now, om_now, t_now = state.w, state.pi, state.sb, state.omega, state.t
         for i in range(nt):
             if i:
-                state = win.step(state, dt)
-            t[i], omega[i], sb[i] = state.t, state.omega, state.sb
+                w, pi, _, s_now, om_now = next(steps)
+                t_now += dt
+            t[i], omega[i], sb[i] = t_now, om_now, s_now
             j = i % block
-            w_rec[j], pi_rec[j] = state.w[:i_audit + 2], state.pi[:i_audit + 1]
+            w_rec[j], pi_rec[j] = w[:i_audit + 2], pi[:i_audit + 1]
             if j == block - 1 or i == nt - 1:
                 rows, w_blk, pi_blk = slice(i - j, i + 1), w_rec[:j + 1], pi_rec[:j + 1]
                 se[rows] = self.field_spin_support(w_blk)
@@ -599,6 +630,10 @@ class GyroSolver:
         One iteration costs one _accel over the (nt+1, k) history (with one
         torque and _outgoing), one omega_many of the nt+1 s_b rows and three
         trapezoid running sums, formed in place in the array they return.
+        omega_many starts each row's Newton at the |omega| that the last
+        iteration inverted there, the state's |omega| at the first: a
+        converging 22-iteration solve of 11 rows takes about 2.0 kernel
+        passes a row, where a cold start took 4.2.
         The running sum adds row k-1 into row k, one row at a time: np.cumsum
         along the leading axis of a field history gives the same bits 4-6
         times slower.
@@ -644,8 +679,10 @@ class GyroSolver:
 
         gaps = []       # per iteration: sup gaps of w, pi and sb
         rn2 = win._outer[0]
+        omega = np.full(nt + 1, state.omega)
         for i in range(1, n_max + 1):
-            rhs_pi = win._accel(w, win.omega_many(sb))
+            omega = win.omega_many(sb, np.abs(omega))
+            rhs_pi = win._accel(w, omega)
             a, b = win._outgoing(w[:, -2], w[:, -1], pi[:, -2])
             rhs_pi[:, -1] = a * pi[:, -1] + b / rn2
             new_pi = integrate(state.pi[:k], rhs_pi)

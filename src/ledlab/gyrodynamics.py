@@ -147,16 +147,24 @@ class GyroSolver:
     beyond it, so the source of the wave equation and the field-spin sums
     touch only w[..., :m].  The outer node must lie outside the support.
 
+    Set-up forms m and the coupling weights from the nodes 0..R alone and
+    solves the unit stationary profile once, forming its fluxes there too;
+    `make_state`, `stationary_profile` and `predicted_equilibrium` scale
+    that one profile.  What it builds over the whole grid is r, f_e on the
+    nodes, the laplacian's flux coefficients and row denominators, and the
+    profile's backward sum from the outer node.
+
     A grid cut short errs one node further inward per step, so `run` steps
     only the k = min(n, i_audit + n_steps + 2) nodes that its records
     depend on (see there), in place on buffers it allocates once.  A step
-    costs one laplacian of those k nodes, two kicks of them, two running
-    sums over the m support nodes (s_e of the rate for the torque, s_e of
+    costs one laplacian of those k nodes, two kicks of them, two float sums
+    over the nonzero spin weights (s_e of the rate for the torque, s_e of
     the field change for the spin), float arithmetic at the outer node, one
     sigma_slope pass for the half-step predictor and one float spin
-    inversion of about two kernel passes: three passes a step (see `step`).
-    `run` copies the slices that its records read and evaluates them once
-    per RECORD_BLOCK steps.  `picard_iterate` likewise sweeps only the
+    inversion of about two kernel passes: three passes a step (see `step`),
+    each summing about 15 terms of each series at omega R = 0.3.  `run`
+    copies the slices that its records read and evaluates them once per
+    RECORD_BLOCK steps.  `picard_iterate` likewise sweeps only the
     leading k = min(n, p + 2 n_max + 2) nodes, p those where the initial
     data moves, m for a state at rest (see there).  Each of its iterations
     integrates pi, then w and s_b from that pi, for one laplacian of the
@@ -191,19 +199,27 @@ class GyroSolver:
         self.n = n + 1
 
         self.fe_nodes = self._discretize_profile(fe)
-        self.m = max(len(np.trim_zeros(self.fe_nodes, "b")), 1)
+        # nodes 0..n_in hold the profile, and every f_e beyond them is +0.0
+        support = n_in + 1
+        self.m = m = max(len(np.trim_zeros(self.fe_nodes[:support], "b")), 1)
         # coupling weights W_i r_i^2, with sum W_i g(r_i) ~ int g f_e 4 pi r^2 dr
-        weights = self.fe_nodes * 4.0 * np.pi * self.r**2 * dr
-        self._spin_weights = (weights * self.r**2)[:self.m]
+        r = self.r[:m]
+        weights = self.fe_nodes[:m] * 4.0 * np.pi * r**2 * dr
+        self._spin_weights = weights * r**2
+        # the 1-d spin sum's Python floats, from the first nonzero weight on
+        nonzero = np.flatnonzero(self._spin_weights)
+        lo = int(nonzero[0]) if nonzero.size else 0
+        self._spin_terms = lo, self._spin_weights[lo:].tolist()
         self.curve = GyrationCurve(fm, OMEGA_CAP)
         # 4 pi f_e on the support: the wave equation's source per unit omega
-        self._source_coef = (4.0 * np.pi) * self.fe_nodes[:self.m]
+        self._source_coef = (4.0 * np.pi) * self.fe_nodes[:m]
         # staggered flux coefficients r_{i+1/2}^4 of the conservative
         # discretization (r^4 w')' / r^4 of the radial operator, and the
         # interior rows' denominators r_i^4 dr
         self._r_half4 = (0.5 * (self.r[:-1] + self.r[1:])) ** 4
         self._lap_den = self.r[1:-1] ** 4 * dr
         self._outer = self._outer_law()
+        self._unit_profile = self._solve_unit_profile(support)
 
     # -- grid setup ---------------------------------------------------------
     def _discretize_profile(self, fe: DensityProfile) -> np.ndarray:
@@ -227,10 +243,10 @@ class GyroSolver:
 
         Flux form makes the semidiscrete field energy balance telescope
         exactly to the boundary, which is what the energy audit measures.
-        Origin row by even symmetry of w; the outer row is 0, because the
-        outgoing law advances that node.  The flux coefficients and row
-        denominators are cached at set-up and the rows are formed in the
-        caller's arrays, so a call allocates nothing.
+        Origin row by even symmetry of w, on floats for a 1-d w; the outer
+        row is 0, because the outgoing law advances that node.  The flux
+        coefficients and row denominators are cached at set-up and the rows
+        are formed in the caller's arrays, so a call allocates nothing.
         """
         dr = self.dr
         np.subtract(w[..., 1:], w[..., :-1], out=flux)
@@ -239,7 +255,10 @@ class GyroSolver:
         interior = out[..., 1:-1]
         np.subtract(flux[..., 1:], flux[..., :-1], out=interior)
         interior /= self._lap_den
-        out[..., 0] = 10.0 * (w[..., 1] - w[..., 0]) / dr**2
+        if w.ndim == 1:
+            out[0] = 10.0 * (w.item(1) - w.item(0)) / dr**2
+        else:
+            out[..., 0] = 10.0 * (w[..., 1] - w[..., 0]) / dr**2
         out[..., -1] = 0.0
         return out
 
@@ -259,7 +278,23 @@ class GyroSolver:
         beyond the support, so only w[..., :m] is read.  The nodes are
         added one at a time from the origin, a running sum: a pairwise or
         dot-product sum of the volume's 21 nodes rounds differently.
+
+        A 1-d w is summed on Python floats from the first nonzero weight
+        (the ball's node 1, the shell's node R).  The zero-weight products
+        before it are zeros, which leave a running sum alone unless it is
+        a zero itself, so a nonzero float sum is the running sum's bits; a
+        zero one, whose sign they may set, and a w with a time axis take
+        np.add.accumulate.
         """
+        if w.ndim == 1:
+            lo, weights = self._spin_terms
+            terms = zip(weights, w[lo:self.m].tolist())
+            a, x = next(terms)
+            total = a * x
+            for a, x in terms:
+                total += a * x
+            if total:
+                return (2.0 / 3.0) * total
         return (2.0 / 3.0) * np.add.accumulate(self._spin_weights * w[..., :self.m],
                                                axis=-1)[..., -1]
 
@@ -294,20 +329,32 @@ class GyroSolver:
     # -- initial data -----------------------------------------------------------
     def stationary_profile(self, omega: float) -> np.ndarray:
         """Discrete stationary solution of the radial BVP (exact fixed
-        point of the discretized dynamics at the matching spin).
+        point of the discretized dynamics at the matching spin): omega
+        times the unit profile, which set-up solves once."""
+        return self._unit_profile * omega
+
+    def _solve_unit_profile(self, support: int) -> np.ndarray:
+        """The stationary profile at omega = 1; f_e vanishes beyond the
+        leading `support` nodes.
 
         The rows of laplacian(w) = -4 pi f_e are solved in flux form,
         F_i = r_{i+1/2}^4 (w_{i+1} - w_i) / dr: the origin row fixes F_0, and
         interior row i fixes F_i - F_{i-1} = -4 pi f_e r_i^4 dr, so the
-        fluxes are one cumulative sum.  The static outgoing residue
-        d_r (r^2 w) + r w = 0 (one-sided) and the last difference fix the
-        outer node, and the differences summed back from it give the rest.
+        fluxes are one cumulative sum.  Beyond the support every flux is
+        -0.0, which leaves the sum where it stands, so only the support's
+        fluxes are formed.  The static outgoing residue d_r (r^2 w) + r w = 0
+        (one-sided) and the last difference fix the outer node, and the
+        differences summed back from it give the rest.
         """
         dr, r = self.dr, self.r
-        rhs = -(4.0 * np.pi) * self.fe_nodes
-        flux = rhs[:-1] * r[:-1] ** 4 * dr
+        rhs = -(4.0 * np.pi) * self.fe_nodes[:support]
+        flux = rhs * r[:support] ** 4 * dr
         flux[0] = self._r_half4[0] * rhs[0] * dr / 10.0
-        diff = np.cumsum(flux) * dr / self._r_half4
+        flux = np.cumsum(flux)
+        diff = np.empty(self.n - 1)
+        np.multiply(flux, dr, out=diff[:support])
+        diff[support:] = flux[-1] * dr
+        diff /= self._r_half4
         # r_n^2 (1/dr + 1/r_n) w_n - (r_m^2/dr)(w_n - diff[-1]) = 0, with
         # r_n^2 - r_m^2 factored so that it does not cancel
         rn, rm = r[-1], r[-2]
@@ -315,7 +362,7 @@ class GyroSolver:
         shape = np.empty(self.n)
         shape[-1] = outer
         shape[-2::-1] = outer - np.cumsum(diff[::-1])
-        return shape * omega
+        return shape
 
     def make_state(self, omega3, scale: float = 1.0) -> GyroEvolutionState:
         """Initial data: scale times the stationary field at rest (scale = 0
@@ -349,12 +396,12 @@ class GyroSolver:
     @staticmethod
     def _kick(pi: np.ndarray, lap: np.ndarray, source: np.ndarray, h: float,
               acc: np.ndarray) -> None:
-        """pi += h d_t pi below the outer node, in place; lap is laplacian(w),
-        source the term 4 pi f_e omega below the outer node and acc scratch
-        like it."""
-        np.add(lap[:-1], source, out=acc)
+        """pi += h d_t pi in place, below the outer node: pi and lap (that
+        is, laplacian(w)) are views of the nodes below it, source the term
+        4 pi f_e omega there and acc scratch like it."""
+        np.add(lap, source, out=acc)
         acc *= h
-        pi[:-1] += acc
+        pi += acc
 
     def _outer_law(self) -> tuple:
         """r_n^2, r_m^2, a = -1/dr - 1/r_n, 1/dr and 1/r_n of the outgoing
@@ -401,8 +448,10 @@ class GyroSolver:
         in place: yields (w, pi, lap, sb, omega) after each step.  w is
         double-buffered, and one scratch array holds the laplacian's fluxes,
         the kicks and the spin change in turn, so a step allocates no array
-        of the grid's width; the next step overwrites what it yielded.  A dt
-        above the CFL limit raises CFLError at the first step."""
+        of the grid's width; the next step overwrites what it yielded.  The
+        views the kicks and the spin change write through are taken once,
+        before the first step.  A dt above the CFL limit raises CFLError at
+        the first step."""
         if dt > self.cfl_limit * (1.0 + 1e-12):
             raise CFLError(f"dt = {dt:g} exceeds the CFL limit {self.cfl_limit:g}")
         m, h, curve = self.m, 0.5 * dt, self.curve
@@ -411,18 +460,19 @@ class GyroSolver:
         acc, source = np.empty_like(coef), np.empty_like(coef)
         lap = (self.laplacian(w0, np.empty_like(w0), acc) if state.lap is None
                else state.lap.copy())
+        pi_in, lap_in, change = pi[:-1], lap[:-1], acc[:m]
         sb, omega = state.sb, state.omega
         while True:
             slope = curve.sigma_slope(abs(omega))[1]
             np.multiply(coef, omega + h * float(self.torque(pi)) / slope, out=source)
-            self._kick(pi, lap, source, h, acc)
+            self._kick(pi_in, lap_in, source, h, acc)
             self._boundary_kick(w0, pi, h)
             np.multiply(pi, dt, out=w)
             w += w0
             self.laplacian(w, lap, acc)
-            self._kick(pi, lap, source, h, acc)
+            self._kick(pi_in, lap_in, source, h, acc)
             self._boundary_kick(w, pi, h)
-            sb_new = sb - float(self.field_spin_support(np.subtract(w[:m], w0[:m], out=acc[:m])))
+            sb_new = sb - float(self.field_spin_support(np.subtract(w[:m], w0[:m], out=change)))
             guess = min(abs(omega + (sb_new - sb) / slope), curve.omega_cap)
             sb, omega = sb_new, self.omega_of_sb(sb_new, guess)
             w0, w = w, w0
@@ -505,17 +555,19 @@ class GyroSolver:
                     lap=None if state.lap is None else state.lap[:k]), dt)
 
         nt = n_steps + 1
-        t, w_field, flux = np.empty(nt), np.empty(nt), np.empty(nt)
-        omega, sb, se = np.empty(nt), np.empty(nt), np.empty(nt)
+        w_field, flux, se = np.empty(nt), np.empty(nt), np.empty(nt)
         block = min(nt, RECORD_BLOCK)
         w_rec = np.empty((block, i_audit + 2))
         pi_rec = np.empty((block, i_audit + 1))
-        w, pi, s_now, om_now, t_now = state.w, state.pi, state.sb, state.omega, state.t
+        t, omega, sb = [state.t], [state.omega], [state.sb]
+        w, pi, t_now = state.w, state.pi, state.t
         for i in range(nt):
             if i:
                 w, pi, _, s_now, om_now = next(steps)
                 t_now += dt
-            t[i], omega[i], sb[i] = t_now, om_now, s_now
+                t.append(t_now)
+                omega.append(om_now)
+                sb.append(s_now)
             j = i % block
             w_rec[j], pi_rec[j] = w[:i_audit + 2], pi[:i_audit + 1]
             if j == block - 1 or i == nt - 1:
@@ -523,8 +575,9 @@ class GyroSolver:
                 se[rows] = self.field_spin_support(w_blk)
                 w_field[rows] = self.dynamic_energy_inside(w_blk, pi_blk, i_audit)
                 flux[rows] = self.poynting_flux(w_blk, pi_blk, i_audit)
-        W_b = np.array([self.curve.mass(abs(om)) for om in omega.tolist()])
-        return Trajectory(t, omega, sb, se, W_b, w_field, flux, self.r[i_audit])
+        W_b = np.array([self.curve.mass(abs(om)) for om in omega])
+        return Trajectory(np.array(t), np.array(omega), np.array(sb), se, W_b, w_field, flux,
+                          self.r[i_audit])
 
     def predicted_equilibrium(self, state: GyroEvolutionState) -> float:
         """|omega| of the stationary state conserving s_b + s_e.
@@ -535,7 +588,7 @@ class GyroSolver:
         coefficient of the discrete stationary mode.  Beyond
         sigma(cap) + kappa cap no such state exists: ValueError.
         """
-        kappa = float(self.field_spin_support(self.stationary_profile(1.0)))
+        kappa = float(self.field_spin_support(self._unit_profile))
         s_tot = abs(float(state.sb + self.field_spin_support(state.w)))
         cap = self.curve.omega_cap
 
